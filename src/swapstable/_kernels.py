@@ -1,254 +1,55 @@
-"""Hot inner loops: numba-compiled with a pure-numpy fallback.
+"""Hot inner loops, vectorized with numpy.
 
-The backend is picked once at import time from the environment variable
-``SWAPSTABLE_KERNELS``:
-
-* ``auto`` (default) - use numba when importable, numpy otherwise
-* ``numba``          - require numba, fail loudly if missing
-* ``numpy``          - force the pure-numpy path
-
-All kernels take plain int64 ndarrays so both paths share one signature:
-``rank_u`` is an (nU, nW) matrix with ``rank_u[i, j]`` the 0-based position
-of w_j in u_i's list (``len_u[i]`` when unacceptable), ``pu``/``pw`` are
-partner index vectors with -1 for unmatched.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+All kernels take plain int64 ndarrays: ``rank_u`` is an (nU, nW) matrix
+with ``rank_u[i, j]`` the 0-based position of w_j in u_i's list
+(``len_u[i]`` when unacceptable), ``pu``/``pw`` are partner index vectors
+with -1 for unmatched.
 """
 
-import os
-
 import numpy as np
-
-_REQUESTED = os.environ.get("SWAPSTABLE_KERNELS", "auto").lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        "SWAPSTABLE_KERNELS must be auto, numba or numpy, got %r" % _REQUESTED
-    )
-
-HAS_NUMBA = False
-if _REQUESTED != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-        HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
 
 
 def _current_ranks(rank_u, len_u, pu):
     # rank of the current partner, list length when unmatched; an agent
     # improves with j exactly when rank_u[i, j] < this value, which also
     # folds in acceptability because unacceptable ranks equal the length
-    n = rank_u.shape[0]
     out = len_u.copy()
     matched = pu >= 0
     out[matched] = rank_u[np.nonzero(matched)[0], pu[matched]]
     return out
 
 
-def blocking_mask_np(rank_u, rank_w, len_u, len_w, pu, pw):
+def blocking_mask(rank_u, rank_w, len_u, len_w, pu, pw):
     cur_u = _current_ranks(rank_u, len_u, pu)
     cur_w = _current_ranks(rank_w, len_w, pw)
     return (rank_u < cur_u[:, None]) & (rank_w < cur_w[:, None]).T
 
 
-def first_blocking_np(rank_u, rank_w, len_u, len_w, pu, pw):
-    mask = blocking_mask_np(rank_u, rank_w, len_u, len_w, pu, pw)
+def first_blocking(rank_u, rank_w, len_u, len_w, pu, pw):
+    mask = blocking_mask(rank_u, rank_w, len_u, len_w, pu, pw)
     hits = np.argwhere(mask)
     if hits.size == 0:
         return (-1, -1)
     return (int(hits[0, 0]), int(hits[0, 1]))
 
 
-def egal_cost_np(rank_u, rank_w, len_u, len_w, pu, pw):
+def egal_cost(rank_u, rank_w, len_u, len_w, pu, pw):
     cu = _current_ranks(rank_u, len_u, pu)
     cw = _current_ranks(rank_w, len_w, pw)
     return int(cu.sum() + cw.sum())
 
 
-def count_inversions_np(arr):
+def count_inversions(arr):
     if arr.shape[0] < 2:
         return 0
     more = arr[:, None] > arr[None, :]
     return int(np.triu(more, 1).sum())
 
 
-def batch_stable_np(rank_u, rank_w, len_u, len_w, pus, pws):
-    k = pus.shape[0]
-    out = np.empty(k, dtype=np.bool_)
-    for t in range(k):
-        i, _ = first_blocking_np(rank_u, rank_w, len_u, len_w, pus[t], pws[t])
-        out[t] = i < 0
-    return out
-
-
-def stabilizable_product_np(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
-    # ru has shape (nU, maxChoices, nW): one rank row per candidate list of
-    # each agent.  Decides whether some per-agent choice combination admits
-    # no blocking pair.  With the U side fixed the W agents decouple, so only
-    # the U choices are enumerated by odometer.
-    n_u, _, n_w = ru.shape
-    digits = np.zeros(n_u, dtype=np.int64)
-    while True:
-        ok = True
-        for j in range(n_w):
-            found = False
-            for c in range(cnt_w[j]):
-                cur_w = rw[j, c, pw[j]] if pw[j] >= 0 else len_w[j]
-                viable = True
-                for i in range(n_u):
-                    cur_u = ru[i, digits[i], pu[i]] if pu[i] >= 0 else len_u[i]
-                    if ru[i, digits[i], j] < cur_u and rw[j, c, i] < cur_w:
-                        viable = False
-                        break
-                if viable:
-                    found = True
-                    break
-            if not found:
-                ok = False
-                break
-        if ok:
-            return True
-        pos = 0
-        while pos < n_u:
-            digits[pos] += 1
-            if digits[pos] < cnt_u[pos]:
-                break
-            digits[pos] = 0
-            pos += 1
-        if pos == n_u:
-            return False
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _first_blocking_nb(rank_u, rank_w, len_u, len_w, pu, pw):
-        n_u, n_w = rank_u.shape
-        for i in range(n_u):
-            cur_u = rank_u[i, pu[i]] if pu[i] >= 0 else len_u[i]
-            for j in range(n_w):
-                if rank_u[i, j] >= cur_u:
-                    continue
-                cur_w = rank_w[j, pw[j]] if pw[j] >= 0 else len_w[j]
-                if rank_w[j, i] < cur_w:
-                    return (i, j)
-        return (-1, -1)
-
-    @njit(cache=True)
-    def _blocking_mask_nb(rank_u, rank_w, len_u, len_w, pu, pw):
-        n_u, n_w = rank_u.shape
-        out = np.zeros((n_u, n_w), dtype=np.bool_)
-        for i in range(n_u):
-            cur_u = rank_u[i, pu[i]] if pu[i] >= 0 else len_u[i]
-            for j in range(n_w):
-                if rank_u[i, j] >= cur_u:
-                    continue
-                cur_w = rank_w[j, pw[j]] if pw[j] >= 0 else len_w[j]
-                if rank_w[j, i] < cur_w:
-                    out[i, j] = True
-        return out
-
-    @njit(cache=True)
-    def _egal_cost_nb(rank_u, rank_w, len_u, len_w, pu, pw):
-        total = 0
-        for i in range(rank_u.shape[0]):
-            total += rank_u[i, pu[i]] if pu[i] >= 0 else len_u[i]
-        for j in range(rank_w.shape[0]):
-            total += rank_w[j, pw[j]] if pw[j] >= 0 else len_w[j]
-        return total
-
-    @njit(cache=True)
-    def _count_inversions_nb(arr):
-        total = 0
-        n = arr.shape[0]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if arr[a] > arr[b]:
-                    total += 1
-        return total
-
-    @njit(cache=True)
-    def _batch_stable_nb(rank_u, rank_w, len_u, len_w, pus, pws):
-        k = pus.shape[0]
-        n_u, n_w = rank_u.shape
-        out = np.empty(k, dtype=np.bool_)
-        for t in range(k):
-            stable = True
-            for i in range(n_u):
-                cur_u = rank_u[i, pus[t, i]] if pus[t, i] >= 0 else len_u[i]
-                for j in range(n_w):
-                    if rank_u[i, j] >= cur_u:
-                        continue
-                    cur_w = rank_w[j, pws[t, j]] if pws[t, j] >= 0 else len_w[j]
-                    if rank_w[j, i] < cur_w:
-                        stable = False
-                        break
-                if not stable:
-                    break
-            out[t] = stable
-        return out
-
-    @njit(cache=True)
-    def _stabilizable_product_nb(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
-        n_u = ru.shape[0]
-        n_w = rw.shape[0]
-        digits = np.zeros(n_u, dtype=np.int64)
-        while True:
-            ok = True
-            for j in range(n_w):
-                found = False
-                for c in range(cnt_w[j]):
-                    cur_w = rw[j, c, pw[j]] if pw[j] >= 0 else len_w[j]
-                    viable = True
-                    for i in range(n_u):
-                        cur_u = ru[i, digits[i], pu[i]] if pu[i] >= 0 else len_u[i]
-                        if ru[i, digits[i], j] < cur_u and rw[j, c, i] < cur_w:
-                            viable = False
-                            break
-                    if viable:
-                        found = True
-                        break
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                return True
-            pos = 0
-            while pos < n_u:
-                digits[pos] += 1
-                if digits[pos] < cnt_u[pos]:
-                    break
-                digits[pos] = 0
-                pos += 1
-            if pos == n_u:
-                return False
-
-    first_blocking = _first_blocking_nb
-    blocking_mask = _blocking_mask_nb
-    egal_cost = _egal_cost_nb
-    count_inversions = _count_inversions_nb
-    batch_stable = _batch_stable_nb
-    stabilizable_product = _stabilizable_product_nb
-else:
-    first_blocking = first_blocking_np
-    blocking_mask = blocking_mask_np
-    egal_cost = egal_cost_np
-    count_inversions = count_inversions_np
-    batch_stable = batch_stable_np
-    stabilizable_product = stabilizable_product_np
-
-
 def backend():
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the kernel implementation, always ``"numpy"``.
+
+    There is one implementation; the function stays because
+    ``perfbench/worker.py`` writes its value into every result file.
+    """
+    return "numpy"

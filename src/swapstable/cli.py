@@ -387,6 +387,13 @@ def main(argv=None):
     except (Error, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash must not read as a negative answer (exit 1)
+        print(
+            "error: internal error: %s: %s" % (type(exc).__name__, exc),
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from ._flow import FlowNetwork
 from .classic import matched_partition, u_optimal
-from .errors import InvalidInput, NotNearlyStable
+from .errors import Error, InvalidInput, NotNearlyStable
 from .profile import (
     INFINITE,
     Matching,
@@ -61,6 +61,12 @@ class NearStabilityReport:
     global_cost: Cost
     witness_local: Optional[Profile]
     witness_global: Optional[Profile]
+
+
+def _verify(ok, what):
+    """Raise Error naming an output check that failed; runs under -O too."""
+    if not ok:
+        raise Error("output check failed: %s" % what)
 
 
 def _defuse_costs(p, m, i, j):
@@ -145,7 +151,7 @@ def witness_profile_local(p, m, d_l) -> Profile:
             w_lists, j, partner, int(p.rank_w[j, partner]) - target
         )
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
-    assert is_stable(q, m)
+    _verify(is_stable(q, m), "local witness makes the matching stable")
     return q
 
 
@@ -215,10 +221,10 @@ def global_stabilization_cost(p, m):
         steps = sum(1 for k in range(1, top + 1) if ("w", j, k) not in sink)
         total += steps
         w_lists = _promote(w_lists, j, int(m.pw[j]), steps)
-    assert total == cost
+    _verify(total == cost, "cut sides add up to the flow value")
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
-    assert is_stable(q, m)
-    assert swap_distance(p, q) == cost
+    _verify(is_stable(q, m), "global witness makes the matching stable")
+    _verify(swap_distance(p, q) == cost, "global witness lies at the cut distance")
     return (cost, q)
 
 
@@ -380,59 +386,86 @@ def _prefix_conflict(p, pu, pw, depth, d_l, deadline):
     return False
 
 
-def solve_local_near(p, d_l, objective, eta=None):
-    """Matching satisfying the objective with per-list instability <= d_l.
+def _local_search(p, d_l, objective, eta, first):
+    """Branch-and-bound over matchings with per-list instability <= d_l.
 
-    Backtracking over U agents in index order, partners tried in
-    preference order (then unmatched, unless perfection forbids it).  A
-    branch dies as soon as a sealed pair cannot be defused within d_l or
-    the accumulated egalitarian cost passes eta.  Returns the first
-    feasible matching, or None.
+    Depth-first over U agents in index order, partners tried in
+    preference order (then unmatched, unless the objective is perfect).
+    A branch dies as soon as a sealed pair cannot be defused within d_l
+    or, for the egalitarian objective, the accumulated cost of the decided
+    agents passes eta.  With ``first`` set, returns the first feasible
+    leaf; otherwise tightens eta below each feasible leaf's cost and
+    returns the last one found, which is the cheapest.  None when no leaf
+    is feasible.  The stack holds one frame per decided U agent, so depth
+    is not bounded by the interpreter's recursion limit.
     """
-    objective = _check_objective(objective, eta)
-    if d_l < 0:
-        raise InvalidInput("budget must be nonnegative, got %r" % d_l)
-    if objective == Objective.PERFECT and not _perfect_precheck(p):
-        return None
     deadline = _settle_deadline(p)
+    bounded = objective == Objective.EGALITARIAN
+    tail = [-1] if bounded else []
     pu = [-1] * p.n_u
     pw = [-1] * p.n_w
-
-    def extend(i, acc):
-        if i == p.n_u:
+    best = None
+    # frames[i] is [options of u_i, index of its next option, cost of u_0..u_{i-1}]
+    frames = []
+    acc = 0
+    while True:
+        if len(frames) < p.n_u:
+            options = [int(j) for j in p.u_lists[len(frames)] if pw[j] < 0]
+            frames.append([options + tail, 0, acc])
+        else:
             m = Matching.from_pairs(
                 p.n_u, p.n_w, [(k, pu[k]) for k in range(p.n_u) if pu[k] >= 0]
             )
-            if objective == Objective.PERFECT and not is_perfect(p, m):
-                return None
-            if (
-                objective == Objective.EGALITARIAN
-                and egalitarian_cost(p, m) > eta
-            ):
-                return None
-            if local_instability(p, m) > d_l:
-                return None
-            return m
-        options = [int(j) for j in p.u_lists[i] if pw[j] < 0]
-        for j in options + ([-1] if objective != Objective.PERFECT else []):
+            if bounded:
+                cost = egalitarian_cost(p, m)
+                fits = cost <= eta
+            else:
+                fits = is_perfect(p, m)
+            if fits and local_instability(p, m) <= d_l:
+                if first:
+                    return m
+                best, eta = m, cost - 1
+        # Undo the top agent's choice and move it to its next option that
+        # survives both prunes, popping agents whose options ran out.
+        while frames:
+            i = len(frames) - 1
+            frame = frames[i]
+            options, k, base = frame
+            if pu[i] >= 0:
+                pw[pu[i]] = -1
+                pu[i] = -1
+            if k == len(options):
+                frames.pop()
+                continue
+            frame[1] = k + 1
+            j = options[k]
             if j >= 0:
                 pu[i] = j
                 pw[j] = i
                 step = int(p.rank_u[i, j]) + int(p.rank_w[j, i])
             else:
                 step = int(p.len_u[i])
-            if not (
-                objective == Objective.EGALITARIAN and acc + step > eta
-            ) and not _prefix_conflict(p, pu, pw, i + 1, d_l, deadline):
-                found = extend(i + 1, acc + step)
-                if found is not None:
-                    return found
-            if j >= 0:
-                pu[i] = -1
-                pw[j] = -1
-        return None
+            if not (bounded and base + step > eta) and not _prefix_conflict(
+                p, pu, pw, i + 1, d_l, deadline
+            ):
+                acc = base + step
+                break
+        else:
+            return best
 
-    return extend(0, 0)
+
+def solve_local_near(p, d_l, objective, eta=None):
+    """Matching satisfying the objective with per-list instability <= d_l.
+
+    Exact branch-and-bound (see _local_search) stopping at the first
+    feasible matching, which is returned; None when there is none.
+    """
+    objective = _check_objective(objective, eta)
+    if d_l < 0:
+        raise InvalidInput("budget must be nonnegative, got %r" % d_l)
+    if objective == Objective.PERFECT and not _perfect_precheck(p):
+        return None
+    return _local_search(p, d_l, objective, eta, first=True)
 
 
 def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
@@ -506,48 +539,8 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
     m2 = Matching.from_pairs(
         p2.n_u, p2.n_w, [(i, pu[i]) for i in range(p2.n_u) if pu[i] >= 0]
     )
-    assert is_stable(p2, m2)
+    _verify(is_stable(p2, m2), "repaired matching is stable")
     return m2
-
-
-def _min_local_egal(p, d_l):
-    """Cheapest egalitarian cost over locally d_l-nearly stable matchings.
-
-    Same backtracking shape as solve_local_near, but exhausts the tree
-    keeping the best leaf; the accumulated cost of decided agents prunes
-    against the incumbent.  Stable matchings always qualify, so the
-    result is finite.
-    """
-    deadline = _settle_deadline(p)
-    pu = [-1] * p.n_u
-    pw = [-1] * p.n_w
-    best = [INFINITE]
-
-    def extend(i, acc):
-        if acc >= best[0]:
-            return
-        if i == p.n_u:
-            m = Matching.from_pairs(
-                p.n_u, p.n_w, [(k, pu[k]) for k in range(p.n_u) if pu[k] >= 0]
-            )
-            if local_instability(p, m) <= d_l:
-                best[0] = min(best[0], egalitarian_cost(p, m))
-            return
-        for j in [int(j) for j in p.u_lists[i] if pw[j] < 0] + [-1]:
-            if j >= 0:
-                pu[i] = j
-                pw[j] = i
-                step = int(p.rank_u[i, j]) + int(p.rank_w[j, i])
-            else:
-                step = int(p.len_u[i])
-            if not _prefix_conflict(p, pu, pw, i + 1, d_l, deadline):
-                extend(i + 1, acc + step)
-            if j >= 0:
-                pu[i] = -1
-                pw[j] = -1
-
-    extend(0, 0)
-    return best[0]
 
 
 def tradeoff_curve(p, mode, d_max, objective):
@@ -588,7 +581,9 @@ def tradeoff_curve(p, mode, d_max, objective):
             if objective == Objective.PERFECT:
                 value = solve_local_near(p, d, objective) is not None
             else:
-                value = _min_local_egal(p, d)
+                # stable matchings qualify at every budget, so a leaf exists
+                best = _local_search(p, d, objective, INFINITE, first=False)
+                value = egalitarian_cost(p, best)
             out.append((d, value))
         return out
     raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)

@@ -13,7 +13,6 @@ import itertools
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidInput, TooLarge
 from .profile import (
     Matching,
@@ -180,6 +179,47 @@ def _variant_rank_rows(lists, n_other, d):
     return rows, counts
 
 
+def stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
+    """Does some per-agent choice of candidate list admit no blocking pair?
+
+    ru has shape (nU, maxChoices, nW): one rank row per candidate list of
+    each agent, cnt_u[i] of them valid (rw likewise for W).  With the U
+    side fixed the W agents decouple, so only the U choices are
+    enumerated, by odometer.
+    """
+    n_u, _, n_w = ru.shape
+    digits = np.zeros(n_u, dtype=np.int64)
+    while True:
+        ok = True
+        for j in range(n_w):
+            found = False
+            for c in range(cnt_w[j]):
+                cur_w = rw[j, c, pw[j]] if pw[j] >= 0 else len_w[j]
+                viable = True
+                for i in range(n_u):
+                    cur_u = ru[i, digits[i], pu[i]] if pu[i] >= 0 else len_u[i]
+                    if ru[i, digits[i], j] < cur_u and rw[j, c, i] < cur_w:
+                        viable = False
+                        break
+                if viable:
+                    found = True
+                    break
+            if not found:
+                ok = False
+                break
+        if ok:
+            return True
+        pos = 0
+        while pos < n_u:
+            digits[pos] += 1
+            if digits[pos] < cnt_u[pos]:
+                break
+            digits[pos] = 0
+            pos += 1
+        if pos == n_u:
+            return False
+
+
 def brute_is_locally_d_stable(p, m, d):
     """Is m stable in some profile whose every list moved at most d swaps?
 
@@ -189,7 +229,7 @@ def brute_is_locally_d_stable(p, m, d):
     ru, cnt_u = _variant_rank_rows(p.u_lists, p.n_w, d)
     rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, d)
     return bool(
-        _kernels.stabilizable_product(
+        stabilizable_product(
             ru, rw, p.len_u, p.len_w, cnt_u, cnt_w, m.pu, m.pw
         )
     )

@@ -277,6 +277,19 @@ def test_error_exits_and_messages(capsys, tmp_path, crown):
     assert code == 2 and "eta" in err
 
 
+def test_internal_error_exits_2(capsys, monkeypatch, crown):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("swapstable.cli.solve_local_near", boom)
+    code, out, err = run(
+        capsys, "solve", "local-near", "--profile", crown[1], "--d", "0",
+        "--objective", "perfect",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
 def test_profile_from_stdin(capsys, monkeypatch, crown):
     p, _, stable, _ = crown
     monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_profile(p)))

@@ -1,120 +1,89 @@
-"""Kernel backend selection and numba/numpy parity."""
+"""Numpy kernels against plain Python loops over the same inputs."""
 
-import importlib.util
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 import pytest
 
-import swapstable
 from swapstable import _kernels, backend, gen_random, u_optimal
+from swapstable.oracle import _variant_rank_rows, stabilizable_product
 from swapstable.profile import _partner_arrays
 
 from helpers import random_matching, make_rng
 
-KERNELS = (
-    "first_blocking",
-    "blocking_mask",
-    "egal_cost",
-    "batch_stable",
-    "count_inversions",
-    "stabilizable_product",
-)
+
+def _loop_blocking(rank_u, rank_w, len_u, len_w, pu, pw):
+    """Blocking pairs in (u, w) order by a double loop over the rank rows."""
+    out = []
+    for i in range(rank_u.shape[0]):
+        cur_u = rank_u[i, pu[i]] if pu[i] >= 0 else len_u[i]
+        for j in range(rank_w.shape[0]):
+            cur_w = rank_w[j, pw[j]] if pw[j] >= 0 else len_w[j]
+            if rank_u[i, j] < cur_u and rank_w[j, i] < cur_w:
+                out.append((i, j))
+    return out
+
+
+def _loop_egal(rank_u, rank_w, len_u, len_w, pu, pw):
+    total = 0
+    for i in range(rank_u.shape[0]):
+        total += rank_u[i, pu[i]] if pu[i] >= 0 else len_u[i]
+    for j in range(rank_w.shape[0]):
+        total += rank_w[j, pw[j]] if pw[j] >= 0 else len_w[j]
+    return total
 
 
 def test_backend_reports_active_path():
-    assert backend() in ("numba", "numpy")
-    assert (backend() == "numba") == _kernels.HAS_NUMBA
+    assert backend() == "numpy"
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
 @pytest.mark.parametrize("seed", range(20))
-def test_matching_kernels_agree_across_backends(seed):
+def test_matching_kernels_match_loops(seed):
     rng = make_rng(seed)
     p = gen_random(rng.randint(1, 6), rng.randint(1, 6), rng.choice([0.5, 1.0]), seed)
     for m in (u_optimal(p), random_matching(p, rng)):
         args = _partner_arrays(p, m)
-        assert _kernels._first_blocking_nb(*args) == _kernels.first_blocking_np(*args)
-        assert np.array_equal(
-            _kernels._blocking_mask_nb(*args), _kernels.blocking_mask_np(*args)
-        )
-        assert _kernels._egal_cost_nb(*args) == _kernels.egal_cost_np(*args)
+        pairs = _loop_blocking(*args)
+        mask = _kernels.blocking_mask(*args)
+        assert [(int(i), int(j)) for i, j in np.argwhere(mask)] == pairs
+        assert _kernels.first_blocking(*args) == (pairs[0] if pairs else (-1, -1))
+        assert _kernels.egal_cost(*args) == _loop_egal(*args)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_batch_and_inversion_kernels_agree_across_backends():
+def test_count_inversions_matches_pair_count():
     rng = np.random.default_rng(3)
-    p = gen_random(5, 5, 1.0, seed=8)
-    pus = np.empty((12, 5), dtype=np.int64)
-    pws = np.empty((12, 5), dtype=np.int64)
-    for t in range(12):
-        perm = rng.permutation(5).astype(np.int64)
-        pus[t] = perm
-        pws[t, perm] = np.arange(5, dtype=np.int64)
-    args = (p.rank_u, p.rank_w, p.len_u, p.len_w, pus, pws)
-    assert np.array_equal(
-        _kernels._batch_stable_nb(*args), _kernels.batch_stable_np(*args)
-    )
     for size in (0, 1, 2, 30):
         arr = rng.integers(0, 10, size=size).astype(np.int64)
-        assert _kernels._count_inversions_nb(arr) == _kernels.count_inversions_np(arr)
+        pairs = sum(
+            1 for a in range(size) for b in range(a + 1, size) if arr[a] > arr[b]
+        )
+        assert _kernels.count_inversions(arr) == pairs
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
+def _some_choice_is_stable(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
+    """Try every combination of candidate lists, U and W sides together."""
+    choices = [range(c) for c in cnt_u] + [range(c) for c in cnt_w]
+    n_u = ru.shape[0]
+    for combo in itertools.product(*choices):
+        args = (
+            ru[np.arange(n_u), list(combo[:n_u])],
+            rw[np.arange(rw.shape[0]), list(combo[n_u:])],
+            len_u,
+            len_w,
+            pu,
+            pw,
+        )
+        if not _loop_blocking(*args):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_stabilizable_product_agrees_across_backends(seed):
-    from swapstable.oracle import _variant_rank_rows
-
+def test_stabilizable_product_matches_enumeration(seed):
     rng = make_rng(seed)
     p = gen_random(3, 3, 1.0, seed=seed)
     ru, cnt_u = _variant_rank_rows(p.u_lists, p.n_w, 1)
     rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, 1)
     m = random_matching(p, rng)
     args = (ru, rw, p.len_u, p.len_w, cnt_u, cnt_w, m.pu, m.pw)
-    assert _kernels._stabilizable_product_nb(*args) == _kernels.stabilizable_product_np(*args)
-
-
-def _child_env(flag):
-    # a bare environment, so a SWAPSTABLE_KERNELS set in this process
-    # cannot leak into the child; PYTHONPATH leads with the directory this
-    # process imported swapstable from (a checkout's src/ or site-packages),
-    # then keeps this process's own entries so the child sees the same numba
-    package_dir = os.path.dirname(os.path.dirname(swapstable.__file__))
-    inherited = os.environ.get("PYTHONPATH", "")
-    entries = [package_dir] + [e for e in inherited.split(os.pathsep) if e]
-    return {"PATH": "", "SWAPSTABLE_KERNELS": flag, "PYTHONPATH": os.pathsep.join(entries)}
-
-
-@pytest.mark.parametrize("flag", ["numpy", "auto"])
-def test_env_flag_selects_backend(flag):
-    if flag == "numpy":
-        expect = "numpy"
-    else:
-        # what auto resolves to depends only on numba being importable,
-        # not on how this parent process was configured
-        expect = "numba" if importlib.util.find_spec("numba") else "numpy"
-    code = "import swapstable; print(swapstable.backend()); print(swapstable.__file__)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env(flag),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    got_backend, got_file = out.stdout.strip().splitlines()
-    assert got_backend == expect
-    # a stale installed copy must not answer for the code under test
-    assert os.path.samefile(got_file, swapstable.__file__)
-
-
-def test_env_flag_rejects_unknown_value():
-    out = subprocess.run(
-        [sys.executable, "-c", "import swapstable"],
-        env=_child_env("gpu"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "SWAPSTABLE_KERNELS" in out.stderr
+    assert stabilizable_product(*args) == _some_choice_is_stable(*args)

@@ -1,11 +1,14 @@
 """Near-stability: per-list and total swap budgets, solvers, repair."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from swapstable import (
     INFINITE,
     Agent,
+    Error,
     InvalidInput,
     Matching,
     NotNearlyStable,
@@ -29,6 +32,7 @@ from swapstable import (
     validate_profile,
     witness_profile_local,
 )
+from swapstable import nearstable
 from swapstable.oracle import (
     brute_global_cost,
     brute_is_locally_d_stable,
@@ -98,6 +102,14 @@ def test_local_witness_stays_within_budget():
             with pytest.raises(NotNearlyStable):
                 witness_profile_local(p, m, bound - 1)
     assert produced > 30
+
+
+def test_failed_witness_check_raises_error(monkeypatch):
+    p = gen_random(4, 4, 1.0, seed=2)
+    m = random_matching(p, make_rng(2), skip_chance=0.0)
+    monkeypatch.setattr(nearstable, "is_stable", lambda q, m: False)
+    with pytest.raises(Error, match="local witness"):
+        witness_profile_local(p, m, local_instability(p, m))
 
 
 def test_unmatched_blockers_cost_infinity():
@@ -191,6 +203,15 @@ def test_local_solver_agrees_with_ball_walk():
             if res is not None:
                 assert egalitarian_cost(p, res) <= eta
                 assert is_locally_d_nearly_stable(p, res, d)
+
+
+def test_local_search_is_not_bounded_by_recursion_limit():
+    # u_i and w_i accept only each other, so the search is n levels deep
+    n = sys.getrecursionlimit() + 100
+    p = validate_profile([[i] for i in range(n)], [[i] for i in range(n)])
+    m = solve_local_near(p, 0, Objective.PERFECT)
+    assert m.sorted_pairs() == [(i, i) for i in range(n)]
+    assert tradeoff_curve(p, "local", 0, Objective.EGALITARIAN) == [(0, 0)]
 
 
 def test_solver_input_validation():
