@@ -1,82 +1,133 @@
-"""Small Edmonds-Karp max-flow with residual cut extraction.
+"""Dinic max-flow over int arrays, with both sides of the minimum cut.
 
 Shared by the minimum-weight closure optimizer and the stabilization-cost
-cut model.  Nodes are arbitrary hashables; capacities are integers.  Both
-sides of every min cut are recoverable: the source side (residual
-reachability from s) and the sink side (reverse residual reachability to
-t).  The two differ exactly on tie regions, which callers use to pick a
-canonical optimum.
-"""
+cut model.  Nodes are arbitrary hashables, interned to ints; capacities are
+integers.  Arcs live in flat lists in pairs: arc ``e`` and its reverse
+``e ^ 1``.  ``max_flow`` alternates a BFS that levels the residual graph
+with a blocking flow found by an iterative DFS (an explicit path stack and
+current-arc pointers, so no recursion and no depth limit).
 
-from collections import defaultdict, deque
+Both sides of the min cut are recoverable afterwards: the source side
+(residual reachability from s) and the sink side (reverse residual
+reachability to t).  They are the minimal source side and the minimal sink
+side over all minimum cuts, which no choice of maximum flow changes.  The
+two differ exactly on tie regions, which callers use to pick a canonical
+optimum.
+"""
 
 
 class FlowNetwork:
     def __init__(self):
-        self.cap = defaultdict(int)
-        self.adj = defaultdict(list)
+        self._index = {}  # node -> int
+        self._nodes = []  # int -> node
+        self.adj = {}  # node -> ids of the arcs leaving it (one per arc end)
+        self._out = []  # int -> the same lists as adj
+        self._to = []  # arc -> head node
+        self._cap = []  # arc -> residual capacity
+        self._arc = {}  # (a, b) -> forward arc id
+
+    def _node(self, x):
+        k = self._index[x] = len(self._nodes)
+        self._nodes.append(x)
+        self._out.append([])
+        self.adj[x] = self._out[k]
+        return k
 
     def add_edge(self, a, b, capacity):
         """Add capacity on a->b; parallel calls accumulate."""
-        if b not in self.adj[a]:
-            self.adj[a].append(b)
-        if a not in self.adj[b]:
-            self.adj[b].append(a)
-        self.cap[(a, b)] += capacity
-
-    def _augmenting_path(self, s, t):
-        prev = {s: None}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if x == t:
-                break
-            for y in self.adj[x]:
-                if y not in prev and self.cap[(x, y)] > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if t not in prev:
-            return None
-        path = []
-        node = t
-        while prev[node] is not None:
-            path.append((prev[node], node))
-            node = prev[node]
-        return path
+        e = self._arc.get((a, b))
+        if e is not None:
+            self._cap[e] += capacity
+            return
+        ia = self._index.get(a)
+        if ia is None:
+            ia = self._node(a)
+        ib = self._index.get(b)
+        if ib is None:
+            ib = self._node(b)
+        e = self._arc[(a, b)] = len(self._to)
+        self._to += (ib, ia)
+        self._cap += (capacity, 0)
+        self._out[ia].append(e)
+        self._out[ib].append(e ^ 1)
 
     def max_flow(self, s, t):
-        """Total flow; the capacity map becomes the residual graph."""
+        """Total flow; the arc capacities become the residual graph."""
+        if s not in self._index or t not in self._index:
+            return 0
+        s = self._index[s]
+        t = self._index[t]
+        to, cap, out = self._to, self._cap, self._out
+        n = len(out)
         total = 0
         while True:
-            path = self._augmenting_path(s, t)
-            if path is None:
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for x in queue:
+                lx = level[x] + 1
+                for e in out[x]:
+                    if cap[e] and level[to[e]] < 0:
+                        level[to[e]] = lx
+                        queue.append(to[e])
+            if level[t] < 0:
                 return total
-            bottleneck = min(self.cap[edge] for edge in path)
-            for a, b in path:
-                self.cap[(a, b)] -= bottleneck
-                self.cap[(b, a)] += bottleneck
-            total += bottleneck
+            current = [0] * n
+            path = []
+            x = s
+            while True:
+                if x == t:
+                    push = min([cap[e] for e in path])
+                    total += push
+                    cut = -1
+                    for k, e in enumerate(path):
+                        cap[e] -= push
+                        cap[e ^ 1] += push
+                        if cut < 0 and not cap[e]:
+                            cut = k
+                    # resume from the tail of the first saturated arc
+                    del path[cut:]
+                    x = to[path[-1]] if path else s
+                    continue
+                arcs = out[x]
+                k = current[x]
+                lx = level[x] + 1
+                while k < len(arcs) and not (cap[arcs[k]] and level[to[arcs[k]]] == lx):
+                    k += 1
+                current[x] = k
+                if k < len(arcs):
+                    path.append(arcs[k])
+                    x = to[arcs[k]]
+                    continue
+                # dead end: no augmenting path passes x in this phase
+                level[x] = -1
+                if not path:
+                    break
+                x = to[path.pop() ^ 1]
+                current[x] += 1
 
     def source_side(self, s):
         """Nodes reachable from s in the residual graph (minimal s-side cut)."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y not in seen and self.cap[(x, y)] > 0:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+        return self._reach(s, 0)
 
     def sink_side(self, t):
         """Nodes that can still reach t in the residual graph (minimal t-side cut)."""
-        seen = {t}
-        queue = deque([t])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y not in seen and self.cap[(y, x)] > 0:
-                    seen.add(y)
+        return self._reach(t, 1)
+
+    def _reach(self, start, flip):
+        # flip=0 follows arcs with residual capacity, flip=1 follows them
+        # backwards (the reverse of each out-arc is the arc coming in).
+        k = self._index.get(start)
+        if k is None:
+            return {start}
+        to, cap, out = self._to, self._cap, self._out
+        seen = [False] * len(out)
+        seen[k] = True
+        queue = [k]
+        for x in queue:
+            for e in out[x]:
+                y = to[e]
+                if not seen[y] and cap[e ^ flip]:
+                    seen[y] = True
                     queue.append(y)
-        return seen
+        return {self._nodes[x] for x in queue}

@@ -5,6 +5,12 @@ class Error(Exception):
     """Base class for all swapstable errors."""
 
 
+def verify(ok, what):
+    """Raise Error naming an output check that failed; runs under -O too."""
+    if not ok:
+        raise Error("output check failed: %s" % what)
+
+
 class ValidationError(Error):
     """A profile or raw input failed validation.
 

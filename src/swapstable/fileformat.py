@@ -28,6 +28,7 @@ from .profile import (
     Matching,
     Profile,
     Side,
+    asymmetries,
     validate_matching,
     validate_profile,
 )
@@ -156,20 +157,11 @@ def parse_profile(text: str) -> Profile:
             lists[side].append(order)
 
     if not issues:
-        for i, lst in enumerate(lists[Side.U]):
-            for j in lst:
-                if i not in lists[Side.W][j]:
-                    issues.append(
-                        "line %d: asymmetric acceptability: %s lists %s but not vice versa"
-                        % (line_of[(Side.U, i)], names[Side.U][i], names[Side.W][j])
-                    )
-        for j, lst in enumerate(lists[Side.W]):
-            for i in lst:
-                if j not in lists[Side.U][i]:
-                    issues.append(
-                        "line %d: asymmetric acceptability: %s lists %s but not vice versa"
-                        % (line_of[(Side.W, j)], names[Side.W][j], names[Side.U][i])
-                    )
+        for side, owner, other_index in asymmetries(lists[Side.U], lists[Side.W]):
+            issues.append(
+                "line %d: asymmetric acceptability: %s lists %s but not vice versa"
+                % (line_of[(side, owner)], names[side][owner], names[other[side]][other_index])
+            )
     if issues:
         raise ValidationError(issues)
     return validate_profile(lists[Side.U], lists[Side.W], names[Side.U], names[Side.W])

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from ._flow import FlowNetwork
 from .classic import matched_partition, u_optimal
-from .errors import Error, InvalidInput, NotNearlyStable
+from .errors import InvalidInput, NotNearlyStable, verify
 from .profile import (
     INFINITE,
     Matching,
@@ -61,12 +61,6 @@ class NearStabilityReport:
     global_cost: Cost
     witness_local: Optional[Profile]
     witness_global: Optional[Profile]
-
-
-def _verify(ok, what):
-    """Raise Error naming an output check that failed; runs under -O too."""
-    if not ok:
-        raise Error("output check failed: %s" % what)
 
 
 def _defuse_costs(p, m, i, j):
@@ -151,7 +145,7 @@ def witness_profile_local(p, m, d_l) -> Profile:
             w_lists, j, partner, int(p.rank_w[j, partner]) - target
         )
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
-    _verify(is_stable(q, m), "local witness makes the matching stable")
+    verify(is_stable(q, m), "local witness makes the matching stable")
     return q
 
 
@@ -160,20 +154,24 @@ def global_stabilization_cost(p, m):
 
     Covering blocking pair (u, w) at an endpoint costs that endpoint's
     rank gap, and one promotion past the best-ranked covered blocker pays
-    for all cheaper ones, so each agent's options form a chain of unit
-    steps.  Every pair needs one side covered; the cheapest choice is a
+    for all cheaper ones, so each agent's options form a chain of its
+    distinct defuse thresholds, each step priced at the gap to the one
+    below.  Every pair needs one side covered; the cheapest choice is a
     minimum s-t cut with U-chains oriented from the source and W-chains
-    toward the sink.  Returns (cost, witness profile), or (INFINITE, None)
-    when two unmatched agents block each other.  The witness promotes only
-    matched partners, which never creates new blocking pairs, so the cut
-    value is exact, not just an upper bound.
+    toward the sink.  The chain of unit steps gives the same cuts: each of
+    its min cuts ends every chain at a threshold, since stopping at the
+    threshold below saves units and crosses no infinite arc.  Returns
+    (cost, witness profile), or (INFINITE, None) when two unmatched agents
+    block each other.  The witness promotes only matched partners, which
+    never creates new blocking pairs, so the cut value is exact, not just
+    an upper bound.
     """
     bps = blocking_pairs(p, m)
     if not bps:
         return (0, p)
     needs = []
-    max_u = {}
-    max_w = {}
+    u_levels = {}
+    w_levels = {}
     for ua, wa in bps:
         i, j = ua.index, wa.index
         cu, cw = _defuse_costs(p, m, i, j)
@@ -181,24 +179,31 @@ def global_stabilization_cost(p, m):
             return (INFINITE, None)
         needs.append((i, j, cu, cw))
         if cu is not INFINITE:
-            max_u[i] = max(max_u.get(i, 0), cu)
+            u_levels.setdefault(i, set()).add(cu)
         if cw is not INFINITE:
-            max_w[j] = max(max_w.get(j, 0), cw)
-    inf_cap = 1 + sum(max_u.values()) + sum(max_w.values())
+            w_levels.setdefault(j, set()).add(cw)
+    u_levels = {i: sorted(cs) for i, cs in u_levels.items()}
+    w_levels = {j: sorted(cs) for j, cs in w_levels.items()}
+    inf_cap = 1 + sum(cs[-1] for cs in [*u_levels.values(), *w_levels.values()])
     net = FlowNetwork()
-    # A U node on the sink side means that unit step is performed; a W
-    # node on the source side likewise.  Infinite arcs keep each chain a
-    # prefix and forbid leaving a pair uncovered on both sides.
-    for i, top in max_u.items():
-        for k in range(1, top + 1):
-            net.add_edge("s", ("u", i, k), 1)
-            if k > 1:
-                net.add_edge(("u", i, k - 1), ("u", i, k), inf_cap)
-    for j, top in max_w.items():
-        for k in range(1, top + 1):
-            net.add_edge(("w", j, k), "t", 1)
-            if k > 1:
-                net.add_edge(("w", j, k), ("w", j, k - 1), inf_cap)
+    # A U node on the sink side means the promotion up to its threshold
+    # is performed; a W node on the source side likewise.  Infinite arcs
+    # keep each chain a prefix and forbid leaving a pair uncovered on both
+    # sides.
+    for i, cs in u_levels.items():
+        below = 0
+        for c in cs:
+            net.add_edge("s", ("u", i, c), c - below)
+            if below:
+                net.add_edge(("u", i, below), ("u", i, c), inf_cap)
+            below = c
+    for j, cs in w_levels.items():
+        below = 0
+        for c in cs:
+            net.add_edge(("w", j, c), "t", c - below)
+            if below:
+                net.add_edge(("w", j, c), ("w", j, below), inf_cap)
+            below = c
     for i, j, cu, cw in needs:
         if cu is INFINITE:
             net.add_edge("s", ("w", j, cw), inf_cap)
@@ -213,18 +218,18 @@ def global_stabilization_cost(p, m):
     u_lists = p.u_lists
     w_lists = p.w_lists
     total = 0
-    for i, top in max_u.items():
-        steps = sum(1 for k in range(1, top + 1) if ("u", i, k) in sink)
+    for i, cs in u_levels.items():
+        steps = max((c for c in cs if ("u", i, c) in sink), default=0)
         total += steps
         u_lists = _promote(u_lists, i, int(m.pu[i]), steps)
-    for j, top in max_w.items():
-        steps = sum(1 for k in range(1, top + 1) if ("w", j, k) not in sink)
+    for j, cs in w_levels.items():
+        steps = max((c for c in cs if ("w", j, c) not in sink), default=0)
         total += steps
         w_lists = _promote(w_lists, j, int(m.pw[j]), steps)
-    _verify(total == cost, "cut sides add up to the flow value")
+    verify(total == cost, "cut sides add up to the flow value")
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
-    _verify(is_stable(q, m), "global witness makes the matching stable")
-    _verify(swap_distance(p, q) == cost, "global witness lies at the cut distance")
+    verify(is_stable(q, m), "global witness makes the matching stable")
+    verify(swap_distance(p, q) == cost, "global witness lies at the cut distance")
     return (cost, q)
 
 
@@ -539,7 +544,7 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
     m2 = Matching.from_pairs(
         p2.n_u, p2.n_w, [(i, pu[i]) for i in range(p2.n_u) if pu[i] >= 0]
     )
-    _verify(is_stable(p2, m2), "repaired matching is stable")
+    verify(is_stable(p2, m2), "repaired matching is stable")
     return m2
 
 

@@ -11,6 +11,7 @@ Distances between profiles count adjacent-transposition swaps per list
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -215,6 +216,32 @@ class AnalysisQuery:
             )
 
 
+def asymmetries(u_lists, w_lists):
+    """Yield each one-sided acceptance as (side, owner, other), in list order.
+
+    First (Side.U, i, j) for every j in u_lists[i] whose list lacks i, then
+    (Side.W, j, i) likewise.  One byte per (i, j) slot records which sides
+    list the pair: no list is scanned, and the table is smaller than the
+    rank matrices every engine builds.
+    """
+    n_w = len(w_lists)
+    listed = bytearray(len(u_lists) * n_w)
+    for i, lst in enumerate(u_lists):
+        for j in lst:
+            listed[i * n_w + j] |= 1
+    for j, lst in enumerate(w_lists):
+        for i in lst:
+            listed[i * n_w + j] |= 2
+    for i, lst in enumerate(u_lists):
+        for j in lst:
+            if listed[i * n_w + j] != 3:
+                yield Side.U, i, j
+    for j, lst in enumerate(w_lists):
+        for i in lst:
+            if listed[i * n_w + j] != 3:
+                yield Side.W, j, i
+
+
 def validate_profile(
     u_lists: Sequence[Sequence[int]],
     w_lists: Sequence[Sequence[int]],
@@ -235,8 +262,9 @@ def validate_profile(
     issues = []
     if len(u_names) != n_u or len(w_names) != n_w:
         issues.append("name count does not match list count")
-    all_names = list(u_names) + list(w_names)
-    for name in sorted({n for n in all_names if all_names.count(n) > 1}):
+    counts = Counter(u_names)
+    counts.update(w_names)
+    for name in sorted(n for n, c in counts.items() if c > 1):
         issues.append("duplicate agent name %r" % name)
 
     def check_side(lists, n_other, label):
@@ -258,20 +286,12 @@ def validate_profile(
     check_side(u_lists, n_w, "u")
     check_side(w_lists, n_u, "w")
     if not issues:
-        for i, lst in enumerate(u_lists):
-            for j in lst:
-                if i not in w_lists[j]:
-                    issues.append(
-                        "asymmetric acceptability: %s lists %s but not vice versa"
-                        % (u_names[i], w_names[j])
-                    )
-        for j, lst in enumerate(w_lists):
-            for i in lst:
-                if j not in u_lists[i]:
-                    issues.append(
-                        "asymmetric acceptability: %s lists %s but not vice versa"
-                        % (w_names[j], u_names[i])
-                    )
+        for side, owner, other in asymmetries(u_lists, w_lists):
+            names = (u_names, w_names) if side == Side.U else (w_names, u_names)
+            issues.append(
+                "asymmetric acceptability: %s lists %s but not vice versa"
+                % (names[0][owner], names[1][other])
+            )
     if issues:
         raise ValidationError(issues)
     return Profile(

@@ -13,7 +13,7 @@ rank thresholds their neighbors' partners must stay above.
 from dataclasses import dataclass, replace
 
 from .classic import matched_partition, w_optimal
-from .errors import Error, InvalidInput
+from .errors import Error, InvalidInput, verify
 from .profile import Agent, Matching, Objective, Side, SwapOp, blocking_pairs
 from .rotations import (
     RotationWeights,
@@ -172,7 +172,7 @@ def _iter_quadruples(p, dg, tables, cap):
                 continue
             if (need[(us, w)] | need[(u, ws)]) & (block[(us, w)] | block[(u, ws)]):
                 continue
-            assert gap > 0, "co-stable pairs cannot block as they stand"
+            verify(gap > 0, "co-stable pairs cannot block as they stand")
             yield StableQuadruple(Agent.u(us), Agent.w(ws), Agent.u(u), Agent.w(w))
 
 
@@ -378,7 +378,7 @@ def _threshold_constraints(p, dg, d):
         crossing = [
             idx for idx, lo, hi in moves_u.get(z, ()) if lo <= t < hi
         ]
-        assert len(crossing) <= 1
+        verify(len(crossing) <= 1, "at most one rotation crosses a U threshold")
         forbidden.update(crossing)
 
     for z in range(p.n_w):
@@ -396,7 +396,7 @@ def _threshold_constraints(p, dg, d):
         crossing = [
             idx for idx, hi, lo in moves_w.get(z, ()) if lo <= t < hi
         ]
-        assert len(crossing) == 1
+        verify(len(crossing) == 1, "exactly one rotation crosses a W threshold")
         forced.update(crossing)
 
     return forced, forbidden
@@ -456,7 +456,7 @@ def _closed_set_for(dg, extra_arcs, forced, forbidden):
     if deleted & forced:
         return None
     chosen = _bfs(forced, radj)
-    assert not chosen & deleted, "an ancestor of a forced rotation was deleted"
+    verify(not chosen & deleted, "no ancestor of a forced rotation is deleted")
     return frozenset(chosen)
 
 

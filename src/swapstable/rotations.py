@@ -16,7 +16,7 @@ import numpy as np
 
 from ._flow import FlowNetwork
 from .classic import u_optimal, w_optimal
-from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed
+from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify
 from .profile import Agent, Matching, Side, is_stable
 
 
@@ -252,7 +252,7 @@ def rotation_digraph(p):
                         % (w_between, u)
                     )
     dg = RotationDigraph(rotations=tuple(rotations), arcs=frozenset(arcs), u_opt=m0)
-    assert all(a < b for a, b in dg.arcs), "discovery order is not topological"
+    verify(all(a < b for a, b in dg.arcs), "discovery order is topological")
     return dg
 
 

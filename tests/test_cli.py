@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import swapstable
 from swapstable import (
     SwapOp,
     apply_swap,
@@ -300,10 +302,18 @@ def test_profile_from_stdin(capsys, monkeypatch, crown):
 
 
 def test_module_entry_point_runs():
+    # pytest's pythonpath setting does not reach a child process, so the
+    # child's PYTHONPATH leads with the directory this suite imported
+    # swapstable from (a checkout's src/ or site-packages)
+    package_dir = os.path.dirname(os.path.dirname(swapstable.__file__))
+    inherited = os.environ.get("PYTHONPATH", "")
+    entries = [package_dir] + [e for e in inherited.split(os.pathsep) if e]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
     res = subprocess.run(
         [sys.executable, "-m", "swapstable.cli", "gen", "--family", "example3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert res.returncode == 0
     assert res.stdout == serialize_profile(gen_example3())

@@ -13,8 +13,10 @@ from swapstable import (
     Matching,
     NotNearlyStable,
     Objective,
+    Profile,
     SwapOp,
     apply_swap,
+    blocking_pairs,
     egalitarian_cost,
     gen_random,
     global_stabilization_cost,
@@ -33,6 +35,7 @@ from swapstable import (
     witness_profile_local,
 )
 from swapstable import nearstable
+from swapstable._flow import FlowNetwork
 from swapstable.oracle import (
     brute_global_cost,
     brute_is_locally_d_stable,
@@ -140,6 +143,74 @@ def test_global_cost_agrees_with_ball_walk():
         assert is_stable(q, m)
         finite += 1
     assert finite > 30
+
+
+def unit_chain_cost(p, m):
+    """Reference cut model: one chain node per unit step of each agent."""
+    needs = []
+    max_u = {}
+    max_w = {}
+    for ua, wa in blocking_pairs(p, m):
+        i, j = ua.index, wa.index
+        cu, cw = nearstable._defuse_costs(p, m, i, j)
+        if cu is INFINITE and cw is INFINITE:
+            return (INFINITE, None)
+        needs.append((i, j, cu, cw))
+        if cu is not INFINITE:
+            max_u[i] = max(max_u.get(i, 0), cu)
+        if cw is not INFINITE:
+            max_w[j] = max(max_w.get(j, 0), cw)
+    inf_cap = 1 + sum(max_u.values()) + sum(max_w.values())
+    net = FlowNetwork()
+    for i, top in max_u.items():
+        for k in range(1, top + 1):
+            net.add_edge("s", ("u", i, k), 1)
+            if k > 1:
+                net.add_edge(("u", i, k - 1), ("u", i, k), inf_cap)
+    for j, top in max_w.items():
+        for k in range(1, top + 1):
+            net.add_edge(("w", j, k), "t", 1)
+            if k > 1:
+                net.add_edge(("w", j, k), ("w", j, k - 1), inf_cap)
+    for i, j, cu, cw in needs:
+        if cu is INFINITE:
+            net.add_edge("s", ("w", j, cw), inf_cap)
+        elif cw is INFINITE:
+            net.add_edge(("u", i, cu), "t", inf_cap)
+        else:
+            net.add_edge(("u", i, cu), ("w", j, cw), inf_cap)
+    cost = net.max_flow("s", "t")
+    sink = net.sink_side("t")
+    u_lists = p.u_lists
+    w_lists = p.w_lists
+    for i, top in max_u.items():
+        steps = sum(1 for k in range(1, top + 1) if ("u", i, k) in sink)
+        u_lists = nearstable._promote(u_lists, i, int(m.pu[i]), steps)
+    for j, top in max_w.items():
+        steps = sum(1 for k in range(1, top + 1) if ("w", j, k) not in sink)
+        w_lists = nearstable._promote(w_lists, j, int(m.pw[j]), steps)
+    return (cost, Profile(u_lists, w_lists, p.u_names, p.w_names))
+
+
+def test_threshold_chains_match_unit_chains():
+    rng = make_rng(4242)
+    one_sided = 0
+    for k in range(60):
+        n = 4 + k % 17
+        p = gen_random(n, n, 1.0 if k % 2 else 0.4, seed=8600 + k)
+        m = random_matching(p, rng, skip_chance=0.1 if k % 3 else 0.0)
+        cost, q = global_stabilization_cost(p, m)
+        want_cost, want_q = unit_chain_cost(p, m)
+        assert cost == want_cost
+        if want_q is None:
+            assert q is None
+            continue
+        assert (q.u_lists, q.w_lists) == (want_q.u_lists, want_q.w_lists)
+        one_sided += any(
+            INFINITE in nearstable._defuse_costs(p, m, ua.index, wa.index)
+            for ua, wa in blocking_pairs(p, m)
+        )
+    assert one_sided >= 10
 
 
 def test_stable_matchings_cost_nothing():

@@ -22,6 +22,7 @@ from swapstable import (
     egalitarian_cost,
     is_perfect,
     is_stable,
+    parse_profile,
     rank,
     swap_distance,
     swap_distance_per_agent,
@@ -45,6 +46,35 @@ def test_validate_profile_asymmetry_names_both_agents():
     with pytest.raises(ValidationError) as err:
         validate_profile([[0]], [[]], ["left"], ["right"])
     assert "left lists right but not vice versa" in str(err.value)
+
+
+def test_asymmetry_issues_keep_their_order_in_both_checkers():
+    # u1 and u2 list partners that drop them, and so do w2 and w3; each
+    # checker reports U-side lists first, each in list order.
+    u_lists = [[2, 0], [1, 0], [0]]
+    w_lists = [[1], [0, 2], [1, 2]]
+    with pytest.raises(ValidationError) as err:
+        validate_profile(u_lists, w_lists)
+    assert err.value.issues == [
+        "asymmetric acceptability: %s lists %s but not vice versa" % pair
+        for pair in [
+            ("u1", "w3"), ("u1", "w1"), ("u2", "w2"), ("u3", "w1"),
+            ("w2", "u1"), ("w2", "u3"), ("w3", "u2"), ("w3", "u3"),
+        ]
+    ]
+    text = (
+        "profile v1\nside U: a b c\nside W: x y z\n"
+        "a: z x\nb: y x\nc: x\nx: b\ny: a c\nz: b c\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_profile(text)
+    assert err.value.issues == [
+        "line %d: asymmetric acceptability: %s lists %s but not vice versa" % row
+        for row in [
+            (4, "a", "z"), (4, "a", "x"), (5, "b", "y"), (6, "c", "x"),
+            (8, "y", "a"), (8, "y", "c"), (9, "z", "b"), (9, "z", "c"),
+        ]
+    ]
 
 
 def test_duplicate_names_rejected():

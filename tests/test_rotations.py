@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from swapstable import (
     Agent,
+    Error,
     InvalidInput,
     NoSuccessorDefined,
     NotClosed,
@@ -27,6 +28,7 @@ from swapstable import (
     u_optimal,
     w_optimal,
 )
+from swapstable import rotations
 from swapstable.oracle import enumerate_stable_bf
 
 from helpers import profiles, random_profiles
@@ -144,6 +146,20 @@ def test_min_weight_closure_agrees_with_enumeration():
             assert all(a in got for a, b in closed_under if b in got)
             checked += 1
     assert checked > 40
+
+
+def test_non_topological_discovery_raises_error(monkeypatch):
+    # The order check guards every closure solved over the digraph; it
+    # must raise Error, not an AssertionError that -O would strip.
+    real = rotations.RotationDigraph
+
+    def reversed_arcs(rotations, arcs, u_opt):
+        flipped = frozenset((b, a) for a, b in arcs)
+        return real(rotations=rotations, arcs=flipped, u_opt=u_opt)
+
+    monkeypatch.setattr(rotations, "RotationDigraph", reversed_arcs)
+    with pytest.raises(Error, match="discovery order is topological"):
+        rotation_digraph(gen_random(6, 6, 1.0, seed=5))
 
 
 def test_elimination_walks_the_lattice():
