@@ -30,7 +30,6 @@ from .profile import (
     Side,
     asymmetries,
     validate_matching,
-    validate_profile,
 )
 
 HEADER = "profile v1"
@@ -164,7 +163,13 @@ def parse_profile(text: str) -> Profile:
             )
     if issues:
         raise ValidationError(issues)
-    return validate_profile(lists[Side.U], lists[Side.W], names[Side.U], names[Side.W])
+    # every check validate_profile makes has passed above
+    return Profile(
+        u_lists=tuple(map(tuple, lists[Side.U])),
+        w_lists=tuple(map(tuple, lists[Side.W])),
+        u_names=tuple(names[Side.U]),
+        w_names=tuple(names[Side.W]),
+    )
 
 
 def _writable_name(name):
@@ -237,9 +242,7 @@ def parse_matching(text: str, p: Profile) -> Matching:
         pairs.append((u.index, w.index))
     if issues:
         raise ValidationError(issues)
-    m = Matching.from_pairs(p.n_u, p.n_w, pairs)
-    validate_matching(p, m)
-    return m
+    return Matching.from_pairs(p.n_u, p.n_w, pairs)
 
 
 def serialize_matching(p: Profile, m: Matching) -> str:

@@ -7,14 +7,19 @@ solver builds constraints over the rotation digraph: each cheap stable
 quadruple (two crossing stable pairs whose agents can be made to block each
 other with few swaps) contributes an implication, a forbidden rotation, a
 forced rotation, or outright infeasibility, and never-matched agents add
-rank thresholds their neighbors' partners must stay above.
+rank thresholds their neighbors' partners must stay above.  Which rotation
+produces, consumes or passes a pair is read from the digraph's per-pair
+index (``movesto``, ``consumed``, ``u_passed``, ``crossed``), which
+``rotation_digraph`` builds and checks once.  The closure that picks the
+matching weighs every rotation 1 for find_d_robust (the smallest admissible
+closed set) and by its egalitarian delta for find_d_robust_optimal.
 """
 
 from dataclasses import dataclass, replace
 
 from .classic import matched_partition, w_optimal
-from .errors import Error, InvalidInput, verify
-from .profile import Agent, Matching, Objective, Side, SwapOp, blocking_pairs
+from .errors import InvalidInput, verify
+from .profile import Agent, Objective, Side, SwapOp, blocking_pairs
 from .rotations import (
     RotationWeights,
     matching_of,
@@ -46,79 +51,6 @@ class SwapSet:
     shifted_list_w: tuple
 
 
-class RotationTables:
-    """Per-pair rotation lookups, six families.
-
-    For an ordered pair (x, y) with x of side U: s1 moves x's partner to y,
-    s2 jumps it over y (from better to worse), s3 moves it away from y.
-    For (y, x) with y of side W the partner walks upward: t1 moves y's
-    partner to x, t2 jumps it over x (from worse to better), t3 moves it
-    away from x.  Values are rotation indices; each present entry is
-    unique, and an s2/t2 entry excludes s1/s3 resp. t1/t3 for its pair
-    because a jumped-over pair is never a stable pair.
-    """
-
-    def __init__(self, rotations):
-        self.rotations = rotations
-        self.s1 = {}
-        self.s2 = {}
-        self.s3 = {}
-        self.t1 = {}
-        self.t2 = {}
-        self.t3 = {}
-
-    def _get(self, table, x, y):
-        idx = table.get((x.index, y.index))
-        return None if idx is None else self.rotations[idx]
-
-    def sigma1(self, u, w):
-        return self._get(self.s1, u, w)
-
-    def sigma2(self, u, w):
-        return self._get(self.s2, u, w)
-
-    def sigma3(self, u, w):
-        return self._get(self.s3, u, w)
-
-    def tau1(self, w, u):
-        return self._get(self.t1, w, u)
-
-    def tau2(self, w, u):
-        return self._get(self.t2, w, u)
-
-    def tau3(self, w, u):
-        return self._get(self.t3, w, u)
-
-
-def _put(table, key, idx, label):
-    if key in table:
-        raise Error("duplicate %s entry for %r" % (label, key))
-    table[key] = idx
-
-
-def build_rotation_tables(p, dg):
-    """Populate the six lookup families in one pass over the rotations."""
-    tables = RotationTables(dg.rotations)
-    for idx, rho in enumerate(dg.rotations):
-        r = len(rho.cycle)
-        for k, (u, w) in enumerate(rho.cycle):
-            w_new = rho.cycle[(k + 1) % r][1]
-            u_prev = rho.cycle[(k - 1) % r][0]
-            _put(tables.s3, (u, w), idx, "s3")
-            _put(tables.s1, (u, w_new), idx, "s1")
-            for pos in range(int(p.rank_u[u, w]) + 1, int(p.rank_u[u, w_new])):
-                _put(tables.s2, (u, p.u_lists[u][pos]), idx, "s2")
-            _put(tables.t3, (w, u), idx, "t3")
-            _put(tables.t1, (w, u_prev), idx, "t1")
-            for pos in range(int(p.rank_w[w, u_prev]) + 1, int(p.rank_w[w, u])):
-                _put(tables.t2, (w, p.w_lists[w][pos]), idx, "t2")
-    overlap = set(tables.s2) & (set(tables.s1) | set(tables.s3))
-    overlap |= set(tables.t2) & (set(tables.t1) | set(tables.t3))
-    if overlap:
-        raise Error("jumped-over pairs also appear as stable pairs: %r" % overlap)
-    return tables
-
-
 def _quadruple_indices(p, q):
     """Unpack a quadruple to indices, checking shape and acceptability."""
     if (
@@ -142,23 +74,23 @@ def _quadruple_indices(p, q):
     return us, ws, u, w
 
 
-def _pair_masks(dg, tables, pairs):
+def _pair_masks(dg, pairs):
     """For each stable pair: rotations its presence needs, and the one that
     removes it.  A pair sits in matching_of(S) iff its producing rotation
     (with ancestors) is inside S and its consuming rotation is outside."""
     need = {}
     block = {}
     for pr in pairs:
-        i = tables.s1.get(pr)
+        i = dg.movesto.get(pr)
         need[pr] = 0 if i is None else dg.ancestor_masks[i] | (1 << i)
-        i = tables.s3.get(pr)
+        i = dg.consumed.get(pr)
         block[pr] = 0 if i is None else 1 << i
     return need, block
 
 
-def _iter_quadruples(p, dg, tables, cap):
+def _iter_quadruples(p, dg, cap):
     pairs = sorted(stable_pairs(p, dg))
-    need, block = _pair_masks(dg, tables, pairs)
+    need, block = _pair_masks(dg, pairs)
     for us, w in pairs:
         for u, ws in pairs:
             if us == u or ws == w:
@@ -189,25 +121,21 @@ def stable_quadruples(p, max_swap_set_size=None):
     ------
     StableQuadruple in deterministic (stable-pair, stable-pair) order.
     """
-    dg = rotation_digraph(p)
-    tables = build_rotation_tables(p, dg)
-    yield from _iter_quadruples(p, dg, tables, max_swap_set_size)
+    yield from _iter_quadruples(p, rotation_digraph(p), max_swap_set_size)
 
 
-def _is_costable(p, q, dg, tables):
+def _is_costable(p, q, dg):
     us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
     pairs = stable_pairs(p, dg)
     if (us, w) not in pairs or (u, ws) not in pairs:
         return False
-    need, block = _pair_masks(dg, tables, [(us, w), (u, ws)])
+    need, block = _pair_masks(dg, [(us, w), (u, ws)])
     return not (need[(us, w)] | need[(u, ws)]) & (block[(us, w)] | block[(u, ws)])
 
 
 def _check_quadruple(p, q):
     us, ws, u, w = _quadruple_indices(p, q)
-    dg = rotation_digraph(p)
-    tables = build_rotation_tables(p, dg)
-    if not _is_costable(p, q, dg, tables):
+    if not _is_costable(p, q, rotation_digraph(p)):
         raise InvalidInput("no stable matching contains both pairs of %r" % (q,))
     return us, ws, u, w
 
@@ -256,41 +184,23 @@ def shifted_profile(p, q):
     )
 
 
-def _pi_index(tables, p, q):
-    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
-    if p.rank_u[us, ws] < p.rank_u[us, w]:
-        idx = tables.s2.get((us, ws))
-        if idx is None:
-            idx = tables.s3.get((us, ws))
-        return idx
-    return tables.s1.get((us, w))
-
-
-def _rho_index(tables, p, q):
-    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
-    if p.rank_w[ws, us] < p.rank_w[ws, u]:
-        idx = tables.t1.get((ws, us))
-        if idx is None:
-            idx = tables.t2.get((ws, us))
-        return idx
-    return tables.t3.get((ws, u))
-
-
-def pi_of(tables, p, q):
+def _pi_index(dg, p, q):
     """The first rotation whose elimination makes uStar prefer wStar to its
     partner once the quadruple's swaps are applied; None if no stable
     matching crosses that line."""
-    _quadruple_indices(p, q)
-    idx = _pi_index(tables, p, q)
-    return None if idx is None else tables.rotations[idx]
+    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
+    if p.rank_u[us, ws] < p.rank_u[us, w]:
+        return dg.u_passed.get((us, ws))
+    return dg.movesto.get((us, w))
 
 
-def rho_of(tables, p, q):
+def _rho_index(dg, p, q):
     """The first rotation that lifts wStar's partner to uStar or better
     (shifted order); eliminating it shields every later matching from q."""
-    _quadruple_indices(p, q)
-    idx = _rho_index(tables, p, q)
-    return None if idx is None else tables.rotations[idx]
+    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
+    if p.rank_w[ws, us] < p.rank_w[ws, u]:
+        return dg.crossed.get((ws, us))
+    return dg.consumed.get((u, ws))
 
 
 def _gap_witness(p, m, ui, wj):
@@ -351,20 +261,6 @@ def _threshold_constraints(p, dg, d):
     forced = set()
     forbidden = set()
 
-    moves_u = {}
-    moves_w = {}
-    for idx, rho in enumerate(dg.rotations):
-        for u, w, w_new in rho.moves():
-            moves_u.setdefault(u, []).append(
-                (idx, int(p.rank_u[u, w]), int(p.rank_u[u, w_new]))
-            )
-        r = len(rho.cycle)
-        for k, (u, w) in enumerate(rho.cycle):
-            u_prev = rho.cycle[(k - 1) % r][0]
-            moves_w.setdefault(w, []).append(
-                (idx, int(p.rank_w[w, u]), int(p.rank_w[w, u_prev]))
-            )
-
     for z in range(p.n_u):
         if m0.pu[z] < 0:
             continue
@@ -374,12 +270,11 @@ def _threshold_constraints(p, dg, d):
         t = min(ceilings) - d - 1
         if int(p.rank_u[z, m0.pu[z]]) > t:
             return None
-        # partners only sink down z's list, so forbid the unique crossing
-        crossing = [
-            idx for idx, lo, hi in moves_u.get(z, ()) if lo <= t < hi
-        ]
-        verify(len(crossing) <= 1, "at most one rotation crosses a U threshold")
-        forbidden.update(crossing)
+        # partners only sink down z's list, so forbid the unique rotation
+        # that takes z's partner below rank t, if any
+        crossing = dg.u_passed.get((z, p.u_lists[z][t]))
+        if crossing is not None:
+            forbidden.add(crossing)
 
     for z in range(p.n_w):
         if m0.pw[z] < 0:
@@ -392,17 +287,16 @@ def _threshold_constraints(p, dg, d):
             return None
         if int(p.rank_w[z, m0.pw[z]]) <= t:
             continue
-        # partners only climb z's list, so force the unique crossing
-        crossing = [
-            idx for idx, hi, lo in moves_w.get(z, ()) if lo <= t < hi
-        ]
-        verify(len(crossing) == 1, "exactly one rotation crosses a W threshold")
-        forced.update(crossing)
+        # partners only climb z's list, so force the unique rotation that
+        # lifts z's partner to rank t or above
+        crossing = dg.crossed.get((z, p.w_lists[z][t]))
+        verify(crossing is not None, "exactly one rotation crosses a W threshold")
+        forced.add(crossing)
 
     return forced, forbidden
 
 
-def _collect_constraints(p, dg, tables, d):
+def _collect_constraints(p, dg, d):
     """Constraint system over rotations for d-robustness, or None.
 
     Each cheap quadruple leaves one of: an implication arc (rho, pi)
@@ -413,9 +307,9 @@ def _collect_constraints(p, dg, tables, d):
     extra_arcs = set()
     forced = set()
     forbidden = set()
-    for q in _iter_quadruples(p, dg, tables, d):
-        pi = _pi_index(tables, p, q)
-        rho = _rho_index(tables, p, q)
+    for q in _iter_quadruples(p, dg, d):
+        pi = _pi_index(dg, p, q)
+        rho = _rho_index(dg, p, q)
         if pi is None and rho is None:
             return None
         if pi is not None and rho is not None:
@@ -433,31 +327,23 @@ def _collect_constraints(p, dg, tables, d):
     return extra_arcs, forced, forbidden
 
 
-def _bfs(starts, adj):
-    seen = set(starts)
-    queue = list(starts)
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def _closed_set_for(dg, extra_arcs, forced, forbidden):
-    """The smallest admissible closed set, or None when constraints clash."""
-    adj = [[] for _ in range(dg.n)]
-    radj = [[] for _ in range(dg.n)]
-    for a, b in sorted(dg.arcs | frozenset(extra_arcs)):
-        adj[a].append(b)
-        radj[b].append(a)
-    deleted = _bfs(forbidden, adj)
-    if deleted & forced:
+def _robust_closure(p, d, weigh):
+    """Matching of the lightest closed rotation set meeting every
+    d-robustness constraint, or None when none does; ``weigh(dg)`` gives
+    the RotationWeights."""
+    if d < 0:
+        raise InvalidInput("d must be nonnegative")
+    dg = rotation_digraph(p)
+    constraints = _collect_constraints(p, dg, d)
+    if constraints is None:
         return None
-    chosen = _bfs(forced, radj)
-    verify(not chosen & deleted, "no ancestor of a forced rotation is deleted")
-    return frozenset(chosen)
+    extra_arcs, forced, forbidden = constraints
+    chosen = min_weight_closure(
+        dg, weigh(dg), forced=forced, forbidden=forbidden, extra_arcs=extra_arcs
+    )
+    if chosen is None:
+        return None
+    return matching_of(dg, chosen)
 
 
 def find_d_robust(p, d):
@@ -466,20 +352,9 @@ def find_d_robust(p, d):
     Builds the rotation digraph, turns every quadruple with a swap set of
     at most d swaps plus every never-matched threshold into constraints,
     and returns the matching of the smallest closed rotation set that
-    satisfies them all.
+    satisfies them all (unit weight per rotation).
     """
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
-    dg = rotation_digraph(p)
-    tables = build_rotation_tables(p, dg)
-    constraints = _collect_constraints(p, dg, tables, d)
-    if constraints is None:
-        return None
-    extra_arcs, forced, forbidden = constraints
-    chosen = _closed_set_for(dg, extra_arcs, forced, forbidden)
-    if chosen is None:
-        return None
-    return matching_of(dg, chosen)
+    return _robust_closure(p, d, lambda dg: RotationWeights(delta=(1,) * dg.n))
 
 
 def find_d_robust_optimal(p, d, objective):
@@ -495,21 +370,7 @@ def find_d_robust_optimal(p, d, objective):
         return find_d_robust(p, d)
     if objective != Objective.EGALITARIAN:
         raise InvalidInput("objective must be Perfect or Egalitarian")
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
-    dg = rotation_digraph(p)
-    tables = build_rotation_tables(p, dg)
-    constraints = _collect_constraints(p, dg, tables, d)
-    if constraints is None:
-        return None
-    extra_arcs, forced, forbidden = constraints
-    weights = RotationWeights.measured(dg, p)
-    chosen = min_weight_closure(
-        dg, weights, forced=forced, forbidden=forbidden, extra_arcs=extra_arcs
-    )
-    if chosen is None:
-        return None
-    return matching_of(dg, chosen)
+    return _robust_closure(p, d, lambda dg: RotationWeights.measured(dg, p))
 
 
 def max_robustness(p, cap=None):

@@ -9,13 +9,13 @@ stable matchings, which turns optimization over stable matchings into
 minimum-weight closure, solved here by max-flow project selection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ._flow import FlowNetwork
-from .classic import u_optimal, w_optimal
+from .classic import u_optimal
 from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify
 from .profile import Agent, Matching, Side, is_stable
 
@@ -121,16 +121,29 @@ def eliminate(m, rho):
 
 @dataclass(frozen=True)
 class RotationDigraph:
-    """All rotations of a profile plus precedence arcs.
+    """All rotations of a profile, precedence arcs, and a per-pair index.
 
     Arc (a, b) means rotation a must be eliminated before rotation b;
     subsets closed under predecessors correspond exactly to the stable
     matchings, with the empty set mapping to u_optimal.
+
+    The index maps a pair to the unique rotation that changes it, as a
+    rotation index:
+    ``movesto[(u, w)]`` produces the pair (u's partner becomes w);
+    ``consumed[(u, w)]`` removes it (the pair is on that rotation's cycle);
+    ``u_passed[(u, w)]`` takes u's partner from w or above to below w;
+    ``crossed[(w, u)]`` lifts w's partner from below u to u or above.
+    A pair sits in matching_of(S) iff it is in u_opt or its producer is
+    in S, and its consumer is not.
     """
 
     rotations: tuple
     arcs: frozenset
     u_opt: Matching
+    movesto: dict = field(compare=False, repr=False)
+    consumed: dict = field(compare=False, repr=False)
+    u_passed: dict = field(compare=False, repr=False)
+    crossed: dict = field(compare=False, repr=False)
 
     @property
     def n(self):
@@ -183,19 +196,27 @@ class RotationDigraph:
         return True
 
 
+def _claim(table, key, idx, message):
+    if key in table:
+        raise Error(message % key)
+    table[key] = idx
+
+
 def rotation_digraph(p):
-    """Discover all rotations of p and wire the precedence arcs.
+    """Discover all rotations of p, wire the precedence arcs, index the pairs.
 
     Discovery walks one maximal elimination chain from the U-optimal
     matching, always eliminating the canonically smallest exposed rotation;
     the resulting index order is topological.  Arcs come from two rules:
     the rotation that produced a pair precedes the one consuming it, and
     for every agent skipped between w_k and w_{k+1} in u_k's list, the
-    rotation that made that agent reject u_k precedes.
+    rotation that made that agent reject u_k precedes.  Every index entry
+    must be unique, and a pair some rotation jumps over (strictly between
+    the old and the new partner, on either side) is never a stable pair.
     """
     m0 = u_optimal(p)
-    pu = m0.pu.copy()
-    pw = m0.pw.copy()
+    pu = m0.pu.tolist()  # Python lists: the scans below index them one by one
+    pw = m0.pw.tolist()
     rotations = []
     while True:
         exposed = _exposed_cycles(p, pu, pw)
@@ -209,35 +230,37 @@ def rotation_digraph(p):
             pu[u] = w_new
             pw[w_new] = u
     movesto = {}
+    consumed = {}
     crossed = {}
     for idx, rho in enumerate(rotations):
-        for u, w_old, w_new in rho.moves():
-            key = (u, w_new)
-            if key in movesto:
-                raise Error("two rotations move u%d's partner to w%d" % key)
-            movesto[key] = idx
-        r = len(rho.cycle)
-        for k, (u, w) in enumerate(rho.cycle):
-            u_prev = rho.cycle[(k - 1) % r][0]
-            lo = int(p.rank_w[w, u_prev])  # new, better partner
-            hi = int(p.rank_w[w, u])  # old one
-            for pos in range(lo, hi):
-                key = (w, p.w_lists[w][pos])
-                if key in crossed:
-                    raise Error(
-                        "two rotations cross w%d over u%d" % key
-                    )
-                crossed[key] = idx
+        cycle = rho.cycle
+        for k, (u, w) in enumerate(cycle):
+            # u moves on to w_new; w trades u for u_prev, whom it prefers
+            w_new = cycle[(k + 1) % len(cycle)][1]
+            u_prev = cycle[k - 1][0]
+            _claim(movesto, (u, w_new), idx, "two rotations move u%d's partner to w%d")
+            consumed[(u, w)] = idx  # unique: u_passed holds the same key
+            lst = p.w_lists[w]
+            for pos in range(int(p.rank_w[w, u_prev]), int(p.rank_w[w, u])):
+                _claim(crossed, (w, lst[pos]), idx, "two rotations cross w%d over u%d")
+    u_passed = {}
     arcs = set()
-    pu0, pw0 = m0.pu, m0.pw
+    pw0 = m0.pw
     for idx, rho in enumerate(rotations):
         for u, w_old, w_new in rho.moves():
             producer = movesto.get((u, w_old))
-            if producer is not None and producer != idx:
+            if producer is None:
+                if (w_old, u) in crossed:
+                    raise Error("jumped-over pair (u%d, w%d) is a stable pair" % (u, w_old))
+            elif producer != idx:
                 arcs.add((producer, idx))
+            _claim(u_passed, (u, w_old), idx, "two rotations pass u%d's partner over w%d")
             lst = p.u_lists[u]
             for pos in range(int(p.rank_u[u, w_old]) + 1, int(p.rank_u[u, w_new])):
                 w_between = lst[pos]
+                _claim(u_passed, (u, w_between), idx, "two rotations pass u%d's partner over w%d")
+                if (u, w_between) in movesto:
+                    raise Error("jumped-over pair (u%d, w%d) is a stable pair" % (u, w_between))
                 c = crossed.get((w_between, u))
                 if c is not None:
                     if c != idx:
@@ -251,7 +274,15 @@ def rotation_digraph(p):
                         "no rotation explains why w%d rejects u%d"
                         % (w_between, u)
                     )
-    dg = RotationDigraph(rotations=tuple(rotations), arcs=frozenset(arcs), u_opt=m0)
+    dg = RotationDigraph(
+        rotations=tuple(rotations),
+        arcs=frozenset(arcs),
+        u_opt=m0,
+        movesto=movesto,
+        consumed=consumed,
+        u_passed=u_passed,
+        crossed=crossed,
+    )
     verify(all(a < b for a, b in dg.arcs), "discovery order is topological")
     return dg
 
@@ -293,15 +324,12 @@ def enumerate_stable_matchings(p):
 def stable_pairs(p, dg=None):
     """Pairs appearing in at least one stable matching, as index tuples.
 
-    A pair is stable iff it is in the W-optimal matching or belongs to some
-    rotation.
+    A pair is stable iff it is in the U-optimal matching or some rotation
+    produces it.
     """
     if dg is None:
         dg = rotation_digraph(p)
-    pairs = set(w_optimal(p).pairs)
-    for rho in dg.rotations:
-        pairs.update(rho.cycle)
-    return frozenset(pairs)
+    return dg.u_opt.pairs.union(dg.movesto)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from swapstable.oracle import (
     brute_is_locally_d_stable,
     enumerate_stable_bf,
 )
-from swapstable.robustness import _collect_constraints, build_rotation_tables
+from swapstable.robustness import _collect_constraints
 
 from helpers import make_rng, random_matching, random_swap
 
@@ -290,8 +290,7 @@ def test_lattice_fixture_facts():
     robust = [m for m in stable if brute_is_d_robust(p, m, 1)]
     assert robust == [target]
     assert find_d_robust(p, 1) == target
-    tables = build_rotation_tables(p, dg)
-    extra_arcs, forced, forbidden = _collect_constraints(p, dg, tables, 1)
+    extra_arcs, forced, forbidden = _collect_constraints(p, dg, 1)
     assert forced == {0}
     assert not forbidden
     satisfying = [

@@ -18,6 +18,8 @@ from swapstable import (
     eliminate,
     enumerate_stable_matchings,
     exposed_rotations,
+    gen_cyclic_latin,
+    gen_example2,
     gen_random,
     is_stable,
     matching_of,
@@ -104,6 +106,46 @@ def test_measured_weights_reproduce_egalitarian_deltas(p):
         assert egalitarian_cost(p, matching_of(dg, s)) == expected
 
 
+def test_pair_index_matches_the_lattice():
+    # Every closed subset S is checked against the four per-pair maps the
+    # digraph keeps, over every acceptable pair, so a missing entry fails
+    # as surely as a wrong one: producer and consumer decide each pair of
+    # matching_of(S), and u_passed/crossed decide where partners sit.
+    batch = random_profiles(100, 6, 6, 1.0, seed_base=500)
+    batch += random_profiles(40, 5, 6, 0.6, seed_base=600)
+    batch += [gen_cyclic_latin(4), gen_example2(3)]
+    rotations_seen = 0
+    for p in batch:
+        dg = rotation_digraph(p)
+        m0 = dg.u_opt
+        rotations_seen += dg.n
+        for s in closed_subsets(dg):
+            m = matching_of(dg, s)
+            for u in range(p.n_u):
+                for w in p.u_lists[u]:
+                    produced = (u, w) in m0.pairs or dg.movesto.get((u, w)) in s
+                    held = produced and dg.consumed.get((u, w)) not in s
+                    assert ((u, w) in m.pairs) == held
+                    if m0.pu[u] >= 0:
+                        # u's partner ranks below w: from the start, or
+                        # once the rotation passing w is eliminated
+                        rank = p.rank_u[u]
+                        below = rank[m.pu[u]] > rank[w]
+                        passed = rank[m0.pu[u]] > rank[w] or dg.u_passed.get((u, w)) in s
+                        assert below == passed
+            for w in range(p.n_w):
+                if m0.pw[w] < 0:
+                    continue
+                rank = p.rank_w[w]
+                for u in p.w_lists[w]:
+                    # w's partner ranks at u or above: from the start, or
+                    # once the rotation lifting it there is eliminated
+                    at_or_above = rank[m.pw[w]] <= rank[u]
+                    lifted = rank[m0.pw[w]] <= rank[u] or dg.crossed.get((w, u)) in s
+                    assert at_or_above == lifted
+    assert rotations_seen >= 80
+
+
 def brute_closure(dg, delta, forced, forbidden, extra_arcs):
     best = None
     for s in closed_subsets(dg):
@@ -153,9 +195,9 @@ def test_non_topological_discovery_raises_error(monkeypatch):
     # must raise Error, not an AssertionError that -O would strip.
     real = rotations.RotationDigraph
 
-    def reversed_arcs(rotations, arcs, u_opt):
+    def reversed_arcs(arcs, **fields):
         flipped = frozenset((b, a) for a, b in arcs)
-        return real(rotations=rotations, arcs=flipped, u_opt=u_opt)
+        return real(arcs=flipped, **fields)
 
     monkeypatch.setattr(rotations, "RotationDigraph", reversed_arcs)
     with pytest.raises(Error, match="discovery order is topological"):
