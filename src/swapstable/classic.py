@@ -20,22 +20,18 @@ def _propose(n_u, n_w, u_lists, rank_w):
     while free:
         i = free.popleft()
         lst = u_lists[i]
-        placed = False
+        # an agent that exhausts its list stays unmatched
         while nxt[i] < len(lst):
             j = lst[nxt[i]]
             nxt[i] += 1
             cur = pw[j]
             if cur < 0:
                 pw[j] = i
-                placed = True
                 break
             if rank_w[j, i] < rank_w[j, cur]:
                 pw[j] = i
                 free.append(cur)
-                placed = True
                 break
-        if not placed:
-            pass  # exhausted the list, stays unmatched
     return [(i, j) for j, i in enumerate(pw) if i >= 0]
 
 
@@ -52,14 +48,16 @@ def u_optimal(p):
         Stable in p; no U-agent has a better partner in any other stable
         matching of p.
     """
+    # deferred acceptance never matches an agent twice, so the pairs need
+    # none of Matching.from_pairs' checks
     pairs = _propose(p.n_u, p.n_w, p.u_lists, p.rank_w)
-    return Matching.from_pairs(p.n_u, p.n_w, pairs)
+    return Matching(p.n_u, p.n_w, frozenset(pairs))
 
 
 def w_optimal(p):
     """Stable matching where every W-agent does weakly best."""
     pairs = _propose(p.n_w, p.n_u, p.w_lists, p.rank_u)
-    return Matching.from_pairs(p.n_u, p.n_w, [(i, j) for j, i in pairs])
+    return Matching(p.n_u, p.n_w, frozenset((i, j) for j, i in pairs))
 
 
 @dataclass(frozen=True)

@@ -52,4 +52,4 @@ class NotNearlyStable(Error):
 
 
 class TooLarge(Error):
-    """A brute-force enumeration would exceed its configured cap."""
+    """An exhaustive enumeration or search would exceed its configured cap."""

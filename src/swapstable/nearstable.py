@@ -4,10 +4,11 @@ A matching that is not stable may still be d-nearly stable: some profile
 within swap distance d (total over all lists for the global notion, per
 list for the local one) renders it stable.  The local notion collapses to
 a per-blocking-pair rank-gap formula; the global one is solved exactly as
-a minimum cut over per-agent shift thresholds.  Both solvers for the
-optimization problems (find a nearly stable matching that is perfect or
-cheap) are exponential-time exact searches, which is as good as it gets:
-the decision problems are NP-hard even for budget 1.
+a minimum cut over per-agent shift thresholds.  The optimization problems
+(find a nearly stable matching that is perfect or cheap) share one
+exponential-time exact search, a branch-and-bound over matchings whose
+leaves are priced by the rank-gap formula or the min-cut; that is as good
+as it gets, since the decision problems are NP-hard even for budget 1.
 
 The defusing move throughout is promoting an agent's current partner past
 a blocker in that agent's own list.  Such promotions never create new
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._flow import FlowNetwork
-from .classic import matched_partition, u_optimal
-from .errors import InvalidInput, NotNearlyStable, verify
+from .classic import matched_partition
+from .errors import InvalidInput, NotNearlyStable, TooLarge, verify
 from .profile import (
     INFINITE,
     Matching,
@@ -37,14 +38,11 @@ from .profile import (
     is_stable,
     swap_distance,
 )
-from .rotations import (
-    RotationWeights,
-    matching_of,
-    min_weight_closure,
-    rotation_digraph,
-)
 
 Cost = Union[int, float]
+
+# Partners the near-stability search may try before raising TooLarge.
+SEARCH_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -248,56 +246,6 @@ def near_stability_report(p, m) -> NearStabilityReport:
     )
 
 
-def _profile_ball(p, budget):
-    """Yield (distance, profile) over the swap ball, closest first.
-
-    Breadth-first by total distance with deduplication on the list
-    tuples, so each reachable profile appears exactly once at its true
-    distance.
-    """
-    start = (p.u_lists, p.w_lists)
-    seen = {start}
-    frontier = [start]
-    yield 0, p
-    for dist in range(1, budget + 1):
-        nxt = []
-        for u_lists, w_lists in frontier:
-            for a, lst in enumerate(u_lists):
-                for k in range(len(lst) - 1):
-                    swapped = list(lst)
-                    swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-                    key = (
-                        u_lists[:a] + (tuple(swapped),) + u_lists[a + 1 :],
-                        w_lists,
-                    )
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(key)
-            for a, lst in enumerate(w_lists):
-                for k in range(len(lst) - 1):
-                    swapped = list(lst)
-                    swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-                    key = (
-                        u_lists,
-                        w_lists[:a] + (tuple(swapped),) + w_lists[a + 1 :],
-                    )
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(key)
-        for u_lists, w_lists in nxt:
-            yield dist, Profile(u_lists, w_lists, p.u_names, p.w_names)
-        frontier = nxt
-
-
-def _best_egal(q, p):
-    """Egalitarian-optimal stable matching of q, priced by p's ranks."""
-    dg = rotation_digraph(q)
-    weights = RotationWeights.measured(dg, p)
-    chosen = min_weight_closure(dg, weights)
-    m = matching_of(dg, chosen)
-    return egalitarian_cost(p, m), m
-
-
 def _perfect_precheck(p):
     """Budget-independent reasons no nearly stable matching is perfect.
 
@@ -316,44 +264,15 @@ def _perfect_precheck(p):
     return unmatched_u <= matched_w and unmatched_w <= matched_u
 
 
-def _check_objective(objective, eta):
+def _check_query(objective, eta, d):
     objective = Objective(objective)
-    if objective == Objective.PERFECT:
-        return objective
-    if objective == Objective.EGALITARIAN:
-        if eta is None:
-            raise InvalidInput("egalitarian objective needs an eta bound")
-        return objective
-    raise InvalidInput("objective must be perfect or egalitarian")
-
-
-def solve_global_near(p, d_g, objective, eta=None):
-    """Matching satisfying the objective in p and stable within d_g swaps.
-
-    Walks the swap ball closest profile first.  Perfect: a profile works
-    iff its stable matchings leave nobody unmatched.  Egalitarian: the
-    profile's cheapest stable matching, priced by p's ranks, must cost at
-    most eta.  Returns (matching, witness profile) or None.  The number
-    of matched agents moves by at most two per swap, so budgets below
-    half the unmatched count are rejected without searching.
-    """
-    objective = _check_objective(objective, eta)
-    if d_g < 0:
-        raise InvalidInput("budget must be nonnegative, got %r" % d_g)
-    if objective == Objective.PERFECT:
-        if not _perfect_precheck(p):
-            return None
-        if 2 * d_g < matched_partition(p).n_unmatched:
-            return None
-    for _, q in _profile_ball(p, d_g):
-        if objective == Objective.PERFECT:
-            if matched_partition(q).n_unmatched == 0:
-                return (u_optimal(q), q)
-        else:
-            cost, m = _best_egal(q, p)
-            if cost <= eta:
-                return (m, q)
-    return None
+    if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
+        raise InvalidInput("objective must be perfect or egalitarian")
+    if objective == Objective.EGALITARIAN and eta is None:
+        raise InvalidInput("egalitarian objective needs an eta bound")
+    if d < 0:
+        raise InvalidInput("budget must be nonnegative, got %r" % d)
+    return objective
 
 
 def _settle_deadline(p):
@@ -365,13 +284,14 @@ def _settle_deadline(p):
     return deadline
 
 
-def _prefix_conflict(p, pu, pw, depth, d_l, deadline):
+def _prefix_conflict(p, pu, pw, depth, d, deadline):
     """Does the decided part already contain an undefusable blocking pair?
 
     Only pairs whose fate is sealed count: the U endpoint is decided, and
     the W endpoint is either matched (partners are never revisited) or
     beyond its last chance of getting one.  Pairs a later U agent could
-    still resolve are left alone.
+    still resolve are left alone.  A sealed pair whose cheaper endpoint
+    needs more than d swaps rules out local and global budget d alike.
     """
     for k in range(depth):
         pk = pu[k]
@@ -383,26 +303,33 @@ def _prefix_conflict(p, pu, pw, depth, d_l, deadline):
                 if int(p.rank_w[j, k]) < int(p.rank_w[j, pj]):
                     cu = INFINITE if pk < 0 else limit - pos
                     cw = int(p.rank_w[j, pj]) - int(p.rank_w[j, k])
-                    if min(cu, cw) > d_l:
+                    if min(cu, cw) > d:
                         return True
             elif deadline[j] < depth:
-                if pk < 0 or limit - pos > d_l:
+                if pk < 0 or limit - pos > d:
                     return True
     return False
 
 
-def _local_search(p, d_l, objective, eta, first):
-    """Branch-and-bound over matchings with per-list instability <= d_l.
+def _search(p, d, objective, eta, instability, least=None):
+    """Branch-and-bound over matchings with instability(p, m) <= d.
 
-    Depth-first over U agents in index order, partners tried in
-    preference order (then unmatched, unless the objective is perfect).
-    A branch dies as soon as a sealed pair cannot be defused within d_l
-    or, for the egalitarian objective, the accumulated cost of the decided
-    agents passes eta.  With ``first`` set, returns the first feasible
-    leaf; otherwise tightens eta below each feasible leaf's cost and
-    returns the last one found, which is the cheapest.  None when no leaf
-    is feasible.  The stack holds one frame per decided U agent, so depth
-    is not bounded by the interpreter's recursion limit.
+    The one exact search for near stability: instability is
+    local_instability or _global_cost, and both are at least every
+    blocking pair's cheaper defusing cost, so _prefix_conflict at budget d
+    drops no candidate of either.  Depth-first over U agents in index
+    order, partners in preference order (then unmatched, unless the
+    objective is perfect).  A branch dies once a sealed pair cannot be
+    defused within d or, for the egalitarian objective, the decided
+    agents' cost passes eta.
+
+    least picks the answer.  None: the first feasible leaf.  "cost": eta,
+    or "instability": d, drops below each feasible leaf's value, and a
+    stable leaf ends an "instability" search; the last leaf found is the
+    least, and the first in search order among equals.  None when no leaf
+    is feasible.  Raises TooLarge after SEARCH_CAP tried partners.  The
+    stack holds one frame per decided U agent, so depth is not bounded by
+    the interpreter's recursion limit.
     """
     deadline = _settle_deadline(p)
     bounded = objective == Objective.EGALITARIAN
@@ -410,6 +337,7 @@ def _local_search(p, d_l, objective, eta, first):
     pu = [-1] * p.n_u
     pw = [-1] * p.n_w
     best = None
+    nodes = 0
     # frames[i] is [options of u_i, index of its next option, cost of u_0..u_{i-1}]
     frames = []
     acc = 0
@@ -426,10 +354,15 @@ def _local_search(p, d_l, objective, eta, first):
                 fits = cost <= eta
             else:
                 fits = is_perfect(p, m)
-            if fits and local_instability(p, m) <= d_l:
-                if first:
+            level = instability(p, m) if fits else INFINITE
+            if level <= d:
+                if least is None or (least == "instability" and level == 0):
                     return m
-                best, eta = m, cost - 1
+                best = m
+                if least == "cost":
+                    eta = cost - 1
+                else:
+                    d = level - 1
         # Undo the top agent's choice and move it to its next option that
         # survives both prunes, popping agents whose options ran out.
         while frames:
@@ -442,6 +375,9 @@ def _local_search(p, d_l, objective, eta, first):
             if k == len(options):
                 frames.pop()
                 continue
+            nodes += 1
+            if nodes > SEARCH_CAP:
+                raise TooLarge("near-stability search exceeds %d nodes" % SEARCH_CAP)
             frame[1] = k + 1
             j = options[k]
             if j >= 0:
@@ -451,7 +387,7 @@ def _local_search(p, d_l, objective, eta, first):
             else:
                 step = int(p.len_u[i])
             if not (bounded and base + step > eta) and not _prefix_conflict(
-                p, pu, pw, i + 1, d_l, deadline
+                p, pu, pw, i + 1, d, deadline
             ):
                 acc = base + step
                 break
@@ -459,18 +395,45 @@ def _local_search(p, d_l, objective, eta, first):
             return best
 
 
+def _global_cost(p, m):
+    return global_stabilization_cost(p, m)[0]
+
+
+def solve_global_near(p, d_g, objective, eta=None):
+    """Matching satisfying the objective in p and stable within d_g swaps.
+
+    Exact branch-and-bound (see _search) with the min-cut cost
+    global_stabilization_cost at each leaf.  Returns the matching of least
+    global cost that meets the objective, the first in search order among
+    equals, with that cost's witness profile; None when none costs at
+    most d_g.  The first stable matching in search order is u_optimal(p),
+    so it is the answer whenever it meets the objective.  One pass
+    whatever d_g is: the budget tightens below each leaf found.  The
+    number of matched agents moves by at most two per swap, so perfect
+    matchings are ruled out without searching when d_g is below half the
+    unmatched count.
+    """
+    objective = _check_query(objective, eta, d_g)
+    if objective == Objective.PERFECT:
+        if not _perfect_precheck(p):
+            return None
+        if 2 * d_g < matched_partition(p).n_unmatched:
+            return None
+    m = _search(p, d_g, objective, eta, _global_cost, least="instability")
+    return None if m is None else (m, global_stabilization_cost(p, m)[1])
+
+
 def solve_local_near(p, d_l, objective, eta=None):
     """Matching satisfying the objective with per-list instability <= d_l.
 
-    Exact branch-and-bound (see _local_search) stopping at the first
-    feasible matching, which is returned; None when there is none.
+    Exact branch-and-bound (see _search) with local_instability at each
+    leaf, stopping at the first feasible matching, which is returned;
+    None when there is none.
     """
-    objective = _check_objective(objective, eta)
-    if d_l < 0:
-        raise InvalidInput("budget must be nonnegative, got %r" % d_l)
+    objective = _check_query(objective, eta, d_l)
     if objective == Objective.PERFECT and not _perfect_precheck(p):
         return None
-    return _local_search(p, d_l, objective, eta, first=True)
+    return _search(p, d_l, objective, eta, local_instability)
 
 
 def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
@@ -554,41 +517,23 @@ def tradeoff_curve(p, mode, d_max, objective):
     Perfect: value is whether a d-nearly stable perfect matching exists.
     Egalitarian: value is the cheapest egalitarian cost (priced by p)
     over d-nearly stable matchings.  Values only improve as d grows.
-    Global mode walks the swap ball once; local mode solves each budget.
+    Both modes run the one search once per budget; the mode picks the
+    solver and the instability tested at the leaves.
     """
-    objective = Objective(objective)
-    if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
-        raise InvalidInput("objective must be perfect or egalitarian")
-    if d_max < 0:
-        raise InvalidInput("d_max must be nonnegative, got %r" % d_max)
-    out = []
+    objective = _check_query(objective, INFINITE, d_max)
     if mode == "global":
-        best = False if objective == Objective.PERFECT else INFINITE
-        last = 0
-        feasible = objective != Objective.PERFECT or _perfect_precheck(p)
-        for dist, q in _profile_ball(p, d_max):
-            while last < dist:
-                out.append((last, best))
-                last += 1
-            if objective == Objective.PERFECT:
-                if feasible and not best:
-                    best = matched_partition(q).n_unmatched == 0
-                if best:
-                    break
-            else:
-                best = min(best, _best_egal(q, p)[0])
-        while last <= d_max:
-            out.append((last, best))
-            last += 1
-        return out
-    if mode == "local":
-        for d in range(d_max + 1):
-            if objective == Objective.PERFECT:
-                value = solve_local_near(p, d, objective) is not None
-            else:
-                # stable matchings qualify at every budget, so a leaf exists
-                best = _local_search(p, d, objective, INFINITE, first=False)
-                value = egalitarian_cost(p, best)
-            out.append((d, value))
-        return out
-    raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
+        solver, instability = solve_global_near, _global_cost
+    elif mode == "local":
+        solver, instability = solve_local_near, local_instability
+    else:
+        raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
+    out = []
+    for d in range(d_max + 1):
+        if objective == Objective.PERFECT:
+            value = solver(p, d, objective) is not None
+        else:
+            # stable matchings qualify at every budget, so a leaf exists
+            best = _search(p, d, objective, INFINITE, instability, least="cost")
+            value = egalitarian_cost(p, best)
+        out.append((d, value))
+    return out

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,31 @@ def test_error_exits_and_messages(capsys, tmp_path, crown):
         "--objective", "egalitarian",
     )
     assert code == 2 and "eta" in err
+
+
+def test_search_cap_exits_2(capsys, monkeypatch, crown):
+    monkeypatch.setattr("swapstable.nearstable.SEARCH_CAP", 3)
+    code, out, err = run(
+        capsys, "solve", "global-near", "--profile", crown[1], "--d", "2",
+        "--objective", "perfect",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: near-stability search exceeds 3 nodes\n"
+
+
+def test_solve_global_near_with_a_huge_budget(capsys, tmp_path):
+    p = gen_random(5, 5, 1.0, seed=7)
+    prof = tmp_path / "r5.profile"
+    prof.write_text(serialize_profile(p))
+    eta = str(egalitarian_cost(p, u_optimal(p)) - 1)
+    for extra in (["perfect"], ["egalitarian", "--eta", eta]):
+        start = time.perf_counter()
+        code, report = run_json(
+            capsys, "solve", "global-near", "--profile", str(prof),
+            "--d", "1000000000", "--objective", *extra,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and report["result"] == "found"
 
 
 def test_internal_error_exits_2(capsys, monkeypatch, crown):

@@ -1,6 +1,7 @@
 """Near-stability: per-list and total swap budgets, solvers, repair."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,13 @@ from swapstable import (
     Objective,
     Profile,
     SwapOp,
+    TooLarge,
     apply_swap,
     blocking_pairs,
     egalitarian_cost,
+    gen_cyclic_latin,
+    gen_example2,
+    gen_example3,
     gen_random,
     global_stabilization_cost,
     is_locally_d_nearly_stable,
@@ -237,6 +242,10 @@ def test_report_mirrors_both_engines():
 
 
 def test_global_solver_agrees_with_ball_walk():
+    # The oracle walks the ball closest profile first, so its witness lies
+    # at the least distance any qualifying matching needs; the solver
+    # returns a matching of least global cost with that cost's witness.
+    moved = 0
     for p in random_profiles(30, 3, 3, 0.8, seed_base=8500):
         for d in (0, 1, 2):
             res = solve_global_near(p, d, Objective.PERFECT)
@@ -244,18 +253,58 @@ def test_global_solver_agrees_with_ball_walk():
             assert (res is None) == (want is None)
             if res is not None:
                 m, q = res
-                assert swap_distance(p, q) <= d
+                assert swap_distance(p, q) == swap_distance(p, want[1]) <= d
+                assert global_stabilization_cost(p, m) == (swap_distance(p, q), q)
                 assert is_stable(q, m)
                 assert is_perfect(p, m)
+                moved += swap_distance(p, q) > 0
             eta = egalitarian_cost(p, u_optimal(p)) if p.n_u else 0
-            res = solve_global_near(p, d, Objective.EGALITARIAN, eta=eta)
-            want = brute_solve_near(p, d, "global", Objective.EGALITARIAN, eta=eta)
-            assert (res is None) == (want is None)
-            if res is not None:
-                m, q = res
-                assert swap_distance(p, q) <= d
-                assert is_stable(q, m)
-                assert egalitarian_cost(p, m) <= eta
+            for bound in (eta, eta - 1):
+                res = solve_global_near(p, d, Objective.EGALITARIAN, eta=bound)
+                want = brute_solve_near(
+                    p, d, "global", Objective.EGALITARIAN, eta=bound
+                )
+                assert (res is None) == (want is None)
+                if res is not None:
+                    m, q = res
+                    assert swap_distance(p, q) == swap_distance(p, want[1]) <= d
+                    assert is_stable(q, m)
+                    assert egalitarian_cost(p, m) <= bound
+                    moved += swap_distance(p, q) > 0
+    assert moved >= 10
+
+
+def oracle_curve(p, mode, d_max, objective):
+    """tradeoff_curve's answer derived from brute_solve_near alone."""
+    if objective == Objective.PERFECT:
+        return [
+            (d, brute_solve_near(p, d, mode, objective) is not None)
+            for d in range(d_max + 1)
+        ]
+    # The cheapest stable matching qualifies at every budget, and values
+    # only fall as d grows, so each budget lowers the previous bound.
+    eta = min(egalitarian_cost(p, m) for m in enumerate_stable_bf(p))
+    out = []
+    for d in range(d_max + 1):
+        while brute_solve_near(p, d, mode, objective, eta=eta - 1) is not None:
+            eta -= 1
+        out.append((d, eta))
+    return out
+
+
+def test_global_tradeoff_agrees_with_oracle():
+    cases = [
+        gen_random(n, n, 1.0 if k % 2 else 0.7, seed=9100 + k)
+        for k, n in enumerate([3, 3, 3, 4] * 10)
+    ]
+    cases += [gen_example3(), gen_example2(2), gen_cyclic_latin(3)]
+    falling = 0
+    for p in cases:
+        for objective in (Objective.PERFECT, Objective.EGALITARIAN):
+            curve = tradeoff_curve(p, "global", 2, objective)
+            assert curve == oracle_curve(p, "global", 2, objective)
+            falling += curve[0][1] != curve[-1][1]
+    assert falling >= 10
 
 
 def test_local_solver_agrees_with_ball_walk():
@@ -283,6 +332,38 @@ def test_local_search_is_not_bounded_by_recursion_limit():
     m = solve_local_near(p, 0, Objective.PERFECT)
     assert m.sorted_pairs() == [(i, i) for i in range(n)]
     assert tradeoff_curve(p, "local", 0, Objective.EGALITARIAN) == [(0, 0)]
+
+
+def test_search_cap_raises_too_large(monkeypatch):
+    p = gen_random(5, 5, 1.0, seed=11)
+    assert solve_global_near(p, 2, Objective.PERFECT) is not None
+    monkeypatch.setattr(nearstable, "SEARCH_CAP", 3)
+    with pytest.raises(TooLarge, match="3 nodes"):
+        solve_global_near(p, 2, Objective.PERFECT)
+    with pytest.raises(TooLarge):
+        tradeoff_curve(p, "local", 1, Objective.EGALITARIAN)
+
+
+def test_global_solver_takes_huge_budgets_in_one_pass():
+    # The budget tightens below each leaf found, so the search never
+    # depends on how large d_g is.
+    p = gen_random(5, 5, 1.0, seed=7)
+    cheapest = min(egalitarian_cost(p, m) for m in enumerate_stable_bf(p))
+    for objective, eta in (
+        (Objective.PERFECT, None),
+        (Objective.EGALITARIAN, cheapest),
+        (Objective.EGALITARIAN, cheapest - 1),
+    ):
+        start = time.perf_counter()
+        m, q = solve_global_near(p, 10**9, objective, eta=eta)
+        assert time.perf_counter() - start < 1.0
+        assert global_stabilization_cost(p, m) == (swap_distance(p, q), q)
+        if objective == Objective.PERFECT:
+            assert m == u_optimal(p) and q == p
+        elif eta == cheapest:
+            assert q == p and egalitarian_cost(p, m) == cheapest
+        else:
+            assert swap_distance(p, q) > 0 and egalitarian_cost(p, m) <= eta
 
 
 def test_solver_input_validation():
