@@ -127,13 +127,6 @@ def _attach_witness(report, args, p, q):
         report["witness_profile"] = serialize_profile(q)
 
 
-def _brute_robust_witness(p, m, d):
-    for q in profiles_within(p, d, "global"):
-        if not is_stable(q, m):
-            return q
-    return None
-
-
 def _cmd_check(args, brute):
     if args.d < 0:
         raise InvalidInput("--d must be nonnegative")
@@ -144,9 +137,10 @@ def _cmd_check(args, brute):
         report["result"] = is_stable(p, m)
     elif args.what == "robust":
         if brute:
-            report["result"] = brute_is_d_robust(p, m, args.d)
-            if not report["result"]:
-                _attach_witness(report, args, p, _brute_robust_witness(p, m, args.d))
+            ball = profiles_within(p, args.d, "global")
+            q = next((q for q in ball if not is_stable(q, m)), None)
+            report["result"] = q is None
+            _attach_witness(report, args, p, q)
         else:
             ok, witness = is_d_robust(p, m, args.d)
             report["result"] = ok
@@ -335,6 +329,7 @@ def _add_solve(sub, brute):
     sp.set_defaults(func=functools.partial(_cmd_solve, brute=brute))
 
 
+@functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="swapstable",

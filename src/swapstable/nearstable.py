@@ -147,8 +147,10 @@ def witness_profile_local(p, m, d_l) -> Profile:
     return q
 
 
-def global_stabilization_cost(p, m):
-    """Smallest total swap distance to a profile where m is stable.
+def _stabilization_cut(p, m):
+    """Smallest total swap distance to a profile where m is stable, with
+    the promotion that reaches it: (cost, u_steps, w_steps), where
+    u_steps[i] (w_steps[j]) is how far u_i (w_j) moves its partner up.
 
     Covering blocking pair (u, w) at an endpoint costs that endpoint's
     rank gap, and one promotion past the best-ranked covered blocker pays
@@ -158,28 +160,24 @@ def global_stabilization_cost(p, m):
     minimum s-t cut with U-chains oriented from the source and W-chains
     toward the sink.  The chain of unit steps gives the same cuts: each of
     its min cuts ends every chain at a threshold, since stopping at the
-    threshold below saves units and crosses no infinite arc.  Returns
-    (cost, witness profile), or (INFINITE, None) when two unmatched agents
-    block each other.  The witness promotes only matched partners, which
-    never creates new blocking pairs, so the cut value is exact, not just
-    an upper bound.
+    threshold below saves units and crosses no infinite arc.  The cost is
+    INFINITE, with no steps, when two unmatched agents block each other.
     """
-    bps = blocking_pairs(p, m)
-    if not bps:
-        return (0, p)
     needs = []
     u_levels = {}
     w_levels = {}
-    for ua, wa in bps:
+    for ua, wa in blocking_pairs(p, m):
         i, j = ua.index, wa.index
         cu, cw = _defuse_costs(p, m, i, j)
         if cu is INFINITE and cw is INFINITE:
-            return (INFINITE, None)
+            return (INFINITE, None, None)
         needs.append((i, j, cu, cw))
         if cu is not INFINITE:
             u_levels.setdefault(i, set()).add(cu)
         if cw is not INFINITE:
             w_levels.setdefault(j, set()).add(cw)
+    if not needs:
+        return (0, {}, {})
     u_levels = {i: sorted(cs) for i, cs in u_levels.items()}
     w_levels = {j: sorted(cs) for j, cs in w_levels.items()}
     inf_cap = 1 + sum(cs[-1] for cs in [*u_levels.values(), *w_levels.values()])
@@ -213,18 +211,37 @@ def global_stabilization_cost(p, m):
     # Min cuts form a lattice; taking the one nearest the sink resolves
     # ties toward W-side promotions, which keeps the witness deterministic.
     sink = net.sink_side("t")
-    u_lists = p.u_lists
-    w_lists = p.w_lists
-    total = 0
-    for i, cs in u_levels.items():
-        steps = max((c for c in cs if ("u", i, c) in sink), default=0)
-        total += steps
-        u_lists = _promote(u_lists, i, int(m.pu[i]), steps)
-    for j, cs in w_levels.items():
-        steps = max((c for c in cs if ("w", j, c) not in sink), default=0)
-        total += steps
-        w_lists = _promote(w_lists, j, int(m.pw[j]), steps)
+    u_steps = {
+        i: max((c for c in cs if ("u", i, c) in sink), default=0)
+        for i, cs in u_levels.items()
+    }
+    w_steps = {
+        j: max((c for c in cs if ("w", j, c) not in sink), default=0)
+        for j, cs in w_levels.items()
+    }
+    total = sum(u_steps.values()) + sum(w_steps.values())
     verify(total == cost, "cut sides add up to the flow value")
+    return (cost, u_steps, w_steps)
+
+
+def global_stabilization_cost(p, m):
+    """Smallest total swap distance to a profile where m is stable.
+
+    Returns (cost, witness profile) from _stabilization_cut, or (INFINITE,
+    None) when two unmatched agents block each other.  The witness promotes
+    only matched partners, which never creates new blocking pairs, so the
+    cut value is exact, not just an upper bound.
+    """
+    cost, u_steps, w_steps = _stabilization_cut(p, m)
+    if cost is INFINITE:
+        return (INFINITE, None)
+    if not cost:
+        return (0, p)
+    u_lists, w_lists = p.u_lists, p.w_lists
+    for i, steps in u_steps.items():
+        u_lists = _promote(u_lists, i, int(m.pu[i]), steps)
+    for j, steps in w_steps.items():
+        w_lists = _promote(w_lists, j, int(m.pw[j]), steps)
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
     verify(is_stable(q, m), "global witness makes the matching stable")
     verify(swap_distance(p, q) == cost, "global witness lies at the cut distance")
@@ -315,11 +332,11 @@ def _search(p, d, objective, eta, instability, least=None):
     """Branch-and-bound over matchings with instability(p, m) <= d.
 
     The one exact search for near stability: instability is
-    local_instability or _global_cost, and both are at least every
-    blocking pair's cheaper defusing cost, so _prefix_conflict at budget d
-    drops no candidate of either.  Depth-first over U agents in index
-    order, partners in preference order (then unmatched, unless the
-    objective is perfect).  A branch dies once a sealed pair cannot be
+    local_instability or the cost of _stabilization_cut, and both are at
+    least every blocking pair's cheaper defusing cost, so _prefix_conflict
+    at budget d drops no candidate of either.  Depth-first over U agents
+    in index order, partners in preference order (then unmatched, unless
+    the objective is perfect).  A branch dies once a sealed pair cannot be
     defused within d or, for the egalitarian objective, the decided
     agents' cost passes eta.
 
@@ -395,18 +412,15 @@ def _search(p, d, objective, eta, instability, least=None):
             return best
 
 
-def _global_cost(p, m):
-    return global_stabilization_cost(p, m)[0]
-
-
 def solve_global_near(p, d_g, objective, eta=None):
     """Matching satisfying the objective in p and stable within d_g swaps.
 
-    Exact branch-and-bound (see _search) with the min-cut cost
-    global_stabilization_cost at each leaf.  Returns the matching of least
-    global cost that meets the objective, the first in search order among
-    equals, with that cost's witness profile; None when none costs at
-    most d_g.  The first stable matching in search order is u_optimal(p),
+    Exact branch-and-bound (see _search) with the min-cut cost of
+    _stabilization_cut at each leaf; only the answer gets a witness.
+    Returns the matching of least global cost that meets the objective,
+    the first in search order among equals, with that cost's witness
+    profile from global_stabilization_cost; None when none costs at most
+    d_g.  The first stable matching in search order is u_optimal(p),
     so it is the answer whenever it meets the objective.  One pass
     whatever d_g is: the budget tightens below each leaf found.  The
     number of matched agents moves by at most two per swap, so perfect
@@ -419,7 +433,9 @@ def solve_global_near(p, d_g, objective, eta=None):
             return None
         if 2 * d_g < matched_partition(p).n_unmatched:
             return None
-    m = _search(p, d_g, objective, eta, _global_cost, least="instability")
+    m = _search(
+        p, d_g, objective, eta, lambda q, m: _stabilization_cut(q, m)[0], least="instability"
+    )
     return None if m is None else (m, global_stabilization_cost(p, m)[1])
 
 
@@ -522,7 +538,7 @@ def tradeoff_curve(p, mode, d_max, objective):
     """
     objective = _check_query(objective, INFINITE, d_max)
     if mode == "global":
-        solver, instability = solve_global_near, _global_cost
+        solver, instability = solve_global_near, lambda q, m: _stabilization_cut(q, m)[0]
     elif mode == "local":
         solver, instability = solve_local_near, local_instability
     else:

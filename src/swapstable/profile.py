@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -271,7 +272,8 @@ def validate_profile(
         for i, lst in enumerate(lists):
             seen = set()
             for j in lst:
-                if not isinstance(j, int) or not 0 <= j < n_other:
+                # int first: the Integral check alone is an order of magnitude slower
+                if not isinstance(j, (int, Integral)) or not 0 <= j < n_other:
                     issues.append(
                         "unknown agent: %s%d lists out-of-range index %r"
                         % (label, i + 1, j)

@@ -11,6 +11,7 @@ minimum-weight closure, solved here by max-flow project selection.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -157,13 +158,6 @@ class RotationDigraph:
         return out
 
     @cached_property
-    def succs(self):
-        out = [[] for _ in range(self.n)]
-        for a, b in sorted(self.arcs):
-            out[a].append(b)
-        return out
-
-    @cached_property
     def ancestor_masks(self):
         """ancestor_masks[i] has bit j set iff j must precede i (j != i)."""
         masks = [0] * self.n
@@ -171,16 +165,6 @@ class RotationDigraph:
             acc = 0
             for a in self.preds[i]:
                 acc |= masks[a] | (1 << a)
-            masks[i] = acc
-        return masks
-
-    @cached_property
-    def descendant_masks(self):
-        masks = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            acc = 0
-            for b in self.succs[i]:
-                acc |= masks[b] | (1 << b)
             masks[i] = acc
         return masks
 
@@ -337,10 +321,8 @@ class RotationWeights:
     """Egalitarian-cost delta per rotation: eliminating rho adds delta[rho].
 
     For any closed subset S, the cost of matching_of(S) equals the cost of
-    u_optimal plus the sum of deltas over S.  Ranks come from the measuring
-    profile, which may differ from the one the digraph was built on (same
-    acceptable sets required); near-stability solvers use that to price
-    matchings of a perturbed profile against the original lists.
+    u_optimal plus the sum of deltas over S, with ranks taken from the
+    profile passed to ``measured``.
     """
 
     delta: tuple
@@ -360,73 +342,38 @@ class RotationWeights:
         return cls(delta=tuple(deltas))
 
 
-def _reach_masks(n, arcs):
-    """Bitmask of nodes reachable from each node along the given arcs."""
-    adj = [[] for _ in range(n)]
-    for a, b in sorted(arcs):
-        adj[a].append(b)
-    masks = []
-    for start in range(n):
-        seen = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    stack.append(y)
-        masks.append(seen)
-    return masks
-
-
 def min_weight_closure(dg, weights, forced=frozenset(), forbidden=frozenset(), extra_arcs=frozenset()):
     """Minimum-total-weight predecessor-closed subset, or None if infeasible.
 
     The subset must contain ``forced``, avoid ``forbidden``, and respect
     ``extra_arcs`` on top of the digraph's own: an arc (a, b) means b may
-    only be chosen together with a.  Extra arcs may create cycles; the
-    nodes of a cycle then enter or leave together.  Solved as max-flow
-    project selection on the free rotations: forbidden rotations and their
-    reachable successors are deleted, forced ones and everything reaching
-    them are fixed inside, and the remainder trades off weight against the
-    closure arcs.
+    only be chosen together with a, so the nodes of a cycle of arcs enter
+    or leave together.  Solved as one max-flow project selection over all
+    rotations (Picard 1976): chosen rotations form the sink side, weights
+    are arcs from the source (positive) or to the sink (negative), and
+    every constraint is an infinite arc: a -> b per arc (a, b), forced ->
+    sink, source -> forbidden.  A flow reaching the infinite capacity means
+    no subset is feasible.  The minimal source side over all minimum cuts
+    makes the answer the union of all minimum-weight feasible subsets.
     """
-    if extra_arcs:
-        arcs = dg.arcs | frozenset(extra_arcs)
-        desc = _reach_masks(dg.n, arcs)
-        anc = _reach_masks(dg.n, [(b, a) for a, b in arcs])
-    else:
-        arcs = dg.arcs
-        desc = dg.descendant_masks
-        anc = dg.ancestor_masks
-    forced_mask = 0
-    for i in forced:
-        forced_mask |= anc[i] | (1 << i)
-    forbidden_mask = 0
-    for i in forbidden:
-        forbidden_mask |= desc[i] | (1 << i)
-    if forced_mask & forbidden_mask:
+    arcs = dg.arcs | frozenset(extra_arcs)
+    for i in chain(forced, forbidden, *extra_arcs):
+        if not 0 <= i < dg.n:
+            raise InvalidInput("rotation index %r out of range" % (i,))
+    inf = 1 + sum(abs(w) for w in weights.delta)
+    net = FlowNetwork()
+    for i, w in enumerate(weights.delta):
+        if w > 0:
+            net.add_edge("s", i, w)
+        elif w < 0:
+            net.add_edge(i, "t", -w)
+    for a, b in sorted(arcs):
+        net.add_edge(a, b, inf)
+    for i in sorted(forced):
+        net.add_edge(i, "t", inf)
+    for i in sorted(forbidden):
+        net.add_edge("s", i, inf)
+    if net.max_flow("s", "t") >= inf:
         return None
-    free = [
-        i
-        for i in range(dg.n)
-        if not (forced_mask | forbidden_mask) & (1 << i)
-    ]
-    chosen = {i for i in range(dg.n) if forced_mask & (1 << i)}
-    if free:
-        inf = 1 + sum(abs(weights.delta[i]) for i in free)
-        net = FlowNetwork()
-        for i in free:
-            w = weights.delta[i]
-            if w > 0:
-                net.add_edge("s", i, w)
-            elif w < 0:
-                net.add_edge(i, "t", -w)
-        free_set = set(free)
-        for a, b in sorted(arcs):
-            if a in free_set and b in free_set:
-                net.add_edge(a, b, inf)
-        net.max_flow("s", "t")
-        dropped = net.source_side("s")
-        chosen.update(i for i in free if i not in dropped)
-    return frozenset(chosen)
+    dropped = net.source_side("s")
+    return frozenset(i for i in range(dg.n) if i not in dropped)

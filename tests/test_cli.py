@@ -30,7 +30,7 @@ from swapstable import (
     swap_distance,
     u_optimal,
 )
-from swapstable.cli import main
+from swapstable.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -278,6 +278,36 @@ def test_error_exits_and_messages(capsys, tmp_path, crown):
         "--objective", "egalitarian",
     )
     assert code == 2 and "eta" in err
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, crown):
+    _, prof, _, rotated = crown
+    calls = [
+        ["check", "global", "--profile", prof, "--matching", rotated, "--verbose"],
+        ["check", "global", "--profile", prof, "--matching", rotated],
+        ["check", "global", "--profile", prof],  # no --matching: usage error
+        ["solve", "robust", "--profile", prof, "--d", "0"],
+        ["check", "global", "--profile", prof, "--matching", rotated],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    _build_parser.cache_clear()
+    cached = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [1, 1, 2, 0, 1]
+    assert "witness_profile" in json.loads(cached[0][1])
+    assert "witness_profile" not in json.loads(cached[1][1])
+    assert cached[1] == cached[4]
 
 
 def test_search_cap_exits_2(capsys, monkeypatch, crown):

@@ -1,5 +1,6 @@
 """Core profile, matching, swap and blocking-pair behavior."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,16 @@ def test_validate_profile_collects_all_issues():
     assert "repeats" in issues
     assert "out-of-range" in issues
     assert len(err.value.issues) >= 2
+
+
+def test_validate_profile_accepts_numpy_integers():
+    p = validate_profile([[np.int64(0), np.int32(1)], [1, 0]], [[0, 1], [np.int64(1), 0]])
+    assert p == validate_profile([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    assert all(type(j) is int for lst in p.u_lists + p.w_lists for j in lst)
+    with pytest.raises(ValidationError) as err:
+        validate_profile([[np.int64(1), 0.0]], [[0]])
+    assert len(err.value.issues) == 2
+    assert all("out-of-range" in issue for issue in err.value.issues)
 
 
 def test_validate_profile_asymmetry_names_both_agents():

@@ -147,6 +147,7 @@ def test_pair_index_matches_the_lattice():
 
 
 def brute_closure(dg, delta, forced, forbidden, extra_arcs):
+    """Least weight of a feasible closed subset, with the union of all such."""
     best = None
     for s in closed_subsets(dg):
         if not forced <= s or s & forbidden:
@@ -156,38 +157,73 @@ def brute_closure(dg, delta, forced, forbidden, extra_arcs):
         w = sum(delta[r] for r in s)
         if best is None or w < best[0]:
             best = (w, s)
+        elif w == best[0]:
+            best = (w, best[1] | s)
     return best
 
 
+def closure_draws(dg, rng):
+    """Constraint draws: loose random ones, then a cycle of extra arcs
+    through a forced rotation and one through a forbidden rotation, with
+    the other kind drawn from all rotations (the cycle's included)."""
+    nodes = list(range(dg.n))
+    forced = frozenset(rng.sample(nodes, k=rng.randint(0, min(2, dg.n))))
+    rest = [i for i in nodes if i not in forced]
+    forbidden = frozenset(rng.sample(rest, k=rng.randint(0, min(2, len(rest)))))
+    extra = frozenset(
+        (rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 2))
+    )
+    yield forced, forbidden, extra
+    for pin_forced in (True, False):
+        cycle = rng.sample(nodes, k=min(3, dg.n))
+        extra = frozenset(zip(cycle, cycle[1:] + cycle[:1]))
+        pinned = frozenset(cycle[:1])
+        other = frozenset(rng.sample(nodes, k=rng.randint(0, 1)))
+        yield (pinned, other, extra) if pin_forced else (other, pinned, extra)
+
+
 def test_min_weight_closure_agrees_with_enumeration():
+    # The answer is the union of all lightest feasible subsets: the
+    # optimal robust solvers return its matching, so the tie rule is part
+    # of their answers.
     rng = random.Random(7)
-    checked = 0
+    checked = infeasible = cycles = 0
     for p in random_profiles(120, 5, 5, 1.0, seed_base=900):
         dg = rotation_digraph(p)
         if dg.n == 0:
             continue
         delta = [rng.randint(-5, 5) for _ in range(dg.n)]
-        nodes = list(range(dg.n))
-        forced = frozenset(rng.sample(nodes, k=rng.randint(0, min(2, dg.n))))
-        rest = [i for i in nodes if i not in forced]
-        forbidden = frozenset(rng.sample(rest, k=rng.randint(0, min(2, len(rest)))))
-        extra = frozenset(
-            (rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 2))
-        )
-        got = min_weight_closure(
-            dg, RotationWeights(delta=tuple(delta)), forced, forbidden, extra
-        )
-        want = brute_closure(dg, delta, forced, forbidden, extra)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert sum(delta[r] for r in got) == want[0]
-            assert forced <= got and not got & forbidden
-            closed_under = dg.arcs | extra
-            assert all(a in got for a, b in closed_under if b in got)
-            checked += 1
+        for k, (forced, forbidden, extra) in enumerate(closure_draws(dg, rng)):
+            cycles += k > 0 and len(extra) > 1
+            got = min_weight_closure(
+                dg, RotationWeights(delta=tuple(delta)), forced, forbidden, extra
+            )
+            want = brute_closure(dg, delta, forced, forbidden, extra)
+            if want is None:
+                assert got is None
+                infeasible += 1
+            else:
+                assert got == want[1]
+                assert sum(delta[r] for r in got) == want[0]
+                assert forced <= got and not got & forbidden
+                closed_under = dg.arcs | extra
+                assert all(a in got for a, b in closed_under if b in got)
+                checked += 1
     assert checked > 40
+    assert infeasible >= 10
+    assert cycles >= 10
+
+
+def test_min_weight_closure_rejects_out_of_range_indices():
+    dg = rotation_digraph(gen_random(5, 5, 1.0, seed=903))
+    weights = RotationWeights(delta=(1,) * dg.n)
+    for constraints in (
+        {"forced": {dg.n}},
+        {"forbidden": {-1}},
+        {"extra_arcs": {(0, dg.n)}},
+    ):
+        with pytest.raises(InvalidInput, match="out of range"):
+            min_weight_closure(dg, weights, **constraints)
 
 
 def test_non_topological_discovery_raises_error(monkeypatch):
