@@ -9,7 +9,7 @@ partition is read off the U-optimal one.
 from collections import deque
 from dataclasses import dataclass
 
-from .profile import Agent, Matching, Profile
+from .profile import Agent, Matching
 
 
 def _propose(n_u, n_w, u_lists, rank_w):

@@ -53,12 +53,6 @@ from .profile import (
 from .robustness import find_d_robust, find_d_robust_optimal, is_d_robust
 from .rotations import rotation_digraph
 
-_OBJECTIVES = {
-    "any": Objective.ANY,
-    "perfect": Objective.PERFECT,
-    "egalitarian": Objective.EGALITARIAN,
-}
-
 
 def _read(path):
     if path == "-":
@@ -194,7 +188,7 @@ def _cmd_solve(args, brute):
     name = args.objective or ("any" if args.what == "robust" else None)
     if name is None:
         raise InvalidInput("solve %s requires --objective perfect|egalitarian" % args.what)
-    objective = _OBJECTIVES[name]
+    objective = Objective(name)
     found = witness = None
     if args.what == "robust":
         if args.eta is not None:
@@ -271,7 +265,7 @@ def _csv_value(value):
 
 def _cmd_tradeoff(args):
     p = parse_profile(_read(args.profile))
-    curve = tradeoff_curve(p, args.mode, args.max_d, _OBJECTIVES[args.objective])
+    curve = tradeoff_curve(p, args.mode, args.max_d, Objective(args.objective))
     if args.csv:
         rows = ["d,value"] + ["%d,%s" % (d, _csv_value(v)) for d, v in curve]
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -205,8 +205,6 @@ class AnalysisQuery:
     """Bundle of budgets and objective handed from the CLI to the solvers."""
 
     d: int = 0
-    d_global: int = 0
-    d_local: int = 0
     eta: Optional[int] = None
     objective: Objective = Objective.ANY
 

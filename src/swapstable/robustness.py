@@ -2,22 +2,22 @@
 
 A matching is d-robust when it stays stable under every reordering of the
 preference lists that costs at most d adjacent swaps in total.  The checker
-reduces this to a rank-gap condition per unmatched acceptable pair; the
-solver builds constraints over the rotation digraph: each cheap stable
-quadruple (two crossing stable pairs whose agents can be made to block each
-other with few swaps) contributes an implication, a forbidden rotation, a
-forced rotation, or outright infeasibility, and never-matched agents add
-rank thresholds their neighbors' partners must stay above.  Which rotation
-produces, consumes or passes a pair is read from the digraph's per-pair
-index (``movesto``, ``consumed``, ``u_passed``, ``crossed``), which
-``rotation_digraph`` builds and checks once.  The closure that picks the
-matching weighs every rotation 1 for find_d_robust (the smallest admissible
-closed set) and by its egalitarian delta for find_d_robust_optimal.
+reduces this to a rank-gap condition per acceptable pair outside the
+matching.  The solver states the same condition per acceptable pair over
+the rotation digraph: down the lattice a U agent's partner only sinks and a
+W agent's only climbs, so each way a pair can cost at most d is a threat
+between two events, each brought about by one rotation of the digraph's
+per-pair index (``u_passed``, ``crossed``).  A threat becomes an
+implication arc, a forced or forbidden rotation, or infeasibility.  The
+closure that picks the matching weighs every rotation 1 for find_d_robust
+(the smallest admissible closed set) and by its egalitarian delta for
+find_d_robust_optimal.  Stable quadruples and their swap sets spell out the
+threats between two stable pairs of one matching.
 """
 
 from dataclasses import dataclass, replace
 
-from .classic import matched_partition, w_optimal
+from .classic import matched_partition
 from .errors import InvalidInput, verify
 from .profile import Agent, Objective, Side, SwapOp, blocking_pairs
 from .rotations import (
@@ -184,25 +184,6 @@ def shifted_profile(p, q):
     )
 
 
-def _pi_index(dg, p, q):
-    """The first rotation whose elimination makes uStar prefer wStar to its
-    partner once the quadruple's swaps are applied; None if no stable
-    matching crosses that line."""
-    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
-    if p.rank_u[us, ws] < p.rank_u[us, w]:
-        return dg.u_passed.get((us, ws))
-    return dg.movesto.get((us, w))
-
-
-def _rho_index(dg, p, q):
-    """The first rotation that lifts wStar's partner to uStar or better
-    (shifted order); eliminating it shields every later matching from q."""
-    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
-    if p.rank_w[ws, us] < p.rank_w[ws, u]:
-        return dg.crossed.get((ws, us))
-    return dg.consumed.get((u, ws))
-
-
 def _gap_witness(p, m, ui, wj):
     """Cheapest profile in which (ui, wj) blocks m, by shifting each matched
     endpoint's list."""
@@ -219,11 +200,11 @@ def is_d_robust(p, m, d):
     """Decide whether m stays stable in every profile within swap distance d.
 
     Returns ``(True, None)`` or ``(False, (profile, (u, w)))`` where the
-    profile lies within distance d of p and the pair blocks m there.  The
-    check walks every acceptable pair outside m: the threat costs
-    rank(other) - rank(partner) swaps on each matched side (nothing on an
-    unmatched side), and m is d-robust iff every such pair costs more
-    than d.
+    profile lies within distance d of p and the pair blocks m there.  A
+    threat by an acceptable pair outside m costs rank(other) -
+    rank(partner) swaps on each matched side (nothing on an unmatched
+    side), and m is d-robust iff every such pair costs more than d.  The
+    scan of a matched U agent's list stops where its own gap exceeds d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
@@ -237,6 +218,8 @@ def is_d_robust(p, m, d):
             cost = 0
             if m.pu[ui] >= 0:
                 cost += max(pos - int(p.rank_u[ui, m.pu[ui]]), 0)
+                if cost > d:
+                    break  # every later pair costs more on ui's side alone
             if m.pw[wj] >= 0:
                 cost += max(int(p.rank_w[wj, ui]) - int(p.rank_w[wj, m.pw[wj]]), 0)
             if cost <= d:
@@ -245,85 +228,77 @@ def is_d_robust(p, m, d):
     return True, None
 
 
-def _threshold_constraints(p, dg, d):
-    """Partner-rank ceilings induced by never-matched agents.
+# An event is the rotation of the per-pair index that brings it about, or
+# one of these: it holds at u_optimal already, or in no stable matching.
+_ALWAYS, _NEVER = "always", "never"
 
-    A matched agent z with a never-matched acceptable s is threatened as
-    soon as rank(partner) >= rank(s) - d: s accepts z outright, so d swaps
-    in z's list suffice for a blocking pair.  Returns (forced, forbidden)
-    rotation index sets, or None when even the best stable partner violates
-    a ceiling.
+
+def _threats(p, dg, d):
+    """Every way an acceptable pair can cost at most d swaps, as events.
+
+    Down the lattice a U agent's partner only sinks and a W agent's only
+    climbs.  A pair threatens a stable matching where ``live`` has happened
+    and ``shield`` has not; one (live, shield) per way of splitting d
+    between the two sides' rank gaps (see is_d_robust).
     """
-    m0 = dg.u_opt
-    mz = w_optimal(p)
-    never_u = [i for i in range(p.n_u) if m0.pu[i] < 0]
-    never_w = [j for j in range(p.n_w) if m0.pw[j] < 0]
-    forced = set()
-    forbidden = set()
+    # rank of each U-optimal partner; an agent unmatched there is unmatched
+    # in every stable matching, which ranks below its whole list
+    rank_u0 = [len(lst) for lst in p.u_lists]
+    rank_w0 = [len(lst) for lst in p.w_lists]
+    for a, b in dg.u_opt.pairs:
+        rank_u0[a] = int(p.rank_u[a, b])
+        rank_w0[b] = int(p.rank_w[b, a])
 
-    for z in range(p.n_u):
-        if m0.pu[z] < 0:
-            continue
-        ceilings = [int(p.rank_u[z, s]) for s in never_w if p.rank_u[z, s] < p.len_u[z]]
-        if not ceilings:
-            continue
-        t = min(ceilings) - d - 1
-        if int(p.rank_u[z, m0.pu[z]]) > t:
-            return None
-        # partners only sink down z's list, so forbid the unique rotation
-        # that takes z's partner below rank t, if any
-        crossing = dg.u_passed.get((z, p.u_lists[z][t]))
-        if crossing is not None:
-            forbidden.add(crossing)
+    def sinks(a, r):
+        """a's partner ranks r or worse."""
+        if r <= rank_u0[a]:
+            return _ALWAYS
+        return dg.u_passed.get((a, p.u_lists[a][r - 1]), _NEVER)
 
-    for z in range(p.n_w):
-        if m0.pw[z] < 0:
-            continue
-        ceilings = [int(p.rank_w[z, s]) for s in never_u if p.rank_w[z, s] < p.len_w[z]]
-        if not ceilings:
-            continue
-        t = min(ceilings) - d - 1
-        if int(p.rank_w[z, mz.pw[z]]) > t:
-            return None
-        if int(p.rank_w[z, m0.pw[z]]) <= t:
-            continue
-        # partners only climb z's list, so force the unique rotation that
-        # lifts z's partner to rank t or above
-        crossing = dg.crossed.get((z, p.w_lists[z][t]))
-        verify(crossing is not None, "exactly one rotation crosses a W threshold")
-        forced.add(crossing)
+    def climbs(b, r):
+        """b's partner ranks better than r."""
+        if r <= 0:
+            return _NEVER
+        if rank_w0[b] < r:
+            return _ALWAYS
+        return dg.crossed.get((b, p.w_lists[b][r - 1]), _NEVER)
 
-    return forced, forbidden
+    for a in range(p.n_u):
+        rank_of_a = p.rank_w[:, a].tolist()
+        for pos, b in enumerate(p.u_lists[a]):
+            if sinks(a, pos - d) == _NEVER:
+                break  # a's own gap exceeds d here and further down
+            rb = rank_of_a[b]
+            if (a, b) in dg.u_opt.pairs or (a, b) in dg.movesto:
+                # opposing interests: away from (a, b) exactly one of the
+                # two is better off, so only that side's gap counts
+                yield sinks(a, pos - d), sinks(a, pos)
+                yield climbs(b, rb), climbs(b, rb - d)
+            else:
+                for x in range(d + 1):
+                    yield sinks(a, pos - x), climbs(b, rb - d + x)
 
 
 def _collect_constraints(p, dg, d):
     """Constraint system over rotations for d-robustness, or None.
 
-    Each cheap quadruple leaves one of: an implication arc (rho, pi)
-    meaning pi in S requires rho in S, a forbidden pi (its threat can
-    never be answered), a forced rho (the threat is live from the start),
-    or infeasibility when neither rotation exists.
+    Each threat leaves one of: an implication arc (shield, live) meaning
+    live in S requires shield in S, a forbidden live (the threat can never
+    be answered), a forced shield (the threat is live from the start), or
+    infeasibility when both hold.
     """
-    extra_arcs = set()
-    forced = set()
-    forbidden = set()
-    for q in _iter_quadruples(p, dg, d):
-        pi = _pi_index(dg, p, q)
-        rho = _rho_index(dg, p, q)
-        if pi is None and rho is None:
+    extra_arcs, forced, forbidden = set(), set(), set()
+    for live, shield in _threats(p, dg, d):
+        if live == _NEVER or shield == _ALWAYS or live == shield:
+            continue
+        if live == _ALWAYS and shield == _NEVER:
             return None
-        if pi is not None and rho is not None:
-            if pi != rho:
-                extra_arcs.add((rho, pi))
-        elif pi is not None:
-            forbidden.add(pi)
+        if live == _ALWAYS:
+            forced.add(shield)
+        elif shield == _NEVER:
+            forbidden.add(live)
         else:
-            forced.add(rho)
-    thresholds = _threshold_constraints(p, dg, d)
-    if thresholds is None:
-        return None
-    forced.update(thresholds[0])
-    forbidden.update(thresholds[1])
+            extra_arcs.add((shield, live))
     return extra_arcs, forced, forbidden
 
 
@@ -338,21 +313,16 @@ def _robust_closure(p, d, weigh):
     if constraints is None:
         return None
     extra_arcs, forced, forbidden = constraints
-    chosen = min_weight_closure(
-        dg, weigh(dg), forced=forced, forbidden=forbidden, extra_arcs=extra_arcs
-    )
-    if chosen is None:
-        return None
-    return matching_of(dg, chosen)
+    chosen = min_weight_closure(dg, weigh(dg), forced, forbidden, extra_arcs)
+    return None if chosen is None else matching_of(dg, chosen)
 
 
 def find_d_robust(p, d):
     """A d-robust matching of p, or None when none exists.
 
-    Builds the rotation digraph, turns every quadruple with a swap set of
-    at most d swaps plus every never-matched threshold into constraints,
-    and returns the matching of the smallest closed rotation set that
-    satisfies them all (unit weight per rotation).
+    Turns every threat of at most d swaps into constraints over the
+    rotation digraph and returns the matching of the smallest closed
+    rotation set that satisfies them all (unit weight per rotation).
     """
     return _robust_closure(p, d, lambda dg: RotationWeights(delta=(1,) * dg.n))
 

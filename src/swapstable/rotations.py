@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-import numpy as np
-
 from ._flow import FlowNetwork
 from .classic import u_optimal
 from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify

@@ -12,20 +12,25 @@ from swapstable import (
     Objective,
     StableQuadruple,
     blocking_pairs,
+    closed_subsets,
     egalitarian_cost,
     find_d_robust,
     find_d_robust_optimal,
     gen_random,
     is_d_robust,
     is_perfect,
+    matching_of,
     max_robustness,
+    rotation_digraph,
     shifted_profile,
     stable_quadruples,
     swap_distance,
     swap_set,
     u_optimal,
+    validate_profile,
 )
 from swapstable.oracle import brute_is_d_robust, enumerate_stable_bf
+from swapstable.robustness import _collect_constraints
 
 from helpers import profiles, random_profiles
 
@@ -134,6 +139,52 @@ def test_solver_agrees_with_exhaustive_search():
                 assert brute_is_d_robust(p, found, d)
             else:
                 assert found is None
+
+
+def padded_latin(n, fillers, rng):
+    """Opposing cyclic-Latin core with filler couples that rank each other
+    first.
+
+    u_i ranks w_i, w_{i+1}, ... and w_j ranks u_{j+1}, u_{j+2}, ..., so the
+    n cyclic shifts of the diagonal are all stable.  Each filler is
+    inserted below the top of every core list of the other side; the gaps
+    it opens make some shifts robust and leave others not.
+    """
+    u_lists = [[(i + k) % n for k in range(n)] for i in range(n)]
+    w_lists = [[(j + 1 + k) % n for k in range(n)] for j in range(n)]
+    for f in range(n, n + fillers):
+        for lst in u_lists[:n]:
+            lst.insert(rng.randint(1, len(lst)), f)
+        for lst in w_lists[:n]:
+            lst.insert(rng.randint(1, len(lst)), f)
+        u_lists.append([f] + rng.sample(range(n), n))
+        w_lists.append([f] + rng.sample(range(n), n))
+    return validate_profile(u_lists, w_lists)
+
+
+def test_constraints_select_exactly_the_robust_matchings():
+    rng = random.Random(17)
+    strict = 0
+    for _ in range(300):
+        p = padded_latin(rng.randint(2, 4), rng.randint(1, 3), rng)
+        dg = rotation_digraph(p)
+        subsets = list(closed_subsets(dg))
+        for d in range(4):
+            robust = [s for s in subsets if brute_is_d_robust(p, matching_of(dg, s), d)]
+            constraints = _collect_constraints(p, dg, d)
+            satisfying = []
+            if constraints is not None:
+                extra_arcs, forced, forbidden = constraints
+                satisfying = [
+                    s
+                    for s in subsets
+                    if forced <= s
+                    and not (s & forbidden)
+                    and all(a in s for a, b in extra_arcs if b in s)
+                ]
+            assert satisfying == robust
+            strict += 0 < len(robust) < len(subsets)
+    assert strict >= 10
 
 
 def test_optimal_solver_matches_brute_optimum():

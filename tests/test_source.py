@@ -67,3 +67,21 @@ def test_private_functions_have_a_caller():
                 orphans.append("%s:%d %s" % (name, fn.lineno, fn.name))
     assert checked >= 20
     assert orphans == []
+
+
+def test_no_unused_imports_in_the_package():
+    # A module-level import nothing reads is dead weight; __init__.py is
+    # skipped because its imports are the package's re-exports.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert unused == []
