@@ -274,7 +274,8 @@ def _threats(p, dg, d):
                 # two is better off, so only that side's gap counts
                 yield sinks(a, pos - d), sinks(a, pos)
                 yield climbs(b, rb), climbs(b, rb - d)
-            else:
+            elif d:
+                # at d=0 the one split is (a, b) blocking as it stands, which no closed set allows
                 for x in range(d + 1):
                     yield sinks(a, pos - x), climbs(b, rb - d + x)
 

@@ -41,16 +41,16 @@ class Rotation:
             yield u, w, self.cycle[(k + 1) % r][1]
 
 
-def _succ_index(p, pu, pw, i):
+def _successor_at(p, pw, i, pos):
+    """Position of u_i's successor in its list, scanning from ``pos``, or -1."""
     lst = p.u_lists[i]
-    for pos in range(int(p.rank_u[i, pu[i]]) + 1, len(lst)):
+    rank = p.rank_w
+    for pos in range(pos, len(lst)):
         j = lst[pos]
         if pw[j] < 0:
-            # j is unmatched here, hence in every stable matching, so u may
-            # never sink below j (the two would block); the scan is over.
-            return -1
-        if p.rank_w[j, i] < p.rank_w[j, pw[j]]:
-            return j
+            return -1  # unmatched in every stable matching: u_i stops above it
+        if rank[j, i] < rank[j, pw[j]]:
+            return pos
     return -1
 
 
@@ -65,46 +65,26 @@ def successor(p, m, u):
     """
     if u.side != Side.U:
         raise InvalidInput("successor is defined for side-U agents")
-    if m.pu[u.index] < 0:
+    i = u.index
+    if m.pu[i] < 0:
         raise NoSuccessorDefined("%s is unmatched" % p.name_of(u))
-    j = _succ_index(p, m.pu, m.pw, u.index)
-    return Agent.w(j) if j >= 0 else None
-
-
-def _exposed_cycles(p, pu, pw):
-    """Cycles of u -> M(successor(u)) over matched U agents, as index pairs."""
-    nxt = {}
-    for i in range(p.n_u):
-        if pu[i] < 0:
-            continue
-        j = _succ_index(p, pu, pw, i)
-        if j >= 0:
-            nxt[i] = int(pw[j])
-    state = {}  # 0 in progress, 1 done
-    cycles = []
-    for start in sorted(nxt):
-        if start in state:
-            continue
-        path = []
-        seen_at = {}
-        node = start
-        while node in nxt and node not in state and node not in seen_at:
-            seen_at[node] = len(path)
-            path.append(node)
-            node = nxt[node]
-        if node in seen_at:
-            cyc = path[seen_at[node]:]
-            cycles.append(Rotation.canonical([(i, int(pu[i])) for i in cyc]))
-        for i in path:
-            state[i] = 1
-    return cycles
+    pos = _successor_at(p, m.pw, i, int(p.rank_u[i, m.pu[i]]) + 1)
+    return Agent.w(p.u_lists[i][pos]) if pos >= 0 else None
 
 
 def exposed_rotations(p, m):
-    """All rotations exposed in the stable matching m, pairwise disjoint."""
+    """All rotations exposed in the stable matching m, pairwise disjoint:
+    those m has not eliminated (its first agent still holds a partner at or
+    above the pair the rotation consumes) but whose predecessors it has."""
     if not is_stable(p, m):
         raise InvalidInput("exposed_rotations needs a stable matching")
-    return sorted(_exposed_cycles(p, m.pu, m.pw), key=lambda r: r.cycle)
+    dg = rotation_digraph(p)
+    rank = p.rank_u
+    done = [rank[u, m.pu[u]] > rank[u, w] for u, w in (r.cycle[0] for r in dg.rotations)]
+    exposed = [
+        r for i, r in enumerate(dg.rotations) if not done[i] and all(done[a] for a in dg.preds[i])
+    ]
+    return sorted(exposed, key=lambda r: r.cycle)
 
 
 def eliminate(m, rho):
@@ -172,10 +152,7 @@ class RotationDigraph:
             if not 0 <= i < self.n:
                 raise InvalidInput("rotation index %r out of range" % (i,))
             mask |= 1 << i
-        for i in subset:
-            if self.ancestor_masks[i] & ~mask:
-                return False
-        return True
+        return not any(self.ancestor_masks[i] & ~mask for i in subset)
 
 
 def _claim(table, key, idx, message):
@@ -187,30 +164,55 @@ def _claim(table, key, idx, message):
 def rotation_digraph(p):
     """Discover all rotations of p, wire the precedence arcs, index the pairs.
 
-    Discovery walks one maximal elimination chain from the U-optimal
-    matching, always eliminating the canonically smallest exposed rotation;
-    the resulting index order is topological.  Arcs come from two rules:
-    the rotation that produced a pair precedes the one consuming it, and
-    for every agent skipped between w_k and w_{k+1} in u_k's list, the
-    rotation that made that agent reject u_k precedes.  Every index entry
-    must be unique, and a pair some rotation jumps over (strictly between
-    the old and the new partner, on either side) is never a stable pair.
+    Discovery is one Gusfield–Irving walk from the U-optimal matching (The
+    Stable Marriage Problem: Structure and Algorithms, 1989, ch. 3): from
+    each agent not yet final, in index order, it grows a path of U agents,
+    each one's successor matched to the next.  A path closing on itself has
+    an exposed rotation as its tail, recorded and eliminated on the spot; a
+    path that ends (no successor, or one matched to a final agent) makes all
+    its agents final.  A W agent that rejects a U agent once rejects it for
+    good, so each successor scan resumes where it stopped.  Rotation indices
+    are the elimination order, which is topological.
+
+    Arcs come from two rules: the rotation that produced a pair precedes
+    the one consuming it, and for every agent skipped between w_k and
+    w_{k+1} in u_k's list, the rotation that made that agent reject u_k
+    precedes.  Every index entry must be unique, and a pair some rotation
+    jumps over (strictly between the old and the new partner, on either
+    side) is never a stable pair.
     """
     m0 = u_optimal(p)
     pu = m0.pu.tolist()  # Python lists: the scans below index them one by one
     pw = m0.pw.tolist()
+    at = [int(p.rank_u[i, w]) + 1 if w >= 0 else 0 for i, w in enumerate(pu)]
+    final = [w < 0 for w in pu]
+    place = [-1] * p.n_u  # position on the current path, or -1
     rotations = []
-    while True:
-        exposed = _exposed_cycles(p, pu, pw)
-        if not exposed:
-            break
-        rho = min(exposed, key=lambda r: r.cycle)
-        rotations.append(rho)
-        for u, w, w_new in rho.moves():
-            pw[w] = -1
-        for u, w, w_new in rho.moves():
-            pu[u] = w_new
-            pw[w_new] = u
+    for start in range(p.n_u):
+        path = []
+        while not final[start]:
+            if not path:
+                path, place[start] = [start], 0
+            i = path[-1]
+            at[i] = _successor_at(p, pw, i, at[i])
+            nxt = pw[p.u_lists[i][at[i]]] if at[i] >= 0 else -1
+            if nxt < 0 or final[nxt]:
+                # next(u) final means u final: its successor keeps its partner
+                for k in path:
+                    final[k] = True
+                path = []
+            elif place[nxt] < 0:
+                place[nxt] = len(path)
+                path.append(nxt)
+            else:
+                cycle = path[place[nxt]:]
+                del path[place[nxt]:]
+                rotations.append(Rotation.canonical([(k, pu[k]) for k in cycle]))
+                for k in cycle:
+                    place[k] = -1
+                    pu[k] = p.u_lists[k][at[k]]
+                    pw[pu[k]] = k
+                    at[k] += 1
     movesto = {}
     consumed = {}
     crossed = {}
@@ -252,10 +254,7 @@ def rotation_digraph(p):
                 ):
                     # skipped agents are matched and were already rejecting
                     # u at u_optimal, or some earlier rotation crossed them
-                    raise Error(
-                        "no rotation explains why w%d rejects u%d"
-                        % (w_between, u)
-                    )
+                    raise Error("no rotation explains why w%d rejects u%d" % (w_between, u))
     dg = RotationDigraph(
         rotations=tuple(rotations),
         arcs=frozenset(arcs),
@@ -277,7 +276,6 @@ def matching_of(dg, subset):
     for idx in sorted(subset):
         for u, w, w_new in dg.rotations[idx].moves():
             pairs.discard((u, w))
-        for u, w, w_new in dg.rotations[idx].moves():
             pairs.add((u, w_new))
     return Matching(n_u=dg.u_opt.n_u, n_w=dg.u_opt.n_w, pairs=frozenset(pairs))
 
@@ -327,17 +325,15 @@ class RotationWeights:
 
     @classmethod
     def measured(cls, dg, p):
-        deltas = []
-        for rho in dg.rotations:
-            total = 0
-            r = len(rho.cycle)
-            for k, (u, w) in enumerate(rho.cycle):
-                w_new = rho.cycle[(k + 1) % r][1]
-                u_prev = rho.cycle[(k - 1) % r][0]
-                total += int(p.rank_u[u, w_new]) - int(p.rank_u[u, w])
-                total += int(p.rank_w[w, u_prev]) - int(p.rank_w[w, u])
-            deltas.append(total)
-        return cls(delta=tuple(deltas))
+        # u moves from partner a to b and b trades its partner for u; summed
+        # over the cycle, each move adds rank_w[b, u] - rank_w[a, u]
+        ru, rw = p.rank_u, p.rank_w
+        return cls(
+            delta=tuple(
+                int(sum(ru[u, b] - ru[u, a] + rw[b, u] - rw[a, u] for u, a, b in rho.moves()))
+                for rho in dg.rotations
+            )
+        )
 
 
 def min_weight_closure(dg, weights, forced=frozenset(), forbidden=frozenset(), extra_arcs=frozenset()):

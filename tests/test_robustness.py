@@ -16,6 +16,8 @@ from swapstable import (
     egalitarian_cost,
     find_d_robust,
     find_d_robust_optimal,
+    gen_cyclic_latin,
+    gen_example2,
     gen_random,
     is_d_robust,
     is_perfect,
@@ -185,6 +187,19 @@ def test_constraints_select_exactly_the_robust_matchings():
             assert satisfying == robust
             strict += 0 < len(robust) < len(subsets)
     assert strict >= 10
+
+
+def test_zero_budget_adds_no_constraints():
+    # At d=0 a pair threatens a stable matching only by blocking it as it
+    # stands, which the digraph already rules out for every closed set.
+    batch = random_profiles(30, 6, 4, 1.0, seed_base=1200)
+    batch += random_profiles(30, 4, 7, 0.7, seed_base=1300)
+    batch += random_profiles(10, 30, 30, 0.15, seed_base=1400)
+    batch += [gen_cyclic_latin(n) for n in range(2, 7)]
+    batch += [gen_example2(n) for n in range(2, 7)]
+    batch += random_profiles(3, 60, 60, 1.0, seed_base=0)
+    for p in batch:
+        assert _collect_constraints(p, rotation_digraph(p), 0) == (set(), set(), set())
 
 
 def test_optimal_solver_matches_brute_optimum():

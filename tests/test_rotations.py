@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from swapstable import (
     Agent,
@@ -28,6 +28,7 @@ from swapstable import (
     stable_pairs,
     successor,
     u_optimal,
+    validate_profile,
     w_optimal,
 )
 from swapstable import rotations
@@ -60,6 +61,26 @@ def test_successor_matches_definition(p):
                 assert successor(p, m, u) == brute_successor(p, m, i)
 
 
+@settings(max_examples=80, deadline=None)
+@given(profiles(max_side=5))
+def test_exposed_rotations_are_the_successor_cycles(p):
+    for m in enumerate_stable_bf(p):
+        nxt = {}
+        for i in range(p.n_u):
+            if m.pu[i] >= 0:
+                w = brute_successor(p, m, i)
+                if w is not None:
+                    nxt[i] = int(m.pw[w.index])
+        cycles = set()
+        for i in nxt:
+            path = [i]
+            while path[-1] in nxt and nxt[path[-1]] not in path:
+                path.append(nxt[path[-1]])
+            if nxt.get(path[-1]) == i:
+                cycles.add(Rotation.canonical((k, int(m.pu[k])) for k in path))
+        assert exposed_rotations(p, m) == sorted(cycles, key=lambda r: r.cycle)
+
+
 def test_successor_rejects_side_w():
     p = gen_random(3, 3, 1.0, seed=5)
     with pytest.raises(InvalidInput):
@@ -75,6 +96,10 @@ def test_rotation_canonical_and_moves():
 
 @settings(max_examples=80, deadline=None)
 @given(profiles(max_side=5))
+@example(validate_profile([[]], []))  # a U agent and no W side
+@example(validate_profile([], [[]]))  # no U side
+# u1 finds nobody acceptable, beside a rotation of u0 and u2
+@example(validate_profile([[0, 1], [], [1, 0]], [[2, 0], [0, 2]]))
 def test_closed_subsets_enumerate_exactly_the_stable_matchings(p):
     dg = rotation_digraph(p)
     subsets = list(closed_subsets(dg))
@@ -113,6 +138,9 @@ def test_pair_index_matches_the_lattice():
     # matching_of(S), and u_passed/crossed decide where partners sit.
     batch = random_profiles(100, 6, 6, 1.0, seed_base=500)
     batch += random_profiles(40, 5, 6, 0.6, seed_base=600)
+    # more U agents than W agents: some stay unmatched, and paths of the
+    # discovery walk end at unmatched W agents
+    batch += random_profiles(40, 6, 5, 0.6, seed_base=700)
     batch += [gen_cyclic_latin(4), gen_example2(3)]
     rotations_seen = 0
     for p in batch:
