@@ -62,8 +62,7 @@ def _read(path):
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _cost_json(value):
@@ -91,6 +90,8 @@ def _swap_sequence(p, q):
     )
     for side, cur_lists, new_lists, wrap in plan:
         for k, (cur, new) in enumerate(zip(cur_lists, new_lists)):
+            if cur == new:
+                continue
             if set(cur) != set(new):
                 raise InvalidInput(
                     "no swap path: %s's acceptable set differs between the profiles"

@@ -55,8 +55,9 @@ def parse_profile(text: str) -> Profile:
     """Parse the v1 profile format, reporting all errors with line numbers."""
     issues = []
     header_seen = False
-    # name -> (Side, index); filled by the two side lines
+    # name -> (Side, index), and name -> index per side; filled by the two side lines
     declared = {}
+    index_of = {Side.U: {}, Side.W: {}}
     side_line = {Side.U: None, Side.W: None}
     names = {Side.U: [], Side.W: []}
     # index by (side, i) -> (lineno, token list)
@@ -89,13 +90,14 @@ def parse_profile(text: str) -> Profile:
                     issues.append("line %d: duplicate agent name %r" % (lineno, tok))
                     continue
                 declared[tok] = (side, len(names[side]))
+                index_of[side][tok] = len(names[side])
                 names[side].append(tok)
             continue
         if label.startswith("side"):
             issues.append("line %d: unknown side %r (use 'side U' or 'side W')" % (lineno, label))
             continue
         # a preference-list line
-        if any(c.isspace() for c in label):
+        if len(label.split()) > 1:  # label is stripped
             issues.append("line %d: agent name %r may not contain whitespace" % (lineno, label))
             continue
         if label not in declared:
@@ -134,7 +136,12 @@ def parse_profile(text: str) -> Profile:
                 continue
             lineno, tokens = entry
             line_of[(side, i)] = lineno
-            order = []
+            order = list(map(index_of[other[side]].get, tokens))
+            lists[side].append(order)
+            distinct = set(order)
+            if None not in distinct and len(distinct) == len(order):
+                continue
+            # a faulty line, which always yields an issue: report it token by token
             seen = set()
             for tok in tokens:
                 if not _check_name(tok, lineno, issues):
@@ -150,10 +157,7 @@ def parse_profile(text: str) -> Profile:
                     continue
                 if tindex in seen:
                     issues.append("line %d: %r listed twice by %r" % (lineno, tok, name))
-                    continue
                 seen.add(tindex)
-                order.append(tindex)
-            lists[side].append(order)
 
     if not issues:
         for side, owner, other_index in asymmetries(lists[Side.U], lists[Side.W]):

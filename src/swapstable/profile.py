@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -90,21 +91,11 @@ class Profile:
     @cached_property
     def rank_u(self) -> np.ndarray:
         """(n_u, n_w) int64; rank_u[i, j] = position of w_j, len when unlisted."""
-        m = np.empty((self.n_u, self.n_w), dtype=np.int64)
-        for i, lst in enumerate(self.u_lists):
-            m[i, :] = len(lst)
-            for k, j in enumerate(lst):
-                m[i, j] = k
-        return m
+        return _rank_matrix(self.u_lists, self.n_w)
 
     @cached_property
     def rank_w(self) -> np.ndarray:
-        m = np.empty((self.n_w, self.n_u), dtype=np.int64)
-        for j, lst in enumerate(self.w_lists):
-            m[j, :] = len(lst)
-            for k, i in enumerate(lst):
-                m[j, i] = k
-        return m
+        return _rank_matrix(self.w_lists, self.n_u)
 
     @cached_property
     def len_u(self) -> np.ndarray:
@@ -215,30 +206,43 @@ class AnalysisQuery:
             )
 
 
+def _flatten(lists):
+    """Lengths of lists, and the owner row and value of every entry, in order."""
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
+    return lengths, np.repeat(np.arange(len(lists)), lengths), flat
+
+
+def _rank_matrix(lists, n_other):
+    """Each entry's position in its list; the list's length where unlisted."""
+    lengths, rows, flat = _flatten(lists)
+    m = np.repeat(lengths, n_other).reshape(len(lists), n_other)
+    m[rows, flat] = np.arange(len(flat)) - (np.cumsum(lengths) - lengths)[rows]
+    return m
+
+
 def asymmetries(u_lists, w_lists):
     """Yield each one-sided acceptance as (side, owner, other), in list order.
 
     First (Side.U, i, j) for every j in u_lists[i] whose list lacks i, then
     (Side.W, j, i) likewise.  One byte per (i, j) slot records which sides
-    list the pair: no list is scanned, and the table is smaller than the
-    rank matrices every engine builds.
+    list the pair: the lists are flattened once and no list is searched, and
+    the table is smaller than the rank matrices every engine builds.
     """
     n_w = len(w_lists)
-    listed = bytearray(len(u_lists) * n_w)
-    for i, lst in enumerate(u_lists):
-        for j in lst:
-            listed[i * n_w + j] |= 1
-    for j, lst in enumerate(w_lists):
-        for i in lst:
-            listed[i * n_w + j] |= 2
-    for i, lst in enumerate(u_lists):
-        for j in lst:
-            if listed[i * n_w + j] != 3:
-                yield Side.U, i, j
-    for j, lst in enumerate(w_lists):
-        for i in lst:
-            if listed[i * n_w + j] != 3:
-                yield Side.W, j, i
+    _, u_rows, u_flat = _flatten(u_lists)
+    _, w_rows, w_flat = _flatten(w_lists)
+    u_slots, w_slots = u_rows * n_w + u_flat, w_flat * n_w + w_rows
+    listed = np.zeros(len(u_lists) * n_w, dtype=np.uint8)
+    listed[u_slots] = 1
+    listed[w_slots] += 2
+    for side, owners, others, slots in (
+        (Side.U, u_rows, u_flat, u_slots),
+        (Side.W, w_rows, w_flat, w_slots),
+    ):
+        one_sided = np.flatnonzero(listed[slots] != 3)
+        for owner, other in zip(owners[one_sided].tolist(), others[one_sided].tolist()):
+            yield side, owner, other
 
 
 def validate_profile(
@@ -410,8 +414,8 @@ def blocking_pairs(p: Profile, m: Matching) -> list:
     back sorted by (u index, w index).
     """
     validate_matching(p, m)
-    mask = _kernels.blocking_mask(*_partner_arrays(p, m))
-    return [(Agent.u(int(i)), Agent.w(int(j))) for i, j in np.argwhere(mask)]
+    rows, cols = np.nonzero(_kernels.blocking_mask(*_partner_arrays(p, m)))
+    return [(Agent.u(i), Agent.w(j)) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def is_stable(p: Profile, m: Matching) -> bool:

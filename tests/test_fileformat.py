@@ -109,6 +109,27 @@ def test_multiple_problems_reported_together():
     assert len(err.value.issues) >= 2
 
 
+def test_issue_list_keeps_its_order():
+    # one line with four faulty tokens, a clean line, a W line with two
+    # faults, and an agent with no list line: issues come agent by agent,
+    # each line's in token order, U side first
+    text = (
+        "profile v1\nside U: a b\nside W: x y z\n"
+        "a: q a:x b x x y\nb: y x\nx: a b\ny: y b b\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_profile(text)
+    assert err.value.issues == [
+        "line 4: unknown agent 'q' in a's list",
+        "line 4: invalid agent name 'a:x' (no ':' allowed)",
+        "line 4: 'b' is on the same side as 'a'",
+        "line 4: 'x' listed twice by 'a'",
+        "line 7: 'y' is on the same side as 'y'",
+        "line 7: 'b' listed twice by 'y'",
+        "line 3: agent 'z' declared here has no preference-list line",
+    ]
+
+
 def match_issues(text, p):
     with pytest.raises(ValidationError) as err:
         parse_matching(text, p)

@@ -30,6 +30,7 @@ from swapstable import (
     validate_matching,
     validate_profile,
 )
+from swapstable.profile import asymmetries
 
 from helpers import profiles, random_matching, make_rng
 
@@ -111,6 +112,48 @@ def test_rank_convention():
     q = validate_profile([[1]], [[], [0]])
     # unacceptable partner ranks as the list length
     assert rank(q, Agent.u(0), Agent.w(0)) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles(max_side=6, min_side=0))
+def test_rank_matrices_match_definition(p):
+    for lists, n_other, ranks in (
+        (p.u_lists, p.n_w, p.rank_u),
+        (p.w_lists, p.n_u, p.rank_w),
+    ):
+        want = [[len(lst)] * n_other for lst in lists]
+        for row, lst in zip(want, lists):
+            for k, other in enumerate(lst):
+                row[other] = k
+        assert ranks.dtype == np.int64
+        assert ranks.shape == (len(lists), n_other)
+        assert ranks.tolist() == want
+
+
+def _naive_asymmetries(u_lists, w_lists):
+    for i, lst in enumerate(u_lists):
+        for j in lst:
+            if i not in w_lists[j]:
+                yield Side.U, i, j
+    for j, lst in enumerate(w_lists):
+        for i in lst:
+            if j not in u_lists[i]:
+                yield Side.W, j, i
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles(max_side=6, min_side=0), st.randoms(use_true_random=False), st.booleans())
+def test_asymmetries_match_definition_in_order(p, pyrng, drop_from_u):
+    u_lists = [list(lst) for lst in p.u_lists]
+    w_lists = [list(lst) for lst in p.w_lists]
+    for lst in u_lists if drop_from_u else w_lists:
+        for entry in list(lst):
+            if pyrng.random() < 0.3:
+                lst.remove(entry)
+    want = list(_naive_asymmetries(u_lists, w_lists))
+    assert list(asymmetries(u_lists, w_lists)) == want
+    assert list(asymmetries(p.u_lists, p.w_lists)) == []
+    assert list(asymmetries([[], []], [])) == []
 
 
 def test_apply_swap_and_adjacency():
