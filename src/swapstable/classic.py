@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .profile import Agent, Matching
 
 
-def _propose(n_u, n_w, u_lists, rank_w):
-    """Proposer-optimal deferred acceptance over index lists."""
+def _propose(n_u, n_w, u_lists, rank_rows):
+    """Proposer-optimal deferred acceptance; rank_rows[j][i] ranks i in j's list."""
     nxt = [0] * n_u
     pw = [-1] * n_w
     free = deque(range(n_u))
@@ -28,7 +28,7 @@ def _propose(n_u, n_w, u_lists, rank_w):
             if cur < 0:
                 pw[j] = i
                 break
-            if rank_w[j, i] < rank_w[j, cur]:
+            if rank_rows[j][i] < rank_rows[j][cur]:
                 pw[j] = i
                 free.append(cur)
                 break
@@ -50,13 +50,13 @@ def u_optimal(p):
     """
     # deferred acceptance never matches an agent twice, so the pairs need
     # none of Matching.from_pairs' checks
-    pairs = _propose(p.n_u, p.n_w, p.u_lists, p.rank_w)
+    pairs = _propose(p.n_u, p.n_w, p.u_lists, p.rank_w_rows)
     return Matching(p.n_u, p.n_w, frozenset(pairs))
 
 
 def w_optimal(p):
     """Stable matching where every W-agent does weakly best."""
-    pairs = _propose(p.n_w, p.n_u, p.w_lists, p.rank_u)
+    pairs = _propose(p.n_w, p.n_u, p.w_lists, p.rank_u_rows)
     return Matching(p.n_u, p.n_w, frozenset((i, j) for j, i in pairs))
 
 

@@ -74,14 +74,16 @@ def _pairs_json(p, m):
 
 
 def _bps_json(p, m):
-    return [[p.name_of(u), p.name_of(w)] for u, w in blocking_pairs(p, m)]
+    return [[p.u_names[u.index], p.w_names[w.index]] for u, w in blocking_pairs(p, m)]
 
 
 def _swap_sequence(p, q):
     """Minimal adjacent-swap replay turning p into q, list by list.
 
     Bubble sort against the target order emits exactly swap_distance(p, q)
-    operations; applying them to p in file order reproduces q.
+    operations; applying them to p in file order reproduces q.  Only the span
+    from the first to the last difference is sorted: entries around it are
+    in place and sort apart from it, so they would never swap.
     """
     ops = []
     plan = (
@@ -97,8 +99,10 @@ def _swap_sequence(p, q):
                     "no swap path: %s's acceptable set differs between the profiles"
                     % p.name_of(Agent(side, k))
                 )
-            pos = {x: r for r, x in enumerate(new)}
-            lst = list(cur)
+            a = next(t for t, (x, y) in enumerate(zip(cur, new)) if x != y)
+            b = len(cur) - next(t for t, (x, y) in enumerate(zip(cur[::-1], new[::-1])) if x != y)
+            pos = {x: r for r, x in enumerate(new[a:b])}
+            lst = list(cur[a:b])
             changed = True
             while changed:
                 changed = False
@@ -113,11 +117,11 @@ def _swap_sequence(p, q):
 def _attach_witness(report, args, p, q):
     if q is None:
         return
-    ops = _swap_sequence(p, q)
-    report["witness_swaps"] = [
-        {"agent": p.name_of(op.owner), "pair": [p.name_of(op.x), p.name_of(op.y)]}
-        for op in ops
-    ]
+    swaps = []
+    for op in _swap_sequence(p, q):
+        own, other = (p.u_names, p.w_names) if op.owner.side == Side.U else (p.w_names, p.u_names)
+        swaps.append({"agent": own[op.owner.index], "pair": [other[op.x.index], other[op.y.index]]})
+    report["witness_swaps"] = swaps
     if args.verbose:
         report["witness_profile"] = serialize_profile(q)
 

@@ -67,10 +67,9 @@ def _defuse_costs(p, m, i, j):
     The cost at an endpoint is the forward shift of its current partner
     past the blocker; INFINITE when the endpoint is unmatched.
     """
-    pi = int(m.pu[i])
-    pj = int(m.pw[j])
-    cu = INFINITE if pi < 0 else int(p.rank_u[i, pi]) - int(p.rank_u[i, j])
-    cw = INFINITE if pj < 0 else int(p.rank_w[j, pj]) - int(p.rank_w[j, i])
+    pi, pj = int(m.pu[i]), int(m.pw[j])
+    cu = INFINITE if pi < 0 else p.rank_u_rows[i][pi] - p.rank_u_rows[i][j]
+    cw = INFINITE if pj < 0 else p.rank_w_rows[j][pj] - p.rank_w_rows[j][i]
     return cu, cw
 
 
@@ -125,23 +124,19 @@ def witness_profile_local(p, m, d_l) -> Profile:
         i, j = ua.index, wa.index
         cu, cw = _defuse_costs(p, m, i, j)
         if cw <= cu:
-            r = int(p.rank_w[j, i])
+            r = p.rank_w_rows[j][i]
             w_top[j] = min(w_top.get(j, r), r)
         else:
-            r = int(p.rank_u[i, j])
+            r = p.rank_u_rows[i][j]
             u_top[i] = min(u_top.get(i, r), r)
     u_lists = p.u_lists
     w_lists = p.w_lists
     for i, target in u_top.items():
         partner = int(m.pu[i])
-        u_lists = _promote(
-            u_lists, i, partner, int(p.rank_u[i, partner]) - target
-        )
+        u_lists = _promote(u_lists, i, partner, p.rank_u_rows[i][partner] - target)
     for j, target in w_top.items():
         partner = int(m.pw[j])
-        w_lists = _promote(
-            w_lists, j, partner, int(p.rank_w[j, partner]) - target
-        )
+        w_lists = _promote(w_lists, j, partner, p.rank_w_rows[j][partner] - target)
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
     verify(is_stable(q, m), "local witness makes the matching stable")
     return q
@@ -310,16 +305,19 @@ def _prefix_conflict(p, pu, pw, depth, d, deadline):
     still resolve are left alone.  A sealed pair whose cheaper endpoint
     needs more than d swaps rules out local and global budget d alike.
     """
+    rw = p.rank_w_rows
     for k in range(depth):
         pk = pu[k]
-        limit = p.len_u[k] if pk < 0 else int(p.rank_u[k, pk])
+        lst = p.u_lists[k]
+        limit = len(lst) if pk < 0 else p.rank_u_rows[k][pk]
         for pos in range(limit):
-            j = p.u_lists[k][pos]
+            j = lst[pos]
             pj = pw[j]
             if pj >= 0:
-                if int(p.rank_w[j, k]) < int(p.rank_w[j, pj]):
+                row = rw[j]
+                if row[k] < row[pj]:
                     cu = INFINITE if pk < 0 else limit - pos
-                    cw = int(p.rank_w[j, pj]) - int(p.rank_w[j, k])
+                    cw = row[pj] - row[k]
                     if min(cu, cw) > d:
                         return True
             elif deadline[j] < depth:
@@ -400,9 +398,9 @@ def _search(p, d, objective, eta, instability, least=None):
             if j >= 0:
                 pu[i] = j
                 pw[j] = i
-                step = int(p.rank_u[i, j]) + int(p.rank_w[j, i])
+                step = p.rank_u_rows[i][j] + p.rank_w_rows[j][i]
             else:
-                step = int(p.len_u[i])
+                step = len(p.u_lists[i])
             if not (bounded and base + step > eta) and not _prefix_conflict(
                 p, pu, pw, i + 1, d, deadline
             ):
@@ -469,17 +467,14 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
     if is_stable(p2, m1):
         return m1
     o = s.owner
-    if o.side == Side.U:
-        ranks = p2.rank_u[o.index]
-    else:
-        ranks = p2.rank_w[o.index]
+    ru, rw = p2.rank_u_rows, p2.rank_w_rows
+    ranks = (ru if o.side == Side.U else rw)[o.index]
     promoted = s.x if ranks[s.x.index] < ranks[s.y.index] else s.y
     if o.side == Side.U:
         i0, j0 = o.index, promoted.index
     else:
         i0, j0 = promoted.index, o.index
-    pu = [int(v) for v in m1.pu]
-    pw = [int(v) for v in m1.pw]
+    pu, pw = m1.pu.tolist(), m1.pw.tolist()
     box_u = None
     box_w = None
     if pu[i0] >= 0:
@@ -501,7 +496,7 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
             if j == box_w:
                 continue
             pj = pw[j]
-            if pj < 0 or p2.rank_w[j, u] < p2.rank_w[j, pj]:
+            if pj < 0 or rw[j][u] < rw[j][pj]:
                 if pj >= 0:
                     pu[pj] = -1
                     box_u = pj
@@ -513,7 +508,7 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
         box_w = None
         for i in p2.w_lists[w]:
             pi = pu[i]
-            if pi < 0 or p2.rank_u[i, w] < p2.rank_u[i, pi]:
+            if pi < 0 or ru[i][w] < ru[i][pi]:
                 if pi >= 0:
                     pw[pi] = -1
                     box_w = pi

@@ -73,7 +73,11 @@ class SwapOp(NamedTuple):
 
 @dataclass(frozen=True)
 class Profile:
-    """Immutable preference profile; lists hold opposite-side indices."""
+    """Immutable preference profile; lists hold opposite-side indices.
+
+    The rank matrices feed the vector kernels; loops that read single ranks
+    use the row lists, as a list read costs a quarter of a numpy scalar read.
+    """
 
     u_lists: tuple
     w_lists: tuple
@@ -96,6 +100,15 @@ class Profile:
     @cached_property
     def rank_w(self) -> np.ndarray:
         return _rank_matrix(self.w_lists, self.n_u)
+
+    @cached_property
+    def rank_u_rows(self) -> list:
+        """rank_u as lists of ints, one shared object per value: 8 bytes an entry."""
+        return np.array(range(self.n_w + 1), dtype=object)[self.rank_u].tolist()
+
+    @cached_property
+    def rank_w_rows(self) -> list:
+        return np.array(range(self.n_u + 1), dtype=object)[self.rank_w].tolist()
 
     @cached_property
     def len_u(self) -> np.ndarray:
@@ -330,10 +343,10 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
     if x.side == Side.U:
         if not (0 <= x.index < p.n_u and 0 <= y.index < p.n_w):
             raise UnknownAgent("agent out of range")
-        return int(p.rank_u[x.index, y.index])
+        return p.rank_u_rows[x.index][y.index]
     if not (0 <= x.index < p.n_w and 0 <= y.index < p.n_u):
         raise UnknownAgent("agent out of range")
-    return int(p.rank_w[x.index, y.index])
+    return p.rank_w_rows[x.index][y.index]
 
 
 def apply_swap(p: Profile, s: SwapOp) -> Profile:

@@ -66,7 +66,7 @@ def _quadruple_indices(p, q):
     if not (0 <= us < p.n_u and 0 <= u < p.n_u and 0 <= ws < p.n_w and 0 <= w < p.n_w):
         raise InvalidInput("quadruple references unknown agents")
     for ui, wj in ((us, ws), (us, w), (u, ws)):
-        if p.rank_u[ui, wj] >= p.len_u[ui]:
+        if p.rank_u_rows[ui][wj] >= len(p.u_lists[ui]):
             raise InvalidInput(
                 "%s and %s are not mutually acceptable"
                 % (p.name_of(Agent.u(ui)), p.name_of(Agent.w(wj)))
@@ -91,15 +91,14 @@ def _pair_masks(dg, pairs):
 def _iter_quadruples(p, dg, cap):
     pairs = sorted(stable_pairs(p, dg))
     need, block = _pair_masks(dg, pairs)
+    ru, rw = p.rank_u_rows, p.rank_w_rows
     for us, w in pairs:
         for u, ws in pairs:
             if us == u or ws == w:
                 continue
-            if p.rank_u[us, ws] >= p.len_u[us]:
+            if ru[us][ws] >= len(p.u_lists[us]):
                 continue
-            gap = max(int(p.rank_u[us, ws]) - int(p.rank_u[us, w]), 0) + max(
-                int(p.rank_w[ws, us]) - int(p.rank_w[ws, u]), 0
-            )
+            gap = max(ru[us][ws] - ru[us][w], 0) + max(rw[ws][us] - rw[ws][u], 0)
             if cap is not None and gap > cap:
                 continue
             if (need[(us, w)] | need[(u, ws)]) & (block[(us, w)] | block[(u, ws)]):
@@ -161,9 +160,9 @@ def swap_set(p, q):
     """
     us, ws, u, w = _check_quadruple(p, q)
     swaps = set()
-    for pos in range(int(p.rank_u[us, w]), int(p.rank_u[us, ws])):
+    for pos in range(p.rank_u_rows[us][w], p.rank_u_rows[us][ws]):
         swaps.add(SwapOp(Agent.u(us), Agent.w(ws), Agent.w(p.u_lists[us][pos])))
-    for pos in range(int(p.rank_w[ws, u]), int(p.rank_w[ws, us])):
+    for pos in range(p.rank_w_rows[ws][u], p.rank_w_rows[ws][us]):
         swaps.add(SwapOp(Agent.w(ws), Agent.u(us), Agent.u(p.w_lists[ws][pos])))
     u_lists = _shift_in_front(p.u_lists, us, ws, w)
     w_lists = _shift_in_front(p.w_lists, ws, us, u)
@@ -211,17 +210,18 @@ def is_d_robust(p, m, d):
     bp = blocking_pairs(p, m)
     if bp:
         return False, (p, bp[0])
+    pu, pw, ru, rw = m.pu.tolist(), m.pw.tolist(), p.rank_u_rows, p.rank_w_rows
     for ui in range(p.n_u):
         for pos, wj in enumerate(p.u_lists[ui]):
-            if m.pu[ui] == wj:
+            if pu[ui] == wj:
                 continue
             cost = 0
-            if m.pu[ui] >= 0:
-                cost += max(pos - int(p.rank_u[ui, m.pu[ui]]), 0)
+            if pu[ui] >= 0:
+                cost += max(pos - ru[ui][pu[ui]], 0)
                 if cost > d:
                     break  # every later pair costs more on ui's side alone
-            if m.pw[wj] >= 0:
-                cost += max(int(p.rank_w[wj, ui]) - int(p.rank_w[wj, m.pw[wj]]), 0)
+            if pw[wj] >= 0:
+                cost += max(rw[wj][ui] - rw[wj][pw[wj]], 0)
             if cost <= d:
                 witness = _gap_witness(p, m, ui, wj)
                 return False, (witness, (Agent.u(ui), Agent.w(wj)))
@@ -241,13 +241,14 @@ def _threats(p, dg, d):
     and ``shield`` has not; one (live, shield) per way of splitting d
     between the two sides' rank gaps (see is_d_robust).
     """
+    ru, rw = p.rank_u_rows, p.rank_w_rows
     # rank of each U-optimal partner; an agent unmatched there is unmatched
     # in every stable matching, which ranks below its whole list
     rank_u0 = [len(lst) for lst in p.u_lists]
     rank_w0 = [len(lst) for lst in p.w_lists]
     for a, b in dg.u_opt.pairs:
-        rank_u0[a] = int(p.rank_u[a, b])
-        rank_w0[b] = int(p.rank_w[b, a])
+        rank_u0[a] = ru[a][b]
+        rank_w0[b] = rw[b][a]
 
     def sinks(a, r):
         """a's partner ranks r or worse."""
@@ -264,11 +265,10 @@ def _threats(p, dg, d):
         return dg.crossed.get((b, p.w_lists[b][r - 1]), _NEVER)
 
     for a in range(p.n_u):
-        rank_of_a = p.rank_w[:, a].tolist()
         for pos, b in enumerate(p.u_lists[a]):
             if sinks(a, pos - d) == _NEVER:
                 break  # a's own gap exceeds d here and further down
-            rb = rank_of_a[b]
+            rb = rw[b][a]
             if (a, b) in dg.u_opt.pairs or (a, b) in dg.movesto:
                 # opposing interests: away from (a, b) exactly one of the
                 # two is better off, so only that side's gap counts

@@ -44,12 +44,12 @@ class Rotation:
 def _successor_at(p, pw, i, pos):
     """Position of u_i's successor in its list, scanning from ``pos``, or -1."""
     lst = p.u_lists[i]
-    rank = p.rank_w
+    rank = p.rank_w_rows
     for pos in range(pos, len(lst)):
         j = lst[pos]
         if pw[j] < 0:
             return -1  # unmatched in every stable matching: u_i stops above it
-        if rank[j, i] < rank[j, pw[j]]:
+        if rank[j][i] < rank[j][pw[j]]:
             return pos
     return -1
 
@@ -68,7 +68,7 @@ def successor(p, m, u):
     i = u.index
     if m.pu[i] < 0:
         raise NoSuccessorDefined("%s is unmatched" % p.name_of(u))
-    pos = _successor_at(p, m.pw, i, int(p.rank_u[i, m.pu[i]]) + 1)
+    pos = _successor_at(p, m.pw.tolist(), i, p.rank_u_rows[i][m.pu[i]] + 1)
     return Agent.w(p.u_lists[i][pos]) if pos >= 0 else None
 
 
@@ -79,8 +79,8 @@ def exposed_rotations(p, m):
     if not is_stable(p, m):
         raise InvalidInput("exposed_rotations needs a stable matching")
     dg = rotation_digraph(p)
-    rank = p.rank_u
-    done = [rank[u, m.pu[u]] > rank[u, w] for u, w in (r.cycle[0] for r in dg.rotations)]
+    rank, pu = p.rank_u_rows, m.pu.tolist()
+    done = [rank[u][pu[u]] > rank[u][w] for u, w in (r.cycle[0] for r in dg.rotations)]
     exposed = [
         r for i, r in enumerate(dg.rotations) if not done[i] and all(done[a] for a in dg.preds[i])
     ]
@@ -182,9 +182,10 @@ def rotation_digraph(p):
     side) is never a stable pair.
     """
     m0 = u_optimal(p)
+    ru, rw = p.rank_u_rows, p.rank_w_rows
     pu = m0.pu.tolist()  # Python lists: the scans below index them one by one
     pw = m0.pw.tolist()
-    at = [int(p.rank_u[i, w]) + 1 if w >= 0 else 0 for i, w in enumerate(pu)]
+    at = [ru[i][w] + 1 if w >= 0 else 0 for i, w in enumerate(pu)]
     final = [w < 0 for w in pu]
     place = [-1] * p.n_u  # position on the current path, or -1
     rotations = []
@@ -225,11 +226,11 @@ def rotation_digraph(p):
             _claim(movesto, (u, w_new), idx, "two rotations move u%d's partner to w%d")
             consumed[(u, w)] = idx  # unique: u_passed holds the same key
             lst = p.w_lists[w]
-            for pos in range(int(p.rank_w[w, u_prev]), int(p.rank_w[w, u])):
+            for pos in range(rw[w][u_prev], rw[w][u]):
                 _claim(crossed, (w, lst[pos]), idx, "two rotations cross w%d over u%d")
     u_passed = {}
     arcs = set()
-    pw0 = m0.pw
+    pw0 = m0.pw.tolist()
     for idx, rho in enumerate(rotations):
         for u, w_old, w_new in rho.moves():
             producer = movesto.get((u, w_old))
@@ -240,7 +241,7 @@ def rotation_digraph(p):
                 arcs.add((producer, idx))
             _claim(u_passed, (u, w_old), idx, "two rotations pass u%d's partner over w%d")
             lst = p.u_lists[u]
-            for pos in range(int(p.rank_u[u, w_old]) + 1, int(p.rank_u[u, w_new])):
+            for pos in range(ru[u][w_old] + 1, ru[u][w_new]):
                 w_between = lst[pos]
                 _claim(u_passed, (u, w_between), idx, "two rotations pass u%d's partner over w%d")
                 if (u, w_between) in movesto:
@@ -249,9 +250,7 @@ def rotation_digraph(p):
                 if c is not None:
                     if c != idx:
                         arcs.add((c, idx))
-                elif pw0[w_between] < 0 or (
-                    p.rank_w[w_between, pw0[w_between]] > p.rank_w[w_between, u]
-                ):
+                elif pw0[w_between] < 0 or rw[w_between][pw0[w_between]] > rw[w_between][u]:
                     # skipped agents are matched and were already rejecting
                     # u at u_optimal, or some earlier rotation crossed them
                     raise Error("no rotation explains why w%d rejects u%d" % (w_between, u))
@@ -327,10 +326,10 @@ class RotationWeights:
     def measured(cls, dg, p):
         # u moves from partner a to b and b trades its partner for u; summed
         # over the cycle, each move adds rank_w[b, u] - rank_w[a, u]
-        ru, rw = p.rank_u, p.rank_w
+        ru, rw = p.rank_u_rows, p.rank_w_rows
         return cls(
             delta=tuple(
-                int(sum(ru[u, b] - ru[u, a] + rw[b, u] - rw[a, u] for u, a, b in rho.moves()))
+                sum(ru[u][b] - ru[u][a] + rw[b][u] - rw[a][u] for u, a, b in rho.moves())
                 for rho in dg.rotations
             )
         )

@@ -8,9 +8,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapstable
 from swapstable import (
+    Agent,
+    Side,
     SwapOp,
     apply_swap,
     blocking_pairs,
@@ -29,8 +33,9 @@ from swapstable import (
     serialize_profile,
     swap_distance,
     u_optimal,
+    validate_profile,
 )
-from swapstable.cli import _build_parser, main
+from swapstable.cli import _build_parser, _swap_sequence, main
 
 
 def run(capsys, *argv):
@@ -373,3 +378,64 @@ def test_module_entry_point_runs():
     )
     assert res.returncode == 0
     assert res.stdout == serialize_profile(gen_example3())
+
+
+def _full_bubble_replay(p, q):
+    """The swap replay bubble-sorting each changed list whole, as reference."""
+    ops = []
+    plan = (
+        (Side.U, p.u_lists, q.u_lists, Agent.w),
+        (Side.W, p.w_lists, q.w_lists, Agent.u),
+    )
+    for side, cur_lists, new_lists, wrap in plan:
+        for k, (cur, new) in enumerate(zip(cur_lists, new_lists)):
+            pos = {x: r for r, x in enumerate(new)}
+            lst = list(cur)
+            changed = True
+            while changed:
+                changed = False
+                for t in range(len(lst) - 1):
+                    if pos[lst[t]] > pos[lst[t + 1]]:
+                        ops.append(SwapOp(Agent(side, k), wrap(lst[t]), wrap(lst[t + 1])))
+                        lst[t], lst[t + 1] = lst[t + 1], lst[t]
+                        changed = True
+    return ops
+
+
+@st.composite
+def _reorderings(draw):
+    """A list and a reordering of it: equal ends, one moved entry, reversed, any."""
+    cur = draw(st.permutations(range(draw(st.integers(0, 9)))))
+    n = len(cur)
+    kind = draw(st.sampled_from(["ends", "move", "reverse", "any"]))
+    if kind == "ends":
+        a = draw(st.integers(0, n))
+        b = draw(st.integers(a, n))
+        new = cur[:a] + draw(st.permutations(cur[a:b])) + cur[b:]
+    elif kind == "move" and n:
+        new = list(cur)
+        new.insert(draw(st.integers(0, n - 1)), new.pop(draw(st.integers(0, n - 1))))
+    elif kind == "reverse":
+        new = cur[::-1]
+    else:
+        new = draw(st.permutations(cur))
+    return list(cur), list(new)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reorderings(), st.booleans())
+def test_swap_sequence_sorts_only_the_changed_window(lists, w_side):
+    # one agent owns the reordered list; every agent on it lists only the owner
+    cur, new = lists
+    others = [[0] for _ in cur]
+    if w_side:
+        p, q = validate_profile(others, [cur]), validate_profile(others, [new])
+    else:
+        p, q = validate_profile([cur], others), validate_profile([new], others)
+    ops = _swap_sequence(p, q)
+    assert ops == _full_bubble_replay(p, q)
+    replayed = p
+    for op in ops:
+        replayed = apply_swap(replayed, op)
+    assert replayed == q
+    assert len(ops) == swap_distance(p, q)

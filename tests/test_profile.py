@@ -1,5 +1,8 @@
 """Core profile, matching, swap and blocking-pair behavior."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from swapstable import (
     apply_swap,
     blocking_pairs,
     egalitarian_cost,
+    gen_random,
     is_perfect,
     is_stable,
     parse_profile,
@@ -128,6 +132,30 @@ def test_rank_matrices_match_definition(p):
         assert ranks.dtype == np.int64
         assert ranks.shape == (len(lists), n_other)
         assert ranks.tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles(max_side=6, min_side=0))
+def test_rank_rows_hold_the_matrix_values(p):
+    for rows, ranks in ((p.rank_u_rows, p.rank_u), (p.rank_w_rows, p.rank_w)):
+        assert rows == ranks.tolist()
+        assert all(type(r) is int for row in rows for r in row)
+
+
+def test_rank_rows_share_their_int_objects():
+    # A plain tolist() makes one int object per entry once ranks pass 256
+    # (about 11 bytes an entry more here); the rows keep one pointer each.
+    n = 400
+    p = gen_random(n, n, 1.0, 0)
+    p.rank_u  # the matrix is not part of what the rows keep
+    tracemalloc.start()
+    try:
+        rows = p.rank_u_rows
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n
+    assert kept <= 1.1 * 8 * n * n + (n + 1) * sys.getsizeof([])
 
 
 def _naive_asymmetries(u_lists, w_lists):

@@ -85,3 +85,61 @@ def test_no_unused_imports_in_the_package():
                     if name not in read:
                         unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+_RANK_MATRICES = {"rank_u", "rank_w"}
+
+
+def _rank_aliases(fn):
+    """Names in fn bound to a rank matrix: parameters called rank_u/rank_w
+    and assignments from a .rank_u/.rank_w attribute, tuples included."""
+    names = {a.arg for a in fn.args.args if a.arg in _RANK_MATRICES}
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                if (
+                    isinstance(name, ast.Name)
+                    and isinstance(value, ast.Attribute)
+                    and value.attr in _RANK_MATRICES
+                ):
+                    names.add(name.id)
+    return names
+
+
+def _is_scalar_read(node, aliases):
+    """Is node a subscript m[a, b] with two plain indices of a rank matrix?"""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    index = node.slice.elts
+    if len(index) != 2 or any(isinstance(e, ast.Slice) for e in index):
+        return False
+    base = node.value
+    if isinstance(base, ast.Attribute):
+        return base.attr in _RANK_MATRICES
+    return isinstance(base, ast.Name) and base.id in aliases
+
+
+def test_no_scalar_reads_of_rank_matrices():
+    # A numpy scalar read costs about four list reads.  Loops that read one
+    # rank at a time use Profile.rank_u_rows/rank_w_rows; the matrices feed
+    # the vector kernels only.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            aliases = _rank_aliases(fn)
+            found += [
+                "%s:%d" % (path.name, node.lineno)
+                for node in ast.walk(fn)
+                if _is_scalar_read(node, aliases)
+            ]
+    assert found == []
