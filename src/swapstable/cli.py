@@ -83,7 +83,11 @@ def _swap_sequence(p, q):
     Bubble sort against the target order emits exactly swap_distance(p, q)
     operations; applying them to p in file order reproduces q.  Only the span
     from the first to the last difference is sorted: entries around it are
-    in place and sort apart from it, so they would never swap.
+    in place and sort apart from it, so they would never swap.  Each pass
+    after the first scans from just before the previous pass's first swap to
+    its last one: the entries before that were in order and did not move,
+    and the previous pass carried its largest entry to the end of the span,
+    behind an ordered tail.  So an entry promoted k places costs O(k).
     """
     ops = []
     plan = (
@@ -103,14 +107,17 @@ def _swap_sequence(p, q):
             b = len(cur) - next(t for t, (x, y) in enumerate(zip(cur[::-1], new[::-1])) if x != y)
             pos = {x: r for r, x in enumerate(new[a:b])}
             lst = list(cur[a:b])
-            changed = True
-            while changed:
-                changed = False
-                for t in range(len(lst) - 1):
+            lo, hi = 0, len(lst) - 1
+            while lo < hi:
+                swapped = []
+                for t in range(lo, hi):
                     if pos[lst[t]] > pos[lst[t + 1]]:
                         ops.append(SwapOp(Agent(side, k), wrap(lst[t]), wrap(lst[t + 1])))
                         lst[t], lst[t + 1] = lst[t + 1], lst[t]
-                        changed = True
+                        swapped.append(t)
+                if not swapped:
+                    break
+                lo, hi = max(swapped[0] - 1, 0), swapped[-1]
     return ops
 
 

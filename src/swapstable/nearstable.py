@@ -9,6 +9,13 @@ a minimum cut over per-agent shift thresholds.  The optimization problems
 exponential-time exact search, a branch-and-bound over matchings whose
 leaves are priced by the rank-gap formula or the min-cut; that is as good
 as it gets, since the decision problems are NP-hard even for budget 1.
+The stable end of each problem is polynomial, and the search starts from
+it: the global solver returns u_optimal(p) without searching when it
+meets the objective, the egalitarian tradeoff takes its d=0 value from
+the egalitarian-optimal stable matching (a rotation closure) and caps
+each later budget at the previous value, and the search prunes with
+admissible lower bounds on the egalitarian cost and, in global mode, on
+the stabilization cost.
 
 The defusing move throughout is promoting an agent's current partner past
 a blocker in that agent's own list.  Such promotions never create new
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._flow import FlowNetwork
-from .classic import matched_partition
+from .classic import matched_partition, u_optimal
 from .errors import InvalidInput, NotNearlyStable, TooLarge, verify
 from .profile import (
     INFINITE,
@@ -38,6 +45,7 @@ from .profile import (
     is_stable,
     swap_distance,
 )
+from .robustness import find_d_robust_optimal
 
 Cost = Union[int, float]
 
@@ -219,6 +227,10 @@ def _stabilization_cut(p, m):
     return (cost, u_steps, w_steps)
 
 
+def _global_cost(p, m):
+    return _stabilization_cut(p, m)[0]
+
+
 def global_stabilization_cost(p, m):
     """Smallest total swap distance to a profile where m is stable.
 
@@ -287,68 +299,140 @@ def _check_query(objective, eta, d):
     return objective
 
 
-def _settle_deadline(p):
-    """Last U index that could still take each W agent, -1 when nobody."""
-    deadline = [-1] * p.n_w
+def _prospects(p):
+    """prospects[i][j]: the best rank w_j can still get once u_0..u_{i-1}
+    are decided, w_j's least rank_w over u_i, u_{i+1}, ... in its list;
+    INFINITE when none of them lists w_j.
+    """
+    rw = p.rank_w_rows
+    prospects = [[INFINITE] * p.n_w]
+    for i in range(p.n_u - 1, -1, -1):
+        row = list(prospects[-1])
+        for j in p.u_lists[i]:
+            row[j] = min(row[j], rw[j][i])
+        prospects.append(row)
+    return prospects[::-1]
+
+
+def _cheap_partners(p):
+    """Per U agent: (its list length, the (rank_u + rank_w, w index) of
+    each partner that costs less than that, cheapest first)."""
+    ru, rw = p.rank_u_rows, p.rank_w_rows
+    out = []
     for i, lst in enumerate(p.u_lists):
-        for j in lst:
-            deadline[j] = max(deadline[j], i)
-    return deadline
+        pairs = sorted((ru[i][j] + rw[j][i], j) for j in lst)
+        out.append((len(lst), [(c, j) for c, j in pairs if c < len(lst)]))
+    return out
 
 
-def _prefix_conflict(p, pu, pw, depth, d, deadline):
-    """Does the decided part already contain an undefusable blocking pair?
+def _undecided_floor(pw, start, cheap):
+    """Least egalitarian cost u_start, u_start+1, ... can still add.
+
+    Each of them adds the cheaper of staying unmatched (its list length)
+    and its cheapest rank_u + rank_w over W agents still free in pw.
+    Admissible: the search charges each pair to its U endpoint, so each
+    undecided U agent adds one such amount, a taken W agent is out of its
+    reach, and W agents left unmatched only add more.
+    """
+    total = 0
+    for stay, partners in cheap[start:]:
+        for cost, j in partners:
+            if pw[j] < 0:
+                break
+        else:
+            cost = stay
+        total += cost
+    return total
+
+
+def _prefix_conflict(p, pu, pw, depth, d, prospects, additive=False):
+    """Does the decided part already cost more than budget d?
 
     Only pairs whose fate is sealed count: the U endpoint is decided, and
     the W endpoint is either matched (partners are never revisited) or
-    beyond its last chance of getting one.  Pairs a later U agent could
-    still resolve are left alone.  A sealed pair whose cheaper endpoint
-    needs more than d swaps rules out local and global budget d alike.
+    free but prefers the U endpoint to every undecided U agent that lists
+    it (prospects), so it blocks with them whatever comes next.  The W
+    side's defusing cost is then at least the gap to its prospect, and
+    INFINITE when nobody is left to take it.  A sealed pair whose cheaper
+    endpoint needs more than d swaps rules out local and global budget d
+    alike.
+
+    additive (the global cost): each sealed pair needs a promotion at one
+    of its endpoints, in that endpoint's own list, of at least the pair's
+    cheaper defusing cost, and pairs that share no agent are defused in
+    different lists.  So the sum of the cheaper costs over sealed pairs
+    that share no agent (per U agent its dearest pair whose W endpoint is
+    not yet counted) is a lower bound on the global cost of every
+    completion, and a branch whose sum passes d is dropped.
     """
     rw = p.rank_w_rows
+    hope = prospects[depth]
+    total = 0
+    counted = set()
     for k in range(depth):
         pk = pu[k]
         lst = p.u_lists[k]
         limit = len(lst) if pk < 0 else p.rank_u_rows[k][pk]
+        dearest, dearest_w = 0, None
         for pos in range(limit):
             j = lst[pos]
             pj = pw[j]
-            if pj >= 0:
-                row = rw[j]
-                if row[k] < row[pj]:
-                    cu = INFINITE if pk < 0 else limit - pos
-                    cw = row[pj] - row[k]
-                    if min(cu, cw) > d:
-                        return True
-            elif deadline[j] < depth:
-                if pk < 0 or limit - pos > d:
-                    return True
+            row = rw[j]
+            theirs = row[pj] if pj >= 0 else hope[j]
+            if row[k] >= theirs:
+                continue
+            cost = theirs - row[k]
+            if pk >= 0:
+                cost = min(cost, limit - pos)
+            if cost > d:
+                return True
+            if additive and cost > dearest and j not in counted:
+                dearest, dearest_w = cost, j
+        if dearest:
+            counted.add(dearest_w)
+            total += dearest
+            if total > d:
+                return True
     return False
 
 
-def _search(p, d, objective, eta, instability, least=None):
+def _search(p, d, objective, eta, instability, least=None, additive=False):
     """Branch-and-bound over matchings with instability(p, m) <= d.
 
     The one exact search for near stability: instability is
     local_instability or the cost of _stabilization_cut, and both are at
     least every blocking pair's cheaper defusing cost, so _prefix_conflict
-    at budget d drops no candidate of either.  Depth-first over U agents
-    in index order, partners in preference order (then unmatched, unless
-    the objective is perfect).  A branch dies once a sealed pair cannot be
-    defused within d or, for the egalitarian objective, the decided
-    agents' cost passes eta.
+    at budget d drops no candidate of either; additive says the leaf cost
+    is the min-cut's sum, which _prefix_conflict also bounds by the sealed
+    pairs that share no agent.  Depth-first over U agents in index order,
+    partners in preference order (then unmatched, unless the objective is
+    perfect).  A branch dies once its sealed pairs cannot be defused
+    within d or, for the egalitarian objective, once a lower bound on its
+    cost passes eta: the decided U agents' pair costs, plus the list
+    length of each W agent nobody took and no undecided U agent lists,
+    plus _undecided_floor.  At a leaf every agent is decided and that sum
+    is the egalitarian cost.
 
     least picks the answer.  None: the first feasible leaf.  "cost": eta,
     or "instability": d, drops below each feasible leaf's value, and a
     stable leaf ends an "instability" search; the last leaf found is the
-    least, and the first in search order among equals.  None when no leaf
-    is feasible.  Raises TooLarge after SEARCH_CAP tried partners.  The
-    stack holds one frame per decided U agent, so depth is not bounded by
-    the interpreter's recursion limit.
+    least, and the first in search order among equals.  The bounds drop
+    only branches without a feasible leaf, so they change which nodes are
+    visited but not which leaves are found.  None when no leaf is
+    feasible.  Raises TooLarge after SEARCH_CAP tried partners.  The stack
+    holds one frame per decided U agent, so depth is not bounded by the
+    interpreter's recursion limit.
     """
-    deadline = _settle_deadline(p)
+    prospects = _prospects(p)
     bounded = objective == Objective.EGALITARIAN
     tail = [-1] if bounded else []
+    if bounded:
+        cheap = _cheap_partners(p)
+        # settles[i]: (index, list length) of each W agent u_i is the last to list
+        settles = [
+            [(j, len(p.w_lists[j])) for j in lst if prospects[i + 1][j] is INFINITE]
+            for i, lst in enumerate(p.u_lists)
+        ]
     pu = [-1] * p.n_u
     pw = [-1] * p.n_w
     best = None
@@ -365,7 +449,8 @@ def _search(p, d, objective, eta, instability, least=None):
                 p.n_u, p.n_w, [(k, pu[k]) for k in range(p.n_u) if pu[k] >= 0]
             )
             if bounded:
-                cost = egalitarian_cost(p, m)
+                # every W agent is settled at a leaf, so acc is the cost
+                cost = acc
                 fits = cost <= eta
             else:
                 fits = is_perfect(p, m)
@@ -401,9 +486,13 @@ def _search(p, d, objective, eta, instability, least=None):
                 step = p.rank_u_rows[i][j] + p.rank_w_rows[j][i]
             else:
                 step = len(p.u_lists[i])
-            if not (bounded and base + step > eta) and not _prefix_conflict(
-                p, pu, pw, i + 1, d, deadline
-            ):
+            if bounded:
+                for w, lost in settles[i]:
+                    if pw[w] < 0:
+                        step += lost
+                if base + step + _undecided_floor(pw, i + 1, cheap) > eta:
+                    continue
+            if not _prefix_conflict(p, pu, pw, i + 1, d, prospects, additive):
                 acc = base + step
                 break
         else:
@@ -413,17 +502,19 @@ def _search(p, d, objective, eta, instability, least=None):
 def solve_global_near(p, d_g, objective, eta=None):
     """Matching satisfying the objective in p and stable within d_g swaps.
 
-    Exact branch-and-bound (see _search) with the min-cut cost of
-    _stabilization_cut at each leaf; only the answer gets a witness.
     Returns the matching of least global cost that meets the objective,
     the first in search order among equals, with that cost's witness
     profile from global_stabilization_cost; None when none costs at most
-    d_g.  The first stable matching in search order is u_optimal(p),
-    so it is the answer whenever it meets the objective.  One pass
-    whatever d_g is: the budget tightens below each leaf found.  The
-    number of matched agents moves by at most two per swap, so perfect
-    matchings are ruled out without searching when d_g is below half the
-    unmatched count.
+    d_g.  The number of matched agents moves by at most two per swap, so
+    perfect matchings are ruled out without searching when d_g is below
+    half the unmatched count.  Cost 0 is the least there is, and the first
+    stable matching in search order is u_optimal(p), which gives every U
+    agent its best stable partner; so when u_optimal(p) meets the
+    objective it is the answer, with witness p, and nothing is searched.
+    Otherwise an exact branch-and-bound (see _search) prices each leaf by
+    the min-cut cost of _stabilization_cut; only the answer gets a
+    witness.  One pass whatever d_g is: the budget tightens below each
+    leaf found.
     """
     objective = _check_query(objective, eta, d_g)
     if objective == Objective.PERFECT:
@@ -431,8 +522,15 @@ def solve_global_near(p, d_g, objective, eta=None):
             return None
         if 2 * d_g < matched_partition(p).n_unmatched:
             return None
+    stable = u_optimal(p)
+    if objective == Objective.PERFECT:
+        fits = is_perfect(p, stable)
+    else:
+        fits = egalitarian_cost(p, stable) <= eta
+    if fits:
+        return (stable, p)
     m = _search(
-        p, d_g, objective, eta, lambda q, m: _stabilization_cut(q, m)[0], least="instability"
+        p, d_g, objective, eta, _global_cost, least="instability", additive=True
     )
     return None if m is None else (m, global_stabilization_cost(p, m)[1])
 
@@ -525,26 +623,31 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
 def tradeoff_curve(p, mode, d_max, objective):
     """Best objective value per budget d = 0..d_max, as (d, value) pairs.
 
-    Perfect: value is whether a d-nearly stable perfect matching exists.
-    Egalitarian: value is the cheapest egalitarian cost (priced by p)
-    over d-nearly stable matchings.  Values only improve as d grows.
-    Both modes run the one search once per budget; the mode picks the
-    solver and the instability tested at the leaves.
+    Perfect: value is whether a d-nearly stable perfect matching exists,
+    from the mode's solver.  Egalitarian: value is the cheapest egalitarian
+    cost (priced by p) over d-nearly stable matchings.  At d=0 both modes
+    ask for the egalitarian-optimal stable matching, which the rotation
+    closure of find_d_robust_optimal finds in polynomial time.  Values
+    only improve as d grows, because a d-nearly stable matching is also
+    (d+1)-nearly stable, so each later budget runs the one search with eta
+    at the previous value; that matching keeps a leaf feasible.  The mode
+    picks the instability tested at the leaves.
     """
     objective = _check_query(objective, INFINITE, d_max)
     if mode == "global":
-        solver, instability = solve_global_near, lambda q, m: _stabilization_cut(q, m)[0]
+        solver, instability = solve_global_near, _global_cost
     elif mode == "local":
         solver, instability = solve_local_near, local_instability
     else:
         raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
-    out = []
-    for d in range(d_max + 1):
-        if objective == Objective.PERFECT:
-            value = solver(p, d, objective) is not None
-        else:
-            # stable matchings qualify at every budget, so a leaf exists
-            best = _search(p, d, objective, INFINITE, instability, least="cost")
-            value = egalitarian_cost(p, best)
+    if objective == Objective.PERFECT:
+        return [(d, solver(p, d, objective) is not None) for d in range(d_max + 1)]
+    value = egalitarian_cost(p, find_d_robust_optimal(p, 0, objective))
+    out = [(0, value)]
+    for d in range(1, d_max + 1):
+        best = _search(
+            p, d, objective, value, instability, least="cost", additive=mode == "global"
+        )
+        value = egalitarian_cost(p, best)
         out.append((d, value))
     return out

@@ -103,12 +103,15 @@ class Profile:
 
     @cached_property
     def rank_u_rows(self) -> list:
-        """rank_u as lists of ints, one shared object per value: 8 bytes an entry."""
-        return np.array(range(self.n_w + 1), dtype=object)[self.rank_u].tolist()
+        """rank_u as lists of ints, one shared object per value: 8 bytes an entry.
+
+        Built a row at a time, so the build peaks near what the table keeps.
+        """
+        return _shared_rows(self.rank_u, self.n_w)
 
     @cached_property
     def rank_w_rows(self) -> list:
-        return np.array(range(self.n_u + 1), dtype=object)[self.rank_w].tolist()
+        return _shared_rows(self.rank_w, self.n_u)
 
     @cached_property
     def len_u(self) -> np.ndarray:
@@ -224,6 +227,12 @@ def _flatten(lists):
     lengths = np.fromiter(map(len, lists), np.int64, len(lists))
     flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
     return lengths, np.repeat(np.arange(len(lists)), lengths), flat
+
+
+def _shared_rows(matrix, n_other):
+    """matrix as lists whose entries are the shared ints 0..n_other."""
+    objs = np.array(range(n_other + 1), dtype=object)
+    return [objs[row].tolist() for row in matrix]
 
 
 def _rank_matrix(lists, n_other):
@@ -381,10 +390,10 @@ def apply_swap(p: Profile, s: SwapOp) -> Profile:
 
 
 def _list_distance(l1: tuple, l2: tuple) -> Distance:
-    if set(l1) != set(l2):
-        return INFINITE
     if l1 == l2:
         return 0
+    if set(l1) != set(l2):
+        return INFINITE
     pos = {y: k for k, y in enumerate(l1)}
     seq = np.array([pos[y] for y in l2], dtype=np.int64)
     return int(_kernels.count_inversions(seq))

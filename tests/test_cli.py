@@ -316,10 +316,11 @@ def test_cached_parser_carries_nothing_between_calls(capsys, crown):
 
 
 def test_search_cap_exits_2(capsys, monkeypatch, crown):
+    # The d=0 point comes from the rotation closure; d=1 has to search.
     monkeypatch.setattr("swapstable.nearstable.SEARCH_CAP", 3)
     code, out, err = run(
-        capsys, "solve", "global-near", "--profile", crown[1], "--d", "2",
-        "--objective", "perfect",
+        capsys, "tradeoff", "--profile", crown[1], "--mode", "local",
+        "--objective", "egalitarian", "--max-d", "1",
     )
     assert code == 2 and out == ""
     assert err == "error: near-stability search exceeds 3 nodes\n"

@@ -335,13 +335,169 @@ def test_local_search_is_not_bounded_by_recursion_limit():
 
 
 def test_search_cap_raises_too_large(monkeypatch):
+    # eta below every stable matching's cost: u_optimal does not qualify,
+    # so the global solver has to search
     p = gen_random(5, 5, 1.0, seed=11)
-    assert solve_global_near(p, 2, Objective.PERFECT) is not None
+    eta = min(egalitarian_cost(p, m) for m in enumerate_stable_bf(p)) - 1
+    assert solve_global_near(p, 2, Objective.EGALITARIAN, eta=eta) is not None
     monkeypatch.setattr(nearstable, "SEARCH_CAP", 3)
     with pytest.raises(TooLarge, match="3 nodes"):
-        solve_global_near(p, 2, Objective.PERFECT)
+        solve_global_near(p, 2, Objective.EGALITARIAN, eta=eta)
     with pytest.raises(TooLarge):
         tradeoff_curve(p, "local", 1, Objective.EGALITARIAN)
+
+
+def bound_cases():
+    """Seeded toy profiles: sparse and complete, some with n_w = n_u + 1."""
+    cases = []
+    for k in range(16):
+        n = 3 + k % 2
+        cases.append(gen_random(n, n + (k % 4 == 3), (0.6, 0.8, 1.0)[k % 3], seed=9300 + k))
+    return cases + [gen_example3(), gen_example2(2), gen_cyclic_latin(3)]
+
+
+def search_order(p):
+    """Every matching, in the order the search reaches its leaves, unpruned:
+    U agents by index, partners in preference order, unmatched last."""
+
+    def extend(i, pairs, used):
+        if i == p.n_u:
+            yield Matching.from_pairs(p.n_u, p.n_w, pairs)
+            return
+        for j in p.u_lists[i]:
+            if j not in used:
+                yield from extend(i + 1, pairs + [(i, j)], used | {j})
+        yield from extend(i + 1, pairs, used)
+
+    return list(extend(0, [], frozenset()))
+
+
+def test_search_bounds_are_admissible():
+    # At every prefix of the search, each bound is at most the least value
+    # over all completions of that prefix, found by brute force.
+    bites = {False: 0, True: 0}
+    for p in bound_cases():
+        prospects = nearstable._prospects(p)
+        cheap = nearstable._cheap_partners(p)
+        leaves = []
+        for m in search_order(p):
+            pu = m.pu.tolist()
+            leaves.append((pu, egalitarian_cost(p, m), {
+                False: local_instability(p, m),
+                True: nearstable._stabilization_cut(p, m)[0],
+            }))
+        for depth in range(p.n_u + 1):
+            prefixes = {}
+            for pu, egal, level in leaves:
+                least = prefixes.setdefault(tuple(pu[:depth]), [INFINITE, {False: INFINITE, True: INFINITE}])
+                least[0] = min(least[0], egal)
+                for additive in (False, True):
+                    least[1][additive] = min(least[1][additive], level[additive])
+            for prefix, (egal, level) in prefixes.items():
+                pu = list(prefix) + [-1] * (p.n_u - depth)
+                pw = [-1] * p.n_w
+                for i, j in enumerate(prefix):
+                    if j >= 0:
+                        pw[j] = i
+                decided = sum(
+                    len(p.u_lists[i]) if j < 0 else p.rank_u_rows[i][j] + p.rank_w_rows[j][i]
+                    for i, j in enumerate(prefix)
+                )
+                lost = sum(
+                    len(p.w_lists[j])
+                    for j in range(p.n_w)
+                    if pw[j] < 0 and not any(j in p.u_lists[i] for i in range(depth, p.n_u))
+                )
+                assert decided + lost + nearstable._undecided_floor(pw, depth, cheap) <= egal
+                for additive in (False, True):
+                    least = level[additive]
+                    if least is INFINITE:
+                        continue
+                    assert not nearstable._prefix_conflict(p, pu, pw, depth, least, prospects, additive)
+                    if least > 0:
+                        single, summed = (
+                            nearstable._prefix_conflict(p, pu, pw, depth, least - 1, prospects, a)
+                            for a in (False, True)
+                        )
+                        bites[additive] += (summed and not single) if additive else single
+    # the bounds are not vacuous: the single-pair test drops prefixes one
+    # below the local optimum, and the disjoint-pair sum drops some that the
+    # single-pair test keeps one below the global optimum
+    assert bites[False] > 0 and bites[True] > 0
+
+
+def test_solvers_equal_an_unpruned_search():
+    # Answers, witnesses and the tie rule ("first in search order among
+    # equals") are those of the same search with no pruning at all.
+    for p in bound_cases():
+        order = search_order(p)
+        perfect = [m for m in order if is_perfect(p, m)]
+        global_cost = {m: global_stabilization_cost(p, m)[0] for m in order}
+        local = {m: local_instability(p, m) for m in order}
+        egal = {m: egalitarian_cost(p, m) for m in order}
+        stable_cost = min(egal[m] for m in order if local[m] == 0)
+        for d in (0, 1, 2):
+            for objective, eta, pool in (
+                (Objective.PERFECT, None, perfect),
+                (Objective.EGALITARIAN, stable_cost, order),
+                (Objective.EGALITARIAN, stable_cost - 1, order),
+                (Objective.EGALITARIAN, stable_cost - 3, order),
+            ):
+                if eta is not None:
+                    pool = [m for m in pool if egal[m] <= eta]
+                fits = [m for m in pool if global_cost[m] <= d]
+                want = min(fits, key=global_cost.get) if fits else None
+                got = solve_global_near(p, d, objective, eta=eta)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got == (want, global_stabilization_cost(p, want)[1])
+                want = next((m for m in pool if local[m] <= d), None)
+                assert solve_local_near(p, d, objective, eta=eta) == want
+        for mode, level in (("global", global_cost), ("local", local)):
+            want = [(d, min(egal[m] for m in order if level[m] <= d)) for d in range(3)]
+            assert tradeoff_curve(p, mode, 2, Objective.EGALITARIAN) == want
+
+
+def test_stable_shortcuts_match_brute_force():
+    # (a) u_optimal is the global answer, with witness p, whenever it meets
+    # the objective; (b) the d=0 point of the egalitarian curve is the
+    # cheapest stable matching's cost.
+    shortcuts = 0
+    for p in bound_cases():
+        stable = enumerate_stable_bf(p)
+        u_opt = u_optimal(p)
+        cheapest = min(egalitarian_cost(p, m) for m in stable)
+        for mode in ("global", "local"):
+            assert tradeoff_curve(p, mode, 0, Objective.EGALITARIAN) == [(0, cheapest)]
+        u_cost = egalitarian_cost(p, u_opt)
+        for objective, eta in (
+            (Objective.PERFECT, None),
+            (Objective.EGALITARIAN, u_cost),
+            (Objective.EGALITARIAN, u_cost + 2),
+        ):
+            for d in (0, 1):
+                want = brute_solve_near(p, d, "global", objective, eta=eta)
+                if objective == Objective.PERFECT and not is_perfect(p, u_opt):
+                    continue
+                shortcuts += 1
+                assert want is not None and want[1] == p and is_stable(p, want[0])
+                assert solve_global_near(p, d, objective, eta=eta) == (u_opt, p)
+    assert shortcuts >= 60
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_n16_questions_answer_without_too_large(monkeypatch, seed):
+    p = gen_random(16, 16, 1.0, seed)
+    cap = nearstable.SEARCH_CAP
+    # with no search allowed at all, the stable answer still comes back
+    monkeypatch.setattr(nearstable, "SEARCH_CAP", 0)
+    assert solve_global_near(p, 1, Objective.PERFECT) == (u_optimal(p), p)
+    monkeypatch.setattr(nearstable, "SEARCH_CAP", cap)
+    for mode in ("global", "local"):
+        curve = tradeoff_curve(p, mode, 2, Objective.EGALITARIAN)
+        values = [v for _, v in curve]
+        assert values == sorted(values, reverse=True)
 
 
 def test_global_solver_takes_huge_budgets_in_one_pass():
