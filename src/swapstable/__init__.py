@@ -66,16 +66,7 @@ from .profile import (
     validate_matching,
     validate_profile,
 )
-from .robustness import (
-    StableQuadruple,
-    find_d_robust,
-    find_d_robust_optimal,
-    is_d_robust,
-    max_robustness,
-    shifted_profile,
-    stable_quadruples,
-    swap_set,
-)
+from .robustness import find_d_robust, find_d_robust_optimal, is_d_robust, max_robustness
 from .rotations import (
     Rotation,
     RotationDigraph,

@@ -38,6 +38,7 @@ from .profile import (
     Profile,
     Side,
     SwapOp,
+    _promote,
     apply_swap,
     blocking_pairs,
     egalitarian_cost,
@@ -79,17 +80,6 @@ def _defuse_costs(p, m, i, j):
     cu = INFINITE if pi < 0 else p.rank_u_rows[i][pi] - p.rank_u_rows[i][j]
     cw = INFINITE if pj < 0 else p.rank_w_rows[j][pj] - p.rank_w_rows[j][i]
     return cu, cw
-
-
-def _promote(lists, owner, member, steps):
-    """Move member up by steps positions in owner's list."""
-    if steps <= 0:
-        return lists
-    lst = list(lists[owner])
-    src = lst.index(member)
-    del lst[src]
-    lst.insert(src - steps, member)
-    return lists[:owner] + (tuple(lst),) + lists[owner + 1 :]
 
 
 def local_instability(p, m) -> Cost:

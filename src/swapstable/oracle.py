@@ -103,6 +103,8 @@ def profiles_within(p, d, mode, max_profiles=PROFILE_CAP):
     within d (cartesian product of per-list balls).  Raises TooLarge when
     the ball exceeds ``max_profiles``.
     """
+    if d < 0:
+        raise InvalidInput("d must be nonnegative")
     if mode not in ("global", "local"):
         raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
     if mode == "global":
@@ -226,6 +228,8 @@ def brute_is_locally_d_stable(p, m, d):
     Exhaustive over the product of per-list balls, organized so each W
     agent's choice is checked independently once the U side is fixed.
     """
+    if d < 0:
+        raise InvalidInput("d must be nonnegative")
     ru, cnt_u = _variant_rank_rows(p.u_lists, p.n_w, d)
     rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, d)
     return bool(
@@ -253,6 +257,8 @@ def brute_solve_near(p, budget, mode, objective, eta=None, max_profiles=PROFILE_
     Returns (matching, witness profile) for mode "global", the matching
     alone for mode "local", None when there is none.
     """
+    if budget < 0:
+        raise InvalidInput("budget must be nonnegative")
     objective = Objective(objective)
     candidates = [
         m

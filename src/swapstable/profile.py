@@ -358,6 +358,17 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
     return p.rank_w_rows[x.index][y.index]
 
 
+def _promote(lists, owner, member, steps):
+    """Move member up by steps positions in owner's list."""
+    if steps <= 0:
+        return lists
+    lst = list(lists[owner])
+    src = lst.index(member)
+    del lst[src]
+    lst.insert(src - steps, member)
+    return lists[:owner] + (tuple(lst),) + lists[owner + 1 :]
+
+
 def apply_swap(p: Profile, s: SwapOp) -> Profile:
     """Return the profile with s.x and s.y exchanged in s.owner's list.
 

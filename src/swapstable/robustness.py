@@ -11,187 +11,26 @@ per-pair index (``u_passed``, ``crossed``).  A threat becomes an
 implication arc, a forced or forbidden rotation, or infeasibility.  The
 closure that picks the matching weighs every rotation 1 for find_d_robust
 (the smallest admissible closed set) and by its egalitarian delta for
-find_d_robust_optimal.  Stable quadruples and their swap sets spell out the
-threats between two stable pairs of one matching.
+find_d_robust_optimal.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .classic import matched_partition
-from .errors import InvalidInput, verify
-from .profile import Agent, Objective, Side, SwapOp, blocking_pairs
-from .rotations import (
-    RotationWeights,
-    matching_of,
-    min_weight_closure,
-    rotation_digraph,
-    stable_pairs,
-)
-
-
-@dataclass(frozen=True)
-class StableQuadruple:
-    """Four distinct agents (uStar, wStar, u, w) such that some stable
-    matching contains both {uStar, w} and {u, wStar}; shifting wStar ahead
-    of w and uStar ahead of u makes {uStar, wStar} block that matching."""
-
-    u_star: Agent
-    w_star: Agent
-    u: Agent
-    w: Agent
-
-
-@dataclass(frozen=True)
-class SwapSet:
-    """The cheapest swaps realizing a quadruple's threat, plus the two
-    reordered lists they produce."""
-
-    swaps: frozenset
-    shifted_list_u: tuple
-    shifted_list_w: tuple
-
-
-def _quadruple_indices(p, q):
-    """Unpack a quadruple to indices, checking shape and acceptability."""
-    if (
-        q.u_star.side != Side.U
-        or q.u.side != Side.U
-        or q.w_star.side != Side.W
-        or q.w.side != Side.W
-    ):
-        raise InvalidInput("quadruple sides must be (U, W, U, W)")
-    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
-    if us == u or ws == w:
-        raise InvalidInput("quadruple agents must be distinct")
-    if not (0 <= us < p.n_u and 0 <= u < p.n_u and 0 <= ws < p.n_w and 0 <= w < p.n_w):
-        raise InvalidInput("quadruple references unknown agents")
-    for ui, wj in ((us, ws), (us, w), (u, ws)):
-        if p.rank_u_rows[ui][wj] >= len(p.u_lists[ui]):
-            raise InvalidInput(
-                "%s and %s are not mutually acceptable"
-                % (p.name_of(Agent.u(ui)), p.name_of(Agent.w(wj)))
-            )
-    return us, ws, u, w
-
-
-def _pair_masks(dg, pairs):
-    """For each stable pair: rotations its presence needs, and the one that
-    removes it.  A pair sits in matching_of(S) iff its producing rotation
-    (with ancestors) is inside S and its consuming rotation is outside."""
-    need = {}
-    block = {}
-    for pr in pairs:
-        i = dg.movesto.get(pr)
-        need[pr] = 0 if i is None else dg.ancestor_masks[i] | (1 << i)
-        i = dg.consumed.get(pr)
-        block[pr] = 0 if i is None else 1 << i
-    return need, block
-
-
-def _iter_quadruples(p, dg, cap):
-    pairs = sorted(stable_pairs(p, dg))
-    need, block = _pair_masks(dg, pairs)
-    ru, rw = p.rank_u_rows, p.rank_w_rows
-    for us, w in pairs:
-        for u, ws in pairs:
-            if us == u or ws == w:
-                continue
-            if ru[us][ws] >= len(p.u_lists[us]):
-                continue
-            gap = max(ru[us][ws] - ru[us][w], 0) + max(rw[ws][us] - rw[ws][u], 0)
-            if cap is not None and gap > cap:
-                continue
-            if (need[(us, w)] | need[(u, ws)]) & (block[(us, w)] | block[(u, ws)]):
-                continue
-            verify(gap > 0, "co-stable pairs cannot block as they stand")
-            yield StableQuadruple(Agent.u(us), Agent.w(ws), Agent.u(u), Agent.w(w))
-
-
-def stable_quadruples(p, max_swap_set_size=None):
-    """All stable quadruples of p, cheapest-threat filter optional.
-
-    Parameters
-    ----------
-    p : Profile
-    max_swap_set_size : int, optional
-        Keep only quadruples whose swap set has at most this many swaps.
-
-    Yields
-    ------
-    StableQuadruple in deterministic (stable-pair, stable-pair) order.
-    """
-    yield from _iter_quadruples(p, rotation_digraph(p), max_swap_set_size)
-
-
-def _is_costable(p, q, dg):
-    us, ws, u, w = q.u_star.index, q.w_star.index, q.u.index, q.w.index
-    pairs = stable_pairs(p, dg)
-    if (us, w) not in pairs or (u, ws) not in pairs:
-        return False
-    need, block = _pair_masks(dg, [(us, w), (u, ws)])
-    return not (need[(us, w)] | need[(u, ws)]) & (block[(us, w)] | block[(u, ws)])
-
-
-def _check_quadruple(p, q):
-    us, ws, u, w = _quadruple_indices(p, q)
-    if not _is_costable(p, q, rotation_digraph(p)):
-        raise InvalidInput("no stable matching contains both pairs of %r" % (q,))
-    return us, ws, u, w
-
-
-def _shift_in_front(lists, owner, mover, target):
-    """Move ``mover`` directly in front of ``target`` in owner's list."""
-    lst = list(lists[owner])
-    src = lst.index(mover)
-    dst = lst.index(target)
-    if src <= dst:
-        return lists
-    del lst[src]
-    lst.insert(dst, mover)
-    return lists[:owner] + (tuple(lst),) + lists[owner + 1 :]
-
-
-def swap_set(p, q):
-    """The swaps realizing q's threat and the two lists they produce.
-
-    Moving wStar directly in front of w in uStar's list takes one swap per
-    agent passed over (w included); likewise for uStar in wStar's list.
-    Raises InvalidInput when q is not a stable quadruple of p.
-    """
-    us, ws, u, w = _check_quadruple(p, q)
-    swaps = set()
-    for pos in range(p.rank_u_rows[us][w], p.rank_u_rows[us][ws]):
-        swaps.add(SwapOp(Agent.u(us), Agent.w(ws), Agent.w(p.u_lists[us][pos])))
-    for pos in range(p.rank_w_rows[ws][u], p.rank_w_rows[ws][us]):
-        swaps.add(SwapOp(Agent.w(ws), Agent.u(us), Agent.u(p.w_lists[ws][pos])))
-    u_lists = _shift_in_front(p.u_lists, us, ws, w)
-    w_lists = _shift_in_front(p.w_lists, ws, us, u)
-    return SwapSet(
-        swaps=frozenset(swaps),
-        shifted_list_u=u_lists[us],
-        shifted_list_w=w_lists[ws],
-    )
-
-
-def shifted_profile(p, q):
-    """Profile after applying swap_set(p, q); only two lists change."""
-    us, ws, u, w = _check_quadruple(p, q)
-    return replace(
-        p,
-        u_lists=_shift_in_front(p.u_lists, us, ws, w),
-        w_lists=_shift_in_front(p.w_lists, ws, us, u),
-    )
+from .errors import InvalidInput
+from .profile import Agent, Objective, _promote, blocking_pairs
+from .rotations import RotationWeights, matching_of, min_weight_closure, rotation_digraph
 
 
 def _gap_witness(p, m, ui, wj):
     """Cheapest profile in which (ui, wj) blocks m, by shifting each matched
     endpoint's list."""
-    u_lists = p.u_lists
-    w_lists = p.w_lists
-    if m.pu[ui] >= 0:
-        u_lists = _shift_in_front(u_lists, ui, wj, int(m.pu[ui]))
-    if m.pw[wj] >= 0:
-        w_lists = _shift_in_front(w_lists, wj, ui, int(m.pw[wj]))
+    u_lists, w_lists, ru, rw = p.u_lists, p.w_lists, p.rank_u_rows, p.rank_w_rows
+    pi, pj = int(m.pu[ui]), int(m.pw[wj])
+    if pi >= 0:
+        u_lists = _promote(u_lists, ui, wj, ru[ui][wj] - ru[ui][pi])
+    if pj >= 0:
+        w_lists = _promote(w_lists, wj, ui, rw[wj][ui] - rw[wj][pj])
     return replace(p, u_lists=u_lists, w_lists=w_lists)
 
 
@@ -354,6 +193,8 @@ def max_robustness(p, cap=None):
     """
     if cap is None:
         cap = max(p.n_u, p.n_w)
+    if cap < 0:
+        raise InvalidInput("cap must be nonnegative")
     exhaustion = sum(l * (l - 1) // 2 for l in map(len, p.u_lists)) + sum(
         l * (l - 1) // 2 for l in map(len, p.w_lists)
     )

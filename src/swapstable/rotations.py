@@ -109,18 +109,16 @@ class RotationDigraph:
     The index maps a pair to the unique rotation that changes it, as a
     rotation index:
     ``movesto[(u, w)]`` produces the pair (u's partner becomes w);
-    ``consumed[(u, w)]`` removes it (the pair is on that rotation's cycle);
     ``u_passed[(u, w)]`` takes u's partner from w or above to below w;
     ``crossed[(w, u)]`` lifts w's partner from below u to u or above.
     A pair sits in matching_of(S) iff it is in u_opt or its producer is
-    in S, and its consumer is not.
+    in S, and the rotation in ``u_passed`` for it is not.
     """
 
     rotations: tuple
     arcs: frozenset
     u_opt: Matching
     movesto: dict = field(compare=False, repr=False)
-    consumed: dict = field(compare=False, repr=False)
     u_passed: dict = field(compare=False, repr=False)
     crossed: dict = field(compare=False, repr=False)
 
@@ -215,7 +213,6 @@ def rotation_digraph(p):
                     pw[pu[k]] = k
                     at[k] += 1
     movesto = {}
-    consumed = {}
     crossed = {}
     for idx, rho in enumerate(rotations):
         cycle = rho.cycle
@@ -224,7 +221,6 @@ def rotation_digraph(p):
             w_new = cycle[(k + 1) % len(cycle)][1]
             u_prev = cycle[k - 1][0]
             _claim(movesto, (u, w_new), idx, "two rotations move u%d's partner to w%d")
-            consumed[(u, w)] = idx  # unique: u_passed holds the same key
             lst = p.w_lists[w]
             for pos in range(rw[w][u_prev], rw[w][u]):
                 _claim(crossed, (w, lst[pos]), idx, "two rotations cross w%d over u%d")
@@ -259,7 +255,6 @@ def rotation_digraph(p):
         arcs=frozenset(arcs),
         u_opt=m0,
         movesto=movesto,
-        consumed=consumed,
         u_passed=u_passed,
         crossed=crossed,
     )

@@ -241,19 +241,21 @@ def test_oracle_mirrors_agree_with_fast_engines(capsys, tmp_path):
         prof.write_text(serialize_profile(p))
         match = tmp_path / ("m%d.matching" % seed)
         match.write_text(serialize_matching(p, u_optimal(p)))
-        for what, extra in (("robust", []), ("local", []), ("global", [])):
-            base = [
-                "check", what, "--profile", str(prof), "--matching", str(match),
-                "--d", "1",
-            ] + extra
-            fast = run(capsys, *base)
-            slow = run(capsys, "oracle", *base)
-            assert fast[0] == slow[0]
-        base = [
-            "solve", "global-near", "--profile", str(prof), "--d", "1",
-            "--objective", "perfect",
-        ]
-        assert run(capsys, *base)[0] == run(capsys, "oracle", *base)[0]
+        # a negative budget is refused (exit 2) by engine and oracle alike
+        for d in ("1", "-1"):
+            for what in ("robust", "local", "global"):
+                base = [
+                    "check", what, "--profile", str(prof), "--matching", str(match),
+                    "--d", d,
+                ]
+                assert run(capsys, *base)[0] == run(capsys, "oracle", *base)[0]
+            for what, extra in (
+                ("robust", []),
+                ("global-near", ["--objective", "perfect"]),
+                ("local-near", ["--objective", "perfect"]),
+            ):
+                base = ["solve", what, "--profile", str(prof), "--d", d] + extra
+                assert run(capsys, *base)[0] == run(capsys, "oracle", *base)[0]
 
 
 def test_error_exits_and_messages(capsys, tmp_path, crown):

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from swapstable import (
-    Agent,
     InvalidInput,
     Objective,
-    StableQuadruple,
     blocking_pairs,
     closed_subsets,
     egalitarian_cost,
@@ -24,14 +22,17 @@ from swapstable import (
     matching_of,
     max_robustness,
     rotation_digraph,
-    shifted_profile,
-    stable_quadruples,
     swap_distance,
-    swap_set,
     u_optimal,
     validate_profile,
 )
-from swapstable.oracle import brute_is_d_robust, enumerate_stable_bf
+from swapstable.oracle import (
+    brute_global_cost,
+    brute_is_d_robust,
+    brute_is_locally_d_stable,
+    brute_solve_near,
+    enumerate_stable_bf,
+)
 from swapstable.robustness import _collect_constraints
 
 from helpers import profiles, random_profiles
@@ -67,68 +68,6 @@ def test_robustness_is_downward_closed():
             flags = [is_d_robust(p, m, d)[0] for d in range(5)]
             for lo, hi in itertools.pairwise(flags):
                 assert lo or not hi
-
-
-def brute_quadruples(p):
-    quads = set()
-    for m in enumerate_stable_bf(p):
-        for (us, w), (u, ws) in itertools.permutations(m.pairs, 2):
-            if p.rank_u[us, ws] >= p.len_u[us]:
-                continue  # no finite threat: swaps never change acceptability
-            quads.add(
-                StableQuadruple(
-                    u_star=Agent.u(us), w_star=Agent.w(ws), u=Agent.u(u), w=Agent.w(w)
-                )
-            )
-    return quads
-
-
-def test_stable_quadruples_match_costability_enumeration():
-    rng = random.Random(3)
-    nonempty = 0
-    for p in random_profiles(60, 4, 4, 0.9, seed_base=77):
-        want = brute_quadruples(p)
-        got = set(stable_quadruples(p))
-        assert got == want
-        if want:
-            nonempty += 1
-            cap = rng.randint(1, 4)
-            capped = set(stable_quadruples(p, max_swap_set_size=cap))
-            assert capped == {q for q in want if len(swap_set(p, q).swaps) <= cap}
-    assert nonempty > 20
-
-
-def test_swap_set_realizes_the_threat():
-    checked = 0
-    for p in random_profiles(40, 4, 4, 1.0, seed_base=500):
-        for q in itertools.islice(stable_quadruples(p), 6):
-            ss = swap_set(p, q)
-            shifted = shifted_profile(p, q)
-            assert swap_distance(p, shifted) == len(ss.swaps)
-            assert shifted.u_lists[q.u_star.index] == ss.shifted_list_u
-            assert shifted.w_lists[q.w_star.index] == ss.shifted_list_w
-            for m in enumerate_stable_bf(p):
-                if (q.u_star.index, q.w.index) in m.pairs and (
-                    q.u.index,
-                    q.w_star.index,
-                ) in m.pairs:
-                    assert (q.u_star, q.w_star) in blocking_pairs(shifted, m)
-            checked += 1
-    assert checked > 30
-
-
-def test_swap_set_rejects_non_quadruples():
-    p = gen_random(3, 3, 1.0, seed=2)
-    bogus = StableQuadruple(
-        u_star=Agent.u(0), w_star=Agent.w(0), u=Agent.u(1), w=Agent.w(1)
-    )
-    if bogus in set(stable_quadruples(p)):
-        bogus = StableQuadruple(
-            u_star=Agent.u(0), w_star=Agent.w(1), u=Agent.u(1), w=Agent.w(0)
-        )
-        assert bogus not in set(stable_quadruples(p))
-    with pytest.raises(InvalidInput):
-        swap_set(p, bogus)
 
 
 def test_solver_agrees_with_exhaustive_search():
@@ -256,3 +195,19 @@ def test_negative_budgets_rejected():
         find_d_robust(p, -1)
     with pytest.raises(InvalidInput):
         find_d_robust_optimal(p, -1, Objective.EGALITARIAN)
+    with pytest.raises(InvalidInput):
+        max_robustness(p, cap=-1)
+    # the brute-force mirrors refuse a negative budget as the engines do,
+    # rather than answering for the empty ball
+    with pytest.raises(InvalidInput):
+        brute_is_d_robust(p, m, -1)
+    with pytest.raises(InvalidInput):
+        brute_global_cost(p, m, max_d=-1)
+    with pytest.raises(InvalidInput):
+        brute_is_locally_d_stable(p, m, -1)
+    # no matching of a 3x2 profile is perfect: only the budget check refuses
+    lopsided = gen_random(3, 2, 1.0, seed=1)
+    for mode in ("global", "local"):
+        for q in (p, lopsided):
+            with pytest.raises(InvalidInput):
+                brute_solve_near(q, -1, mode, Objective.PERFECT)

@@ -132,9 +132,9 @@ def test_measured_weights_reproduce_egalitarian_deltas(p):
 
 
 def test_pair_index_matches_the_lattice():
-    # Every closed subset S is checked against the four per-pair maps the
+    # Every closed subset S is checked against the three per-pair maps the
     # digraph keeps, over every acceptable pair, so a missing entry fails
-    # as surely as a wrong one: producer and consumer decide each pair of
+    # as surely as a wrong one: movesto and u_passed decide each pair of
     # matching_of(S), and u_passed/crossed decide where partners sit.
     batch = random_profiles(100, 6, 6, 1.0, seed_base=500)
     batch += random_profiles(40, 5, 6, 0.6, seed_base=600)
@@ -152,7 +152,7 @@ def test_pair_index_matches_the_lattice():
             for u in range(p.n_u):
                 for w in p.u_lists[u]:
                     produced = (u, w) in m0.pairs or dg.movesto.get((u, w)) in s
-                    held = produced and dg.consumed.get((u, w)) not in s
+                    held = produced and dg.u_passed.get((u, w)) not in s
                     assert ((u, w) in m.pairs) == held
                     if m0.pu[u] >= 0:
                         # u's partner ranks below w: from the start, or
