@@ -56,6 +56,7 @@ from .profile import (
     Side,
     SwapOp,
     apply_swap,
+    blocking_indices,
     blocking_pairs,
     egalitarian_cost,
     is_perfect,

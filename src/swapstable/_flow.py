@@ -3,9 +3,14 @@
 Shared by the minimum-weight closure optimizer and the stabilization-cost
 cut model.  Nodes are arbitrary hashables, interned to ints; capacities are
 integers.  Arcs live in flat lists in pairs: arc ``e`` and its reverse
-``e ^ 1``.  ``max_flow`` alternates a BFS that levels the residual graph
-with a blocking flow found by an iterative DFS (an explicit path stack and
-current-arc pointers, so no recursion and no depth limit).
+``e ^ 1``.  ``max_flow`` alternates a BFS that labels each node with its
+residual distance to t (backwards from t over ``cap[e ^ 1]``, stopping once
+s is labelled) with a blocking flow found by an iterative DFS from s that
+steps only to nodes one closer to t (an explicit path stack and current-arc
+pointers, so no recursion and no depth limit).  Levelling from the sink
+keeps the DFS out of nodes that cannot reach t: in the stabilization-cost
+networks most nodes hang off the source and never reach the sink, and an
+s-levelled search entered each of them, to a dead end, in every phase.
 
 Both sides of the min cut are recoverable afterwards: the source side
 (residual reachability from s) and the sink side (reverse residual
@@ -61,16 +66,21 @@ class FlowNetwork:
         n = len(out)
         total = 0
         while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for x in queue:
-                lx = level[x] + 1
-                for e in out[x]:
-                    if cap[e] and level[to[e]] < 0:
-                        level[to[e]] = lx
-                        queue.append(to[e])
-            if level[t] < 0:
+            # dist[x]: residual arcs from x to t, -1 for nodes not reached
+            # before s; the arc x -> y is the reverse of y's out-arc e.
+            dist = [-1] * n
+            dist[t] = 0
+            queue = [t]
+            for y in queue:
+                dy = dist[y] + 1
+                for e in out[y]:
+                    x = to[e]
+                    if dist[x] < 0 and cap[e ^ 1]:
+                        dist[x] = dy
+                        queue.append(x)
+                if dist[s] >= 0:
+                    break
+            if dist[s] < 0:
                 return total
             current = [0] * n
             path = []
@@ -91,8 +101,8 @@ class FlowNetwork:
                     continue
                 arcs = out[x]
                 k = current[x]
-                lx = level[x] + 1
-                while k < len(arcs) and not (cap[arcs[k]] and level[to[arcs[k]]] == lx):
+                dx = dist[x] - 1
+                while k < len(arcs) and not (cap[arcs[k]] and dist[to[arcs[k]]] == dx):
                     k += 1
                 current[x] = k
                 if k < len(arcs):
@@ -100,7 +110,7 @@ class FlowNetwork:
                     x = to[arcs[k]]
                     continue
                 # dead end: no augmenting path passes x in this phase
-                level[x] = -1
+                dist[x] = -1
                 if not path:
                     break
                 x = to[path.pop() ^ 1]

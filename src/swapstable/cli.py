@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import Error, InvalidInput, ValidationError
 from .fileformat import parse_matching, parse_profile, serialize_profile
@@ -40,12 +41,9 @@ from .oracle import (
 )
 from .profile import (
     INFINITE,
-    Agent,
     AnalysisQuery,
     Objective,
-    Side,
-    SwapOp,
-    blocking_pairs,
+    blocking_indices,
     egalitarian_cost,
     is_perfect,
     is_stable,
@@ -61,8 +59,46 @@ def _read(path):
         return fh.read()
 
 
+def _encode(value, indent, out):
+    """Append value's JSON text, as json.dumps(value, indent=2) writes it
+    from that indent on, to out.  The standard library encodes with indent
+    only in pure Python; this does the same with fewer calls per value."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        # numbers, booleans and None; anything else raises TypeError
+        out.append(json.dumps(value))
+
+
 def _emit(report):
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    out = []
+    _encode(report, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _cost_json(value):
@@ -74,11 +110,12 @@ def _pairs_json(p, m):
 
 
 def _bps_json(p, m):
-    return [[p.u_names[u.index], p.w_names[w.index]] for u, w in blocking_pairs(p, m)]
+    return [[p.u_names[i], p.w_names[j]] for i, j in blocking_indices(p, m)]
 
 
 def _swap_sequence(p, q):
-    """Minimal adjacent-swap replay turning p into q, list by list.
+    """Minimal adjacent-swap replay turning p into q, list by list, as the
+    report's swap objects: {"agent": owner name, "pair": [name, name]}.
 
     Bubble sort against the target order emits exactly swap_distance(p, q)
     operations; applying them to p in file order reproduces q.  Only the span
@@ -89,46 +126,41 @@ def _swap_sequence(p, q):
     and the previous pass carried its largest entry to the end of the span,
     behind an ordered tail.  So an entry promoted k places costs O(k).
     """
-    ops = []
     plan = (
-        (Side.U, p.u_lists, q.u_lists, Agent.w),
-        (Side.W, p.w_lists, q.w_lists, Agent.u),
+        (p.u_names, p.w_names, p.u_lists, q.u_lists),
+        (p.w_names, p.u_names, p.w_lists, q.w_lists),
     )
-    for side, cur_lists, new_lists, wrap in plan:
+    for owners, names, cur_lists, new_lists in plan:
         for k, (cur, new) in enumerate(zip(cur_lists, new_lists)):
             if cur == new:
                 continue
             if set(cur) != set(new):
                 raise InvalidInput(
                     "no swap path: %s's acceptable set differs between the profiles"
-                    % p.name_of(Agent(side, k))
+                    % owners[k]
                 )
             a = next(t for t, (x, y) in enumerate(zip(cur, new)) if x != y)
             b = len(cur) - next(t for t, (x, y) in enumerate(zip(cur[::-1], new[::-1])) if x != y)
-            pos = {x: r for r, x in enumerate(new[a:b])}
-            lst = list(cur[a:b])
+            pos = {names[x]: r for r, x in enumerate(new[a:b])}
+            lst = [names[x] for x in cur[a:b]]
             lo, hi = 0, len(lst) - 1
             while lo < hi:
                 swapped = []
                 for t in range(lo, hi):
-                    if pos[lst[t]] > pos[lst[t + 1]]:
-                        ops.append(SwapOp(Agent(side, k), wrap(lst[t]), wrap(lst[t + 1])))
-                        lst[t], lst[t + 1] = lst[t + 1], lst[t]
+                    x, y = lst[t], lst[t + 1]
+                    if pos[x] > pos[y]:
+                        yield {"agent": owners[k], "pair": [x, y]}
+                        lst[t], lst[t + 1] = y, x
                         swapped.append(t)
                 if not swapped:
                     break
                 lo, hi = max(swapped[0] - 1, 0), swapped[-1]
-    return ops
 
 
 def _attach_witness(report, args, p, q):
     if q is None:
         return
-    swaps = []
-    for op in _swap_sequence(p, q):
-        own, other = (p.u_names, p.w_names) if op.owner.side == Side.U else (p.w_names, p.u_names)
-        swaps.append({"agent": own[op.owner.index], "pair": [other[op.x.index], other[op.y.index]]})
-    report["witness_swaps"] = swaps
+    report["witness_swaps"] = list(_swap_sequence(p, q))
     if args.verbose:
         report["witness_profile"] = serialize_profile(q)
 

@@ -40,7 +40,7 @@ from .profile import (
     SwapOp,
     _promote,
     apply_swap,
-    blocking_pairs,
+    blocking_indices,
     egalitarian_cost,
     is_perfect,
     is_stable,
@@ -92,8 +92,8 @@ def local_instability(p, m) -> Cost:
     list can settle a blocking pair for less than the rank gap.
     """
     worst = 0
-    for ua, wa in blocking_pairs(p, m):
-        cu, cw = _defuse_costs(p, m, ua.index, wa.index)
+    for i, j in blocking_indices(p, m):
+        cu, cw = _defuse_costs(p, m, i, j)
         worst = max(worst, min(cu, cw))
     return worst
 
@@ -109,24 +109,25 @@ def witness_profile_local(p, m, d_l) -> Profile:
     Each blocking pair is charged to its cheaper matched endpoint (ties
     go to the W side); each charged agent promotes its partner past its
     best-ranked charged blocker, which defuses all of them and introduces
-    no new blocking pairs.  Raises NotNearlyStable when d_l is too small.
+    no new blocking pairs.  Raises NotNearlyStable when d_l is too small,
+    that is below local_instability, which the same scan computes.
     """
-    if not is_locally_d_nearly_stable(p, m, d_l):
-        raise NotNearlyStable(
-            "matching has local instability %s, budget was %s"
-            % (local_instability(p, m), d_l)
-        )
+    worst = 0
     u_top = {}
     w_top = {}
-    for ua, wa in blocking_pairs(p, m):
-        i, j = ua.index, wa.index
+    for i, j in blocking_indices(p, m):
         cu, cw = _defuse_costs(p, m, i, j)
+        worst = max(worst, min(cu, cw))
         if cw <= cu:
             r = p.rank_w_rows[j][i]
             w_top[j] = min(w_top.get(j, r), r)
         else:
             r = p.rank_u_rows[i][j]
             u_top[i] = min(u_top.get(i, r), r)
+    if worst > d_l:
+        raise NotNearlyStable(
+            "matching has local instability %s, budget was %s" % (worst, d_l)
+        )
     u_lists = p.u_lists
     w_lists = p.w_lists
     for i, target in u_top.items():
@@ -159,8 +160,7 @@ def _stabilization_cut(p, m):
     needs = []
     u_levels = {}
     w_levels = {}
-    for ua, wa in blocking_pairs(p, m):
-        i, j = ua.index, wa.index
+    for i, j in blocking_indices(p, m):
         cu, cw = _defuse_costs(p, m, i, j)
         if cu is INFINITE and cw is INFINITE:
             return (INFINITE, None, None)

@@ -426,13 +426,18 @@ def swap_distance(p1: Profile, p2: Profile) -> Distance:
     """Total number of discordant adjacent pairs between the two profiles.
 
     Equals the minimum number of single swaps turning p1 into p2, summed
-    over all lists; INFINITE when any agent's acceptable set differs.
+    over all lists; INFINITE when any agent's acceptable set differs.  A
+    list the two profiles share as one object (a witness keeps every row it
+    does not promote) adds nothing and is not compared.
     """
+    if p1.n_u != p2.n_u or p1.n_w != p2.n_w:
+        raise UnknownAgent("profiles are over different agent sets")
     total = 0
-    for value in swap_distance_per_agent(p1, p2).values():
-        if value == INFINITE:
-            return INFINITE
-        total += value
+    for l1, l2 in zip(chain(p1.u_lists, p1.w_lists), chain(p2.u_lists, p2.w_lists)):
+        if l1 is not l2:
+            total += _list_distance(l1, l2)
+            if total == INFINITE:
+                return INFINITE
     return total
 
 
@@ -440,15 +445,20 @@ def _partner_arrays(p: Profile, m: Matching):
     return (p.rank_u, p.rank_w, p.len_u, p.len_w, m.pu, m.pw)
 
 
-def blocking_pairs(p: Profile, m: Matching) -> list:
+def blocking_indices(p: Profile, m: Matching) -> list:
     """All mutually acceptable unmatched pairs where both sides improve.
 
     An unmatched agent improves with any acceptable partner.  Pairs come
-    back sorted by (u index, w index).
+    back as (u index, w index) ints, sorted.
     """
     validate_matching(p, m)
     rows, cols = np.nonzero(_kernels.blocking_mask(*_partner_arrays(p, m)))
-    return [(Agent.u(i), Agent.w(j)) for i, j in zip(rows.tolist(), cols.tolist())]
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def blocking_pairs(p: Profile, m: Matching) -> list:
+    """blocking_indices as (Agent.u(i), Agent.w(j)) pairs."""
+    return [(Agent.u(i), Agent.w(j)) for i, j in blocking_indices(p, m)]
 
 
 def is_stable(p: Profile, m: Matching) -> bool:

@@ -1,5 +1,6 @@
 """Command-line interface: JSON reports, exit codes, witness replay."""
 
+import contextlib
 import io
 import json
 import os
@@ -35,7 +36,7 @@ from swapstable import (
     u_optimal,
     validate_profile,
 )
-from swapstable.cli import _build_parser, _swap_sequence, main
+from swapstable.cli import _build_parser, _emit, _swap_sequence, main
 
 
 def run(capsys, *argv):
@@ -435,10 +436,72 @@ def test_swap_sequence_sorts_only_the_changed_window(lists, w_side):
         p, q = validate_profile(others, [cur]), validate_profile(others, [new])
     else:
         p, q = validate_profile([cur], others), validate_profile([new], others)
-    ops = _swap_sequence(p, q)
+    ops = [
+        SwapOp(*map(p.agent_named, [s["agent"], *s["pair"]])) for s in _swap_sequence(p, q)
+    ]
     assert ops == _full_bubble_replay(p, q)
     replayed = p
     for op in ops:
         replayed = apply_swap(replayed, op)
     assert replayed == q
     assert len(ops) == swap_distance(p, q)
+
+
+_json_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "inf", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r", "é☃", "\U0001f600", "\ud800"]),
+)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _json_text),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_json_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_emit_writes_the_bytes_of_json_dumps_with_indent_2(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
+def test_every_command_prints_json_dumps_indent_2_bytes(capsys, tmp_path):
+    # quotes, backslashes and non-ASCII in every name the reports carry
+    base = gen_example2(3)
+    p = validate_profile(
+        base.u_lists, base.w_lists,
+        ['u"%s' % name for name in base.u_names],
+        ["w\\é%s" % name for name in base.w_names],
+    )
+    prof = tmp_path / "named.profile"
+    prof.write_text(serialize_profile(p), encoding="utf-8")
+    match = tmp_path / "rotated.matching"
+    match.write_text(serialize_matching(p, example2_rotated_matching(3)), encoding="utf-8")
+    check = ["--profile", str(prof), "--matching", str(match), "--d", "1"]
+    commands = [
+        ["check", "stable"] + check,
+        ["check", "robust"] + check,
+        ["check", "local"] + check,
+        ["check", "global"] + check,
+        ["check", "global", "--verbose"] + check,
+        ["solve", "robust", "--profile", str(prof), "--d", "0"],
+        ["solve", "global-near", "--profile", str(prof), "--d", "1",
+         "--objective", "egalitarian", "--eta", "4", "--verbose"],
+        ["solve", "local-near", "--profile", str(prof), "--d", "1", "--objective", "perfect"],
+        ["rotations", "--profile", str(prof)],
+        ["tradeoff", "--profile", str(prof), "--mode", "global", "--max-d", "1",
+         "--objective", "egalitarian"],
+    ]
+    swaps = 0
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        swaps += len(report.get("witness_swaps", []))
+    assert swaps > 0

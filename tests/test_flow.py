@@ -1,11 +1,15 @@
-"""Max-flow and both min-cut sides, refereed by enumerating every cut."""
+"""Max-flow and both min-cut sides, refereed by enumerating every cut of
+small graphs and by the cut capacities of larger ones."""
 
 import random
 import sys
 
 import pytest
 
+from swapstable import gen_random, global_stabilization_cost, nearstable
 from swapstable._flow import FlowNetwork
+
+from helpers import random_matching
 
 
 def random_graph(rng):
@@ -81,3 +85,67 @@ def test_long_path_is_not_bounded_by_recursion_limit():
     assert net.max_flow("s", "t") == 7
     assert net.source_side("s") == {"s"} | set(range(n // 2 + 1))
     assert net.sink_side("t") == {"t"} | set(range(n // 2 + 1, n))
+
+
+def check_cut_sides(arcs):
+    """Flow and both cut sides, with the arcs added in order and reversed.
+
+    The flow must equal the original capacity of (source side, rest) and of
+    (rest, sink side), the sides must be disjoint, and neither the flow nor
+    the sides may depend on the order the arcs were added in.
+    """
+    results = []
+    for order in (arcs, arcs[::-1]):
+        net = FlowNetwork()
+        for a, b, c in order:
+            net.add_edge(a, b, c)
+        value = net.max_flow("s", "t")
+        source, sink = net.source_side("s"), net.sink_side("t")
+        assert not source & sink
+        assert value == sum(c for a, b, c in arcs if a in source and b not in source)
+        assert value == sum(c for a, b, c in arcs if a not in sink and b in sink)
+        results.append((value, source, sink))
+    assert results[0] == results[1]
+    return results[0][0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cut_sides_on_random_graphs_of_200_nodes(seed):
+    rng = random.Random(9200 + seed)
+    nodes = list(range(200))
+    arcs = [("s", b, rng.randint(1, 30)) for b in rng.sample(nodes, 25)]
+    arcs += [(a, "t", rng.randint(1, 30)) for a in rng.sample(nodes, 25)]
+    for _ in range(900):
+        a, b = rng.sample(nodes, 2)
+        arcs.append((a, b, rng.choice([0, 1, 2, 5, 10, 40])))
+    assert check_cut_sides(arcs) > 0
+
+
+class RecordingNetwork(FlowNetwork):
+    """A FlowNetwork that keeps its add_edge calls in a shared list."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+        RecordingNetwork.made.append(self.calls)
+
+    def add_edge(self, a, b, capacity):
+        self.calls.append((a, b, capacity))
+        super().add_edge(a, b, capacity)
+
+
+def test_cut_sides_on_stabilization_networks(monkeypatch):
+    monkeypatch.setattr(nearstable, "FlowNetwork", RecordingNetwork)
+    monkeypatch.setattr(RecordingNetwork, "made", [])
+    rng = random.Random(9300)
+    costs = []
+    for k, n in enumerate(range(30, 61, 3)):
+        p = gen_random(n, n, 1.0 if k % 2 else 0.5, seed=9300 + k)
+        cost, _ = global_stabilization_cost(p, random_matching(p, rng, skip_chance=0.0))
+        costs.append(cost)
+    assert len(RecordingNetwork.made) == len(costs)
+    for arcs, cost in zip(RecordingNetwork.made, costs):
+        assert check_cut_sides(arcs) == cost
+    assert min(costs) > 0

@@ -107,7 +107,8 @@ def test_local_witness_stays_within_budget():
             assert list_inversions(old, new) <= bound
         produced += 1
         if bound > 0:
-            with pytest.raises(NotNearlyStable):
+            message = "matching has local instability %d, budget was %d" % (bound, bound - 1)
+            with pytest.raises(NotNearlyStable, match="^%s$" % message):
                 witness_profile_local(p, m, bound - 1)
     assert produced > 30
 

@@ -17,6 +17,7 @@ from swapstable import (
     Matching,
     NonAdjacentSwap,
     Objective,
+    Profile,
     Side,
     SwapOp,
     UnknownAgent,
@@ -25,6 +26,7 @@ from swapstable import (
     blocking_pairs,
     egalitarian_cost,
     gen_random,
+    global_stabilization_cost,
     is_perfect,
     is_stable,
     parse_profile,
@@ -34,7 +36,7 @@ from swapstable import (
     validate_matching,
     validate_profile,
 )
-from swapstable.profile import asymmetries
+from swapstable.profile import asymmetries, blocking_indices
 
 from helpers import profiles, random_matching, make_rng
 
@@ -229,6 +231,53 @@ def test_swap_distance_matches_pairwise_inversion_count(p, pyrng):
     assert swap_distance(p, q) == want
     assert swap_distance(q, p) == want
     assert swap_distance(p, p) == 0
+
+
+def test_swap_distance_sums_the_per_agent_distances():
+    # Rows a witness does not promote are p's own tuples; swap_distance
+    # skips them, and must still agree with the per-agent table.
+    rng = make_rng(5150)
+    shared = infinite = 0
+    for k in range(60):
+        n = 2 + k % 9
+        p = gen_random(n, n, 1.0 if k % 2 else 0.6, seed=9400 + k)
+        m = random_matching(p, rng)
+        cost, witness = global_stabilization_cost(p, m)
+        lists = [list(p.u_lists), list(p.w_lists)]
+        for side in lists:
+            for r in rng.sample(range(n), rng.randint(0, n)):
+                row = list(side[r])
+                rng.shuffle(row)
+                side[r] = tuple(row)
+        q = Profile(tuple(lists[0]), tuple(lists[1]), p.u_names, p.w_names)
+        cases = [q] if witness is None else [q, witness]
+        if p.u_lists[0]:
+            # drop u_1's last entry: that acceptable set differs
+            cases.append(Profile((p.u_lists[0][:-1],) + p.u_lists[1:], p.w_lists, p.u_names, p.w_names))
+        for other in cases:
+            want = sum(swap_distance_per_agent(p, other).values())
+            assert swap_distance(p, other) == want
+            assert swap_distance(other, p) == want
+            shared += any(a is b for a, b in zip(p.u_lists + p.w_lists, other.u_lists + other.w_lists))
+            infinite += want == INFINITE
+        if witness is not None:
+            assert swap_distance(p, witness) == cost
+    assert shared > 50 and infinite > 20
+    p = gen_random(3, 3, 1.0, seed=1)
+    for other in (gen_random(3, 4, 1.0, seed=1), gen_random(4, 3, 1.0, seed=1)):
+        with pytest.raises(UnknownAgent):
+            swap_distance(p, other)
+        with pytest.raises(UnknownAgent):
+            swap_distance_per_agent(p, other)
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles(max_side=4), st.integers(0, 2**30))
+def test_blocking_indices_are_the_blocking_pairs_as_ints(p, seed):
+    m = random_matching(p, make_rng(seed))
+    got = blocking_indices(p, m)
+    assert got == [(u.index, w.index) for u, w in blocking_pairs(p, m)]
+    assert all(type(i) is int and type(j) is int for i, j in got)
 
 
 @settings(max_examples=80, deadline=None)

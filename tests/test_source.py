@@ -143,3 +143,21 @@ def test_no_scalar_reads_of_rank_matrices():
                 if _is_scalar_read(node, aliases)
             ]
     assert found == []
+
+
+def test_no_indented_json_dumps_in_the_package():
+    # json.dumps with indent runs the standard library's pure-Python
+    # encoder; reports go through cli._emit's encoder, the one path that
+    # writes indented JSON.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dumps", "dump")
+            and any(k.arg == "indent" for k in node.keywords)
+        ]
+    assert found == []
