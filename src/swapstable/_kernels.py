@@ -1,55 +1,59 @@
-"""Hot inner loops, vectorized with numpy.
+"""Plain scans of the rank tables behind is_stable, blocking_indices and
+egalitarian_cost, and the inversion count behind swap distances.
 
-All kernels take plain int64 ndarrays: ``rank_u`` is an (nU, nW) matrix
-with ``rank_u[i, j]`` the 0-based position of w_j in u_i's list
-(``len_u[i]`` when unacceptable), ``pu``/``pw`` are partner index vectors
-with -1 for unmatched.
+The module and its names stay because the benchmark reports its
+``kernels.*`` per-layer metrics from them, as it reports
+``profile.rank_matrices`` from the builds of ``Profile.rank_u``/``rank_w``.
 """
 
-import numpy as np
+from bisect import bisect_right, insort
 
 
-def _current_ranks(rank_u, len_u, pu):
-    # rank of the current partner, list length when unmatched; an agent
-    # improves with j exactly when rank_u[i, j] < this value, which also
-    # folds in acceptability because unacceptable ranks equal the length
-    out = len_u.copy()
-    matched = pu >= 0
-    out[matched] = rank_u[np.nonzero(matched)[0], pu[matched]]
+def _current_ranks(rank, lists, partners):
+    # each agent's partner rank, its list length when unmatched (-1)
+    return [row[k] if k >= 0 else len(lst) for row, lst, k in zip(rank, lists, partners)]
+
+
+def _above_partners(p, m):
+    """Each W agent's partner rank, and lazily each U agent's list cut
+    where its partner stands: the W agents it would rather have."""
+    cur_u = _current_ranks(p.rank_u, p.u_lists, m.pu)
+    cur_w = _current_ranks(p.rank_w, p.w_lists, m.pw)
+    return cur_w, (lst[:c] for lst, c in zip(p.u_lists, cur_u))
+
+
+def blocking_mask(p, m):
+    """Every blocking pair as (u index, w index), sorted."""
+    rw = p.rank_w
+    cur_w, above = _above_partners(p, m)
+    out = []
+    for i, lst in enumerate(above):
+        out += [(i, j) for j in sorted(lst) if rw[j][i] < cur_w[j]]
     return out
 
 
-def blocking_mask(rank_u, rank_w, len_u, len_w, pu, pw):
-    cur_u = _current_ranks(rank_u, len_u, pu)
-    cur_w = _current_ranks(rank_w, len_w, pw)
-    return (rank_u < cur_u[:, None]) & (rank_w < cur_w[:, None]).T
+def first_blocking(p, m):
+    """The first blocking pair by U index, then list order; None if stable."""
+    rw = p.rank_w
+    cur_w, above = _above_partners(p, m)
+    return next(((i, j) for i, lst in enumerate(above) for j in lst if rw[j][i] < cur_w[j]), None)
 
 
-def first_blocking(rank_u, rank_w, len_u, len_w, pu, pw):
-    mask = blocking_mask(rank_u, rank_w, len_u, len_w, pu, pw)
-    hits = np.argwhere(mask)
-    if hits.size == 0:
-        return (-1, -1)
-    return (int(hits[0, 0]), int(hits[0, 1]))
+def egal_cost(p, m):
+    cur_u = _current_ranks(p.rank_u, p.u_lists, m.pu)
+    return sum(cur_u) + sum(_current_ranks(p.rank_w, p.w_lists, m.pw))
 
 
-def egal_cost(rank_u, rank_w, len_u, len_w, pu, pw):
-    cu = _current_ranks(rank_u, len_u, pu)
-    cw = _current_ranks(rank_w, len_w, pw)
-    return int(cu.sum() + cw.sum())
-
-
-def count_inversions(arr):
-    if arr.shape[0] < 2:
-        return 0
-    more = arr[:, None] > arr[None, :]
-    return int(np.triu(more, 1).sum())
+def count_inversions(seq):
+    """Pairs a < b with seq[a] > seq[b], each value counted against the
+    sorted list of those before it: O(L log L) compares, O(L^2) C moves."""
+    seen, total = [], 0
+    for k, x in enumerate(seq):
+        total += k - bisect_right(seen, x)
+        insort(seen, x)
+    return total
 
 
 def backend():
-    """Name of the kernel implementation, always ``"numpy"``.
-
-    There is one implementation; the function stays because
-    ``perfbench/worker.py`` writes its value into every result file.
-    """
-    return "numpy"
+    """Always ``"python"``; ``perfbench/worker.py`` writes it into result files."""
+    return "python"

@@ -50,13 +50,13 @@ def u_optimal(p):
     """
     # deferred acceptance never matches an agent twice, so the pairs need
     # none of Matching.from_pairs' checks
-    pairs = _propose(p.n_u, p.n_w, p.u_lists, p.rank_w_rows)
+    pairs = _propose(p.n_u, p.n_w, p.u_lists, p.rank_w)
     return Matching(p.n_u, p.n_w, frozenset(pairs))
 
 
 def w_optimal(p):
     """Stable matching where every W-agent does weakly best."""
-    pairs = _propose(p.n_w, p.n_u, p.w_lists, p.rank_u_rows)
+    pairs = _propose(p.n_w, p.n_u, p.w_lists, p.rank_u)
     return Matching(p.n_u, p.n_w, frozenset((i, j) for j, i in pairs))
 
 

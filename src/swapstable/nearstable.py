@@ -76,9 +76,9 @@ def _defuse_costs(p, m, i, j):
     The cost at an endpoint is the forward shift of its current partner
     past the blocker; INFINITE when the endpoint is unmatched.
     """
-    pi, pj = int(m.pu[i]), int(m.pw[j])
-    cu = INFINITE if pi < 0 else p.rank_u_rows[i][pi] - p.rank_u_rows[i][j]
-    cw = INFINITE if pj < 0 else p.rank_w_rows[j][pj] - p.rank_w_rows[j][i]
+    pi, pj = m.pu[i], m.pw[j]
+    cu = INFINITE if pi < 0 else p.rank_u[i][pi] - p.rank_u[i][j]
+    cw = INFINITE if pj < 0 else p.rank_w[j][pj] - p.rank_w[j][i]
     return cu, cw
 
 
@@ -119,10 +119,10 @@ def witness_profile_local(p, m, d_l) -> Profile:
         cu, cw = _defuse_costs(p, m, i, j)
         worst = max(worst, min(cu, cw))
         if cw <= cu:
-            r = p.rank_w_rows[j][i]
+            r = p.rank_w[j][i]
             w_top[j] = min(w_top.get(j, r), r)
         else:
-            r = p.rank_u_rows[i][j]
+            r = p.rank_u[i][j]
             u_top[i] = min(u_top.get(i, r), r)
     if worst > d_l:
         raise NotNearlyStable(
@@ -131,11 +131,11 @@ def witness_profile_local(p, m, d_l) -> Profile:
     u_lists = p.u_lists
     w_lists = p.w_lists
     for i, target in u_top.items():
-        partner = int(m.pu[i])
-        u_lists = _promote(u_lists, i, partner, p.rank_u_rows[i][partner] - target)
+        partner = m.pu[i]
+        u_lists = _promote(u_lists, i, partner, p.rank_u[i][partner] - target)
     for j, target in w_top.items():
-        partner = int(m.pw[j])
-        w_lists = _promote(w_lists, j, partner, p.rank_w_rows[j][partner] - target)
+        partner = m.pw[j]
+        w_lists = _promote(w_lists, j, partner, p.rank_w[j][partner] - target)
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
     verify(is_stable(q, m), "local witness makes the matching stable")
     return q
@@ -236,9 +236,9 @@ def global_stabilization_cost(p, m):
         return (0, p)
     u_lists, w_lists = p.u_lists, p.w_lists
     for i, steps in u_steps.items():
-        u_lists = _promote(u_lists, i, int(m.pu[i]), steps)
+        u_lists = _promote(u_lists, i, m.pu[i], steps)
     for j, steps in w_steps.items():
-        w_lists = _promote(w_lists, j, int(m.pw[j]), steps)
+        w_lists = _promote(w_lists, j, m.pw[j], steps)
     q = Profile(u_lists, w_lists, p.u_names, p.w_names)
     verify(is_stable(q, m), "global witness makes the matching stable")
     verify(swap_distance(p, q) == cost, "global witness lies at the cut distance")
@@ -294,7 +294,7 @@ def _prospects(p):
     are decided, w_j's least rank_w over u_i, u_{i+1}, ... in its list;
     INFINITE when none of them lists w_j.
     """
-    rw = p.rank_w_rows
+    rw = p.rank_w
     prospects = [[INFINITE] * p.n_w]
     for i in range(p.n_u - 1, -1, -1):
         row = list(prospects[-1])
@@ -307,7 +307,7 @@ def _prospects(p):
 def _cheap_partners(p):
     """Per U agent: (its list length, the (rank_u + rank_w, w index) of
     each partner that costs less than that, cheapest first)."""
-    ru, rw = p.rank_u_rows, p.rank_w_rows
+    ru, rw = p.rank_u, p.rank_w
     out = []
     for i, lst in enumerate(p.u_lists):
         pairs = sorted((ru[i][j] + rw[j][i], j) for j in lst)
@@ -355,14 +355,14 @@ def _prefix_conflict(p, pu, pw, depth, d, prospects, additive=False):
     not yet counted) is a lower bound on the global cost of every
     completion, and a branch whose sum passes d is dropped.
     """
-    rw = p.rank_w_rows
+    rw = p.rank_w
     hope = prospects[depth]
     total = 0
     counted = set()
     for k in range(depth):
         pk = pu[k]
         lst = p.u_lists[k]
-        limit = len(lst) if pk < 0 else p.rank_u_rows[k][pk]
+        limit = len(lst) if pk < 0 else p.rank_u[k][pk]
         dearest, dearest_w = 0, None
         for pos in range(limit):
             j = lst[pos]
@@ -473,7 +473,7 @@ def _search(p, d, objective, eta, instability, least=None, additive=False):
             if j >= 0:
                 pu[i] = j
                 pw[j] = i
-                step = p.rank_u_rows[i][j] + p.rank_w_rows[j][i]
+                step = p.rank_u[i][j] + p.rank_w[j][i]
             else:
                 step = len(p.u_lists[i])
             if bounded:
@@ -555,14 +555,14 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
     if is_stable(p2, m1):
         return m1
     o = s.owner
-    ru, rw = p2.rank_u_rows, p2.rank_w_rows
+    ru, rw = p2.rank_u, p2.rank_w
     ranks = (ru if o.side == Side.U else rw)[o.index]
     promoted = s.x if ranks[s.x.index] < ranks[s.y.index] else s.y
     if o.side == Side.U:
         i0, j0 = o.index, promoted.index
     else:
         i0, j0 = promoted.index, o.index
-    pu, pw = m1.pu.tolist(), m1.pw.tolist()
+    pu, pw = list(m1.pu), list(m1.pw)
     box_u = None
     box_w = None
     if pu[i0] >= 0:

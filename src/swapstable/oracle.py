@@ -232,11 +232,9 @@ def brute_is_locally_d_stable(p, m, d):
         raise InvalidInput("d must be nonnegative")
     ru, cnt_u = _variant_rank_rows(p.u_lists, p.n_w, d)
     rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, d)
-    return bool(
-        stabilizable_product(
-            ru, rw, p.len_u, p.len_w, cnt_u, cnt_w, m.pu, m.pw
-        )
-    )
+    len_u = [len(lst) for lst in p.u_lists]
+    len_w = [len(lst) for lst in p.w_lists]
+    return bool(stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, m.pu, m.pw))
 
 
 def _objective_ok(p, m, objective, eta):

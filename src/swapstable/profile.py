@@ -75,8 +75,9 @@ class SwapOp(NamedTuple):
 class Profile:
     """Immutable preference profile; lists hold opposite-side indices.
 
-    The rank matrices feed the vector kernels; loops that read single ranks
-    use the row lists, as a list read costs a quarter of a numpy scalar read.
+    ``rank_u``/``rank_w`` are the one rank table per side, built on first
+    use.  Every engine reads single ranks from them, and the scans in
+    ``_kernels`` walk them.
     """
 
     u_lists: tuple
@@ -93,33 +94,16 @@ class Profile:
         return len(self.w_lists)
 
     @cached_property
-    def rank_u(self) -> np.ndarray:
-        """(n_u, n_w) int64; rank_u[i, j] = position of w_j, len when unlisted."""
-        return _rank_matrix(self.u_lists, self.n_w)
+    def rank_u(self) -> list:
+        """rank_u[i][j] = position of w_j in u_i's list, its length when unlisted.
 
-    @cached_property
-    def rank_w(self) -> np.ndarray:
-        return _rank_matrix(self.w_lists, self.n_u)
-
-    @cached_property
-    def rank_u_rows(self) -> list:
-        """rank_u as lists of ints, one shared object per value: 8 bytes an entry.
-
-        Built a row at a time, so the build peaks near what the table keeps.
+        Lists of the shared ints 0..n_w, so 8 bytes an entry.
         """
-        return _shared_rows(self.rank_u, self.n_w)
+        return _rank_table(self.u_lists, self.n_w)
 
     @cached_property
-    def rank_w_rows(self) -> list:
-        return _shared_rows(self.rank_w, self.n_u)
-
-    @cached_property
-    def len_u(self) -> np.ndarray:
-        return np.array([len(lst) for lst in self.u_lists], dtype=np.int64)
-
-    @cached_property
-    def len_w(self) -> np.ndarray:
-        return np.array([len(lst) for lst in self.w_lists], dtype=np.int64)
+    def rank_w(self) -> list:
+        return _rank_table(self.w_lists, self.n_u)
 
     @cached_property
     def _by_name(self) -> dict:
@@ -168,6 +152,8 @@ class Matching:
         seen_u, seen_w = set(), set()
         norm = set()
         for i, j in pairs:
+            if not (0 <= i < n_u and 0 <= j < n_w):
+                raise InvalidMatching("pair (%d, %d) out of range" % (i, j))
             if i in seen_u:
                 raise InvalidMatching("u index %d matched twice" % i)
             if j in seen_w:
@@ -182,26 +168,28 @@ class Matching:
         return cls(n_u=n_u, n_w=n_w, pairs=frozenset())
 
     @cached_property
-    def pu(self) -> np.ndarray:
+    def pu(self) -> tuple:
         """Partner index per U agent, -1 when unmatched."""
-        arr = np.full(self.n_u, -1, dtype=np.int64)
+        out = [-1] * self.n_u
         for i, j in self.pairs:
-            arr[i] = j
-        return arr
+            out[i] = j
+        return tuple(out)
 
     @cached_property
-    def pw(self) -> np.ndarray:
-        arr = np.full(self.n_w, -1, dtype=np.int64)
+    def pw(self) -> tuple:
+        out = [-1] * self.n_w
         for i, j in self.pairs:
-            arr[j] = i
-        return arr
+            out[j] = i
+        return tuple(out)
 
     def partner_of(self, agent: Agent) -> Optional[Agent]:
-        if agent.side == Side.U:
-            j = int(self.pu[agent.index])
-            return Agent.w(j) if j >= 0 else None
-        i = int(self.pw[agent.index])
-        return Agent.u(i) if i >= 0 else None
+        partners = self.pu if agent.side == Side.U else self.pw
+        if not 0 <= agent.index < len(partners):
+            raise UnknownAgent("no agent %r" % (agent,))
+        k = partners[agent.index]
+        if k < 0:
+            return None
+        return Agent.w(k) if agent.side == Side.U else Agent.u(k)
 
     def sorted_pairs(self) -> list:
         return sorted(self.pairs)
@@ -229,18 +217,17 @@ def _flatten(lists):
     return lengths, np.repeat(np.arange(len(lists)), lengths), flat
 
 
-def _shared_rows(matrix, n_other):
-    """matrix as lists whose entries are the shared ints 0..n_other."""
-    objs = np.array(range(n_other + 1), dtype=object)
-    return [objs[row].tolist() for row in matrix]
+def _rank_table(lists, n_other):
+    """Each entry's position in its list, the list's length where unlisted.
 
-
-def _rank_matrix(lists, n_other):
-    """Each entry's position in its list; the list's length where unlisted."""
+    Computed as one int64 matrix, which is not kept: its rows become lists
+    of the shared ints 0..n_other, one row at a time.
+    """
     lengths, rows, flat = _flatten(lists)
     m = np.repeat(lengths, n_other).reshape(len(lists), n_other)
     m[rows, flat] = np.arange(len(flat)) - (np.cumsum(lengths) - lengths)[rows]
-    return m
+    objs = np.array(range(n_other + 1), dtype=object)
+    return [objs[row].tolist() for row in m]
 
 
 def asymmetries(u_lists, w_lists):
@@ -249,7 +236,7 @@ def asymmetries(u_lists, w_lists):
     First (Side.U, i, j) for every j in u_lists[i] whose list lacks i, then
     (Side.W, j, i) likewise.  One byte per (i, j) slot records which sides
     list the pair: the lists are flattened once and no list is searched, and
-    the table is smaller than the rank matrices every engine builds.
+    the table is an eighth the size of one side's rank table.
     """
     n_w = len(w_lists)
     _, u_rows, u_flat = _flatten(u_lists)
@@ -338,7 +325,8 @@ def validate_matching(p: Profile, m: Matching) -> None:
     for i, j in m.pairs:
         if not 0 <= i < p.n_u or not 0 <= j < p.n_w:
             raise InvalidMatching("pair (%d, %d) out of range" % (i, j))
-        if j not in p.u_lists[i]:
+        # one read of the W table, which deferred acceptance builds anyway
+        if p.rank_w[j][i] == len(p.w_lists[j]):
             raise InvalidMatching(
                 "%s and %s are not mutually acceptable"
                 % (p.u_names[i], p.w_names[j])
@@ -352,10 +340,10 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
     if x.side == Side.U:
         if not (0 <= x.index < p.n_u and 0 <= y.index < p.n_w):
             raise UnknownAgent("agent out of range")
-        return p.rank_u_rows[x.index][y.index]
+        return p.rank_u[x.index][y.index]
     if not (0 <= x.index < p.n_w and 0 <= y.index < p.n_u):
         raise UnknownAgent("agent out of range")
-    return p.rank_w_rows[x.index][y.index]
+    return p.rank_w[x.index][y.index]
 
 
 def _promote(lists, owner, member, steps):
@@ -406,8 +394,7 @@ def _list_distance(l1: tuple, l2: tuple) -> Distance:
     if set(l1) != set(l2):
         return INFINITE
     pos = {y: k for k, y in enumerate(l1)}
-    seq = np.array([pos[y] for y in l2], dtype=np.int64)
-    return int(_kernels.count_inversions(seq))
+    return _kernels.count_inversions([pos[y] for y in l2])
 
 
 def swap_distance_per_agent(p1: Profile, p2: Profile) -> dict:
@@ -441,10 +428,6 @@ def swap_distance(p1: Profile, p2: Profile) -> Distance:
     return total
 
 
-def _partner_arrays(p: Profile, m: Matching):
-    return (p.rank_u, p.rank_w, p.len_u, p.len_w, m.pu, m.pw)
-
-
 def blocking_indices(p: Profile, m: Matching) -> list:
     """All mutually acceptable unmatched pairs where both sides improve.
 
@@ -452,8 +435,7 @@ def blocking_indices(p: Profile, m: Matching) -> list:
     back as (u index, w index) ints, sorted.
     """
     validate_matching(p, m)
-    rows, cols = np.nonzero(_kernels.blocking_mask(*_partner_arrays(p, m)))
-    return list(zip(rows.tolist(), cols.tolist()))
+    return _kernels.blocking_mask(p, m)
 
 
 def blocking_pairs(p: Profile, m: Matching) -> list:
@@ -463,14 +445,13 @@ def blocking_pairs(p: Profile, m: Matching) -> list:
 
 def is_stable(p: Profile, m: Matching) -> bool:
     validate_matching(p, m)
-    i, _ = _kernels.first_blocking(*_partner_arrays(p, m))
-    return i < 0
+    return _kernels.first_blocking(p, m) is None
 
 
 def egalitarian_cost(p: Profile, m: Matching) -> int:
     """Sum of partner ranks; unmatched agents count their full list length."""
     validate_matching(p, m)
-    return int(_kernels.egal_cost(*_partner_arrays(p, m)))
+    return _kernels.egal_cost(p, m)
 
 
 def is_perfect(p: Profile, m: Matching) -> bool:

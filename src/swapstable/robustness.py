@@ -25,8 +25,8 @@ from .rotations import RotationWeights, matching_of, min_weight_closure, rotatio
 def _gap_witness(p, m, ui, wj):
     """Cheapest profile in which (ui, wj) blocks m, by shifting each matched
     endpoint's list."""
-    u_lists, w_lists, ru, rw = p.u_lists, p.w_lists, p.rank_u_rows, p.rank_w_rows
-    pi, pj = int(m.pu[ui]), int(m.pw[wj])
+    u_lists, w_lists, ru, rw = p.u_lists, p.w_lists, p.rank_u, p.rank_w
+    pi, pj = m.pu[ui], m.pw[wj]
     if pi >= 0:
         u_lists = _promote(u_lists, ui, wj, ru[ui][wj] - ru[ui][pi])
     if pj >= 0:
@@ -49,7 +49,7 @@ def is_d_robust(p, m, d):
     bp = blocking_pairs(p, m)
     if bp:
         return False, (p, bp[0])
-    pu, pw, ru, rw = m.pu.tolist(), m.pw.tolist(), p.rank_u_rows, p.rank_w_rows
+    pu, pw, ru, rw = m.pu, m.pw, p.rank_u, p.rank_w
     for ui in range(p.n_u):
         for pos, wj in enumerate(p.u_lists[ui]):
             if pu[ui] == wj:
@@ -80,7 +80,7 @@ def _threats(p, dg, d):
     and ``shield`` has not; one (live, shield) per way of splitting d
     between the two sides' rank gaps (see is_d_robust).
     """
-    ru, rw = p.rank_u_rows, p.rank_w_rows
+    ru, rw = p.rank_u, p.rank_w
     # rank of each U-optimal partner; an agent unmatched there is unmatched
     # in every stable matching, which ranks below its whole list
     rank_u0 = [len(lst) for lst in p.u_lists]

@@ -44,7 +44,7 @@ class Rotation:
 def _successor_at(p, pw, i, pos):
     """Position of u_i's successor in its list, scanning from ``pos``, or -1."""
     lst = p.u_lists[i]
-    rank = p.rank_w_rows
+    rank = p.rank_w
     for pos in range(pos, len(lst)):
         j = lst[pos]
         if pw[j] < 0:
@@ -68,7 +68,7 @@ def successor(p, m, u):
     i = u.index
     if m.pu[i] < 0:
         raise NoSuccessorDefined("%s is unmatched" % p.name_of(u))
-    pos = _successor_at(p, m.pw.tolist(), i, p.rank_u_rows[i][m.pu[i]] + 1)
+    pos = _successor_at(p, m.pw, i, p.rank_u[i][m.pu[i]] + 1)
     return Agent.w(p.u_lists[i][pos]) if pos >= 0 else None
 
 
@@ -79,7 +79,7 @@ def exposed_rotations(p, m):
     if not is_stable(p, m):
         raise InvalidInput("exposed_rotations needs a stable matching")
     dg = rotation_digraph(p)
-    rank, pu = p.rank_u_rows, m.pu.tolist()
+    rank, pu = p.rank_u, m.pu
     done = [rank[u][pu[u]] > rank[u][w] for u, w in (r.cycle[0] for r in dg.rotations)]
     exposed = [
         r for i, r in enumerate(dg.rotations) if not done[i] and all(done[a] for a in dg.preds[i])
@@ -180,9 +180,8 @@ def rotation_digraph(p):
     side) is never a stable pair.
     """
     m0 = u_optimal(p)
-    ru, rw = p.rank_u_rows, p.rank_w_rows
-    pu = m0.pu.tolist()  # Python lists: the scans below index them one by one
-    pw = m0.pw.tolist()
+    ru, rw = p.rank_u, p.rank_w
+    pu, pw = list(m0.pu), list(m0.pw)  # the walk below moves partners
     at = [ru[i][w] + 1 if w >= 0 else 0 for i, w in enumerate(pu)]
     final = [w < 0 for w in pu]
     place = [-1] * p.n_u  # position on the current path, or -1
@@ -226,7 +225,7 @@ def rotation_digraph(p):
                 _claim(crossed, (w, lst[pos]), idx, "two rotations cross w%d over u%d")
     u_passed = {}
     arcs = set()
-    pw0 = m0.pw.tolist()
+    pw0 = m0.pw
     for idx, rho in enumerate(rotations):
         for u, w_old, w_new in rho.moves():
             producer = movesto.get((u, w_old))
@@ -320,8 +319,8 @@ class RotationWeights:
     @classmethod
     def measured(cls, dg, p):
         # u moves from partner a to b and b trades its partner for u; summed
-        # over the cycle, each move adds rank_w[b, u] - rank_w[a, u]
-        ru, rw = p.rank_u_rows, p.rank_w_rows
+        # over the cycle, each move adds rank_w[b][u] - rank_w[a][u]
+        ru, rw = p.rank_u, p.rank_w
         return cls(
             delta=tuple(
                 sum(ru[u][b] - ru[u][a] + rw[b][u] - rw[a][u] for u, a, b in rho.moves())

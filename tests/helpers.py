@@ -41,6 +41,32 @@ def random_matching(p, rng, skip_chance=0.2):
     return Matching.from_pairs(p.n_u, p.n_w, pairs)
 
 
+def blocking_by_definition(p, m):
+    """Blocking pairs of m, sorted, from list positions: u_i and w_j, each
+    listing the other, block when each puts the other above its partner;
+    an unmatched agent puts everyone it lists above its partner."""
+    out = []
+    for i, lst in enumerate(p.u_lists):
+        for j in sorted(lst):
+            w_lst = p.w_lists[j]
+            u_better = m.pu[i] < 0 or lst.index(j) < lst.index(m.pu[i])
+            w_better = m.pw[j] < 0 or w_lst.index(i) < w_lst.index(m.pw[j])
+            if u_better and w_better:
+                out.append((i, j))
+    return out
+
+
+def egal_by_definition(p, m):
+    """Sum over agents of the partner's list position, the list length when
+    unmatched."""
+    sides = ((p.u_lists, m.pu), (p.w_lists, m.pw))
+    return sum(
+        lst.index(k) if k >= 0 else len(lst)
+        for lists, partners in sides
+        for lst, k in zip(lists, partners)
+    )
+
+
 def random_profiles(count, n_u, n_w, density, seed_base=0):
     """Deterministic batch of gen_random instances."""
     from swapstable import gen_random

@@ -171,8 +171,8 @@ def test_extremal_robustness_of_latin_profiles():
             assert brute_is_d_robust(p, diagonal, n - 1)
         assert is_d_robust(p, diagonal, n - 1)[0]
         assert find_d_robust(p, n) is None
-        assert all(p.rank_u[i, found.pu[i]] == 0 for i in range(n))
-        assert all(p.rank_w[j, found.pw[j]] == 0 for j in range(n))
+        assert all(p.rank_u[i][found.pu[i]] == 0 for i in range(n))
+        assert all(p.rank_w[j][found.pw[j]] == 0 for j in range(n))
         for k in range(n):
             assert len({p.u_lists[i][k] for i in range(n)}) == n
             assert len({p.w_lists[j][k] for j in range(n)}) == n

@@ -15,7 +15,7 @@ from helpers import profiles
 
 
 def _partner_rank(p, m, i):
-    return p.rank_u[i, m.pu[i]] if m.pu[i] >= 0 else len(p.u_lists[i])
+    return p.rank_u[i][m.pu[i]] if m.pu[i] >= 0 else len(p.u_lists[i])
 
 
 @settings(max_examples=80, deadline=None)
@@ -35,8 +35,8 @@ def test_w_optimal_is_stable_and_dual(p):
     assert is_stable(p, m)
     for other in enumerate_stable_bf(p):
         for j in range(p.n_w):
-            mr = p.rank_w[j, m.pw[j]] if m.pw[j] >= 0 else len(p.w_lists[j])
-            orr = p.rank_w[j, other.pw[j]] if other.pw[j] >= 0 else len(p.w_lists[j])
+            mr = p.rank_w[j][m.pw[j]] if m.pw[j] >= 0 else len(p.w_lists[j])
+            orr = p.rank_w[j][other.pw[j]] if other.pw[j] >= 0 else len(p.w_lists[j])
             assert mr <= orr
 
 

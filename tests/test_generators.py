@@ -61,8 +61,8 @@ def test_cyclic_latin_structure(n):
         assert p.u_lists[i] == tuple((i + k) % n for k in range(n))
         assert p.w_lists[i] == tuple((i + k) % n for k in range(n))
     for i, j in ((a, b) for a in range(n) for b in range(n) if a != b):
-        assert int(p.rank_u[i, j]) + int(p.rank_w[j, i]) == n
-    assert all(p.rank_u[i, i] == 0 for i in range(n))
+        assert p.rank_u[i][j] + p.rank_w[j][i] == n
+    assert all(p.rank_u[i][i] == 0 for i in range(n))
     for k in range(n):
         assert len({p.u_lists[i][k] for i in range(n)}) == n
         assert len({p.w_lists[j][k] for j in range(n)}) == n

@@ -191,10 +191,10 @@ def unit_chain_cost(p, m):
     w_lists = p.w_lists
     for i, top in max_u.items():
         steps = sum(1 for k in range(1, top + 1) if ("u", i, k) in sink)
-        u_lists = nearstable._promote(u_lists, i, int(m.pu[i]), steps)
+        u_lists = nearstable._promote(u_lists, i, m.pu[i], steps)
     for j, top in max_w.items():
         steps = sum(1 for k in range(1, top + 1) if ("w", j, k) not in sink)
-        w_lists = nearstable._promote(w_lists, j, int(m.pw[j]), steps)
+        w_lists = nearstable._promote(w_lists, j, m.pw[j], steps)
     return (cost, Profile(u_lists, w_lists, p.u_names, p.w_names))
 
 
@@ -382,7 +382,7 @@ def test_search_bounds_are_admissible():
         cheap = nearstable._cheap_partners(p)
         leaves = []
         for m in search_order(p):
-            pu = m.pu.tolist()
+            pu = m.pu
             leaves.append((pu, egalitarian_cost(p, m), {
                 False: local_instability(p, m),
                 True: nearstable._stabilization_cut(p, m)[0],
@@ -401,7 +401,7 @@ def test_search_bounds_are_admissible():
                     if j >= 0:
                         pw[j] = i
                 decided = sum(
-                    len(p.u_lists[i]) if j < 0 else p.rank_u_rows[i][j] + p.rank_w_rows[j][i]
+                    len(p.u_lists[i]) if j < 0 else p.rank_u[i][j] + p.rank_w[j][i]
                     for i, j in enumerate(prefix)
                 )
                 lost = sum(

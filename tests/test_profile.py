@@ -38,7 +38,13 @@ from swapstable import (
 )
 from swapstable.profile import asymmetries, blocking_indices
 
-from helpers import profiles, random_matching, make_rng
+from helpers import (
+    blocking_by_definition,
+    egal_by_definition,
+    make_rng,
+    profiles,
+    random_matching,
+)
 
 
 def test_validate_profile_collects_all_issues():
@@ -131,28 +137,19 @@ def test_rank_matrices_match_definition(p):
         for row, lst in zip(want, lists):
             for k, other in enumerate(lst):
                 row[other] = k
-        assert ranks.dtype == np.int64
-        assert ranks.shape == (len(lists), n_other)
-        assert ranks.tolist() == want
-
-
-@settings(max_examples=80, deadline=None)
-@given(profiles(max_side=6, min_side=0))
-def test_rank_rows_hold_the_matrix_values(p):
-    for rows, ranks in ((p.rank_u_rows, p.rank_u), (p.rank_w_rows, p.rank_w)):
-        assert rows == ranks.tolist()
-        assert all(type(r) is int for row in rows for r in row)
+        assert ranks == want
+        assert all(type(r) is int for row in ranks for r in row)
 
 
 def test_rank_rows_share_their_int_objects():
     # A plain tolist() makes one int object per entry once ranks pass 256
-    # (about 11 bytes an entry more here); the rows keep one pointer each.
+    # (about 11 bytes an entry more here); the table keeps one pointer each,
+    # and not the int64 matrix it is built from.
     n = 400
     p = gen_random(n, n, 1.0, 0)
-    p.rank_u  # the matrix is not part of what the rows keep
     tracemalloc.start()
     try:
-        rows = p.rank_u_rows
+        rows = p.rank_u
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -284,30 +281,16 @@ def test_blocking_indices_are_the_blocking_pairs_as_ints(p, seed):
 @given(profiles(max_side=4), st.integers(0, 2**30))
 def test_blocking_pairs_match_definition(p, seed):
     m = random_matching(p, make_rng(seed))
-    got = set(blocking_pairs(p, m))
-    expect = set()
-    for i in range(p.n_u):
-        for j in p.u_lists[i]:
-            if m.pu[i] == j:
-                continue
-            u_better = m.pu[i] < 0 or p.rank_u[i, j] < p.rank_u[i, m.pu[i]]
-            w_better = m.pw[j] < 0 or p.rank_w[j, i] < p.rank_w[j, m.pw[j]]
-            if u_better and w_better:
-                expect.add((Agent.u(i), Agent.w(j)))
-    assert got == expect
-    assert is_stable(p, m) == (not expect)
+    want = blocking_by_definition(p, m)
+    assert blocking_pairs(p, m) == [(Agent.u(i), Agent.w(j)) for i, j in want]
+    assert is_stable(p, m) == (not want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(profiles(max_side=4), st.integers(0, 2**30))
 def test_egalitarian_cost_matches_definition(p, seed):
     m = random_matching(p, make_rng(seed))
-    want = 0
-    for i in range(p.n_u):
-        want += p.rank_u[i, m.pu[i]] if m.pu[i] >= 0 else len(p.u_lists[i])
-    for j in range(p.n_w):
-        want += p.rank_w[j, m.pw[j]] if m.pw[j] >= 0 else len(p.w_lists[j])
-    assert egalitarian_cost(p, m) == want
+    assert egalitarian_cost(p, m) == egal_by_definition(p, m)
 
 
 def test_matching_validation():
@@ -318,10 +301,17 @@ def test_matching_validation():
         validate_matching(p, Matching.from_pairs(2, 1, [(1, 0)]))  # not acceptable
     with pytest.raises(InvalidMatching):
         validate_matching(p, Matching.from_pairs(1, 1, [(0, 0)]))  # wrong size
+    for pair in ((-1, 0), (2, 0), (0, -1), (0, 1), (5, 0)):
+        with pytest.raises(InvalidMatching, match="out of range"):
+            Matching.from_pairs(2, 1, [pair])
     m = Matching.from_pairs(2, 1, [(0, 0)])
     validate_matching(p, m)
     assert m.partner_of(Agent.u(0)) == Agent.w(0)
+    assert m.partner_of(Agent.w(0)) == Agent.u(0)
     assert m.partner_of(Agent.u(1)) is None
+    for agent in (Agent.u(-1), Agent.u(2), Agent.w(-1), Agent.w(1)):
+        with pytest.raises(UnknownAgent):
+            m.partner_of(agent)
 
 
 def test_is_perfect():

@@ -39,11 +39,11 @@ from helpers import profiles, random_profiles
 
 def brute_successor(p, m, i):
     lst = p.u_lists[i]
-    for pos in range(int(p.rank_u[i, m.pu[i]]) + 1, len(lst)):
+    for pos in range(p.rank_u[i][m.pu[i]] + 1, len(lst)):
         j = lst[pos]
         if m.pw[j] < 0:
             return None
-        if p.rank_w[j, i] < p.rank_w[j, m.pw[j]]:
+        if p.rank_w[j][i] < p.rank_w[j][m.pw[j]]:
             return Agent.w(j)
     return None
 
@@ -70,14 +70,14 @@ def test_exposed_rotations_are_the_successor_cycles(p):
             if m.pu[i] >= 0:
                 w = brute_successor(p, m, i)
                 if w is not None:
-                    nxt[i] = int(m.pw[w.index])
+                    nxt[i] = m.pw[w.index]
         cycles = set()
         for i in nxt:
             path = [i]
             while path[-1] in nxt and nxt[path[-1]] not in path:
                 path.append(nxt[path[-1]])
             if nxt.get(path[-1]) == i:
-                cycles.add(Rotation.canonical((k, int(m.pu[k])) for k in path))
+                cycles.add(Rotation.canonical((k, m.pu[k]) for k in path))
         assert exposed_rotations(p, m) == sorted(cycles, key=lambda r: r.cycle)
 
 
