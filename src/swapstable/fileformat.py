@@ -12,8 +12,10 @@ The profile format is UTF-8 and line oriented::
 
 The header comes first, then one ``side`` line per side, then exactly one
 list line per declared agent (most preferred first, possibly empty).  Agent
-names are whitespace-free tokens without ``:``.  Lines whose first
-non-blank character is ``#`` are comments; blank lines are skipped.
+names are whitespace-free tokens without ``:``; only the exact labels
+``side U`` and ``side W`` open a side line, so an agent may be called
+``sidekick``.  Lines whose first non-blank character is ``#`` are
+comments; blank lines are skipped.
 
 A matching file holds one ``u-name w-name`` pair per line, same comment
 and blank-line rules.
@@ -24,13 +26,7 @@ serialize/parse round-trip exactly on canonical output.
 """
 
 from .errors import InvalidInput, UnknownAgent, ValidationError
-from .profile import (
-    Matching,
-    Profile,
-    Side,
-    asymmetries,
-    validate_matching,
-)
+from .profile import Matching, Profile, Side, _ingest, validate_matching
 
 HEADER = "profile v1"
 
@@ -60,7 +56,7 @@ def parse_profile(text: str) -> Profile:
     index_of = {Side.U: {}, Side.W: {}}
     side_line = {Side.U: None, Side.W: None}
     names = {Side.U: [], Side.W: []}
-    # index by (side, i) -> (lineno, token list)
+    # (side, index) -> (lineno, the text after the label's ':')
     list_lines = {}
 
     for lineno, line in _significant_lines(text):
@@ -76,14 +72,13 @@ def parse_profile(text: str) -> Profile:
             continue
         label, _, rest = line.partition(":")
         label = label.strip()
-        tokens = rest.split()
         if label in ("side U", "side W"):
             side = Side.U if label == "side U" else Side.W
             if side_line[side] is not None:
                 issues.append("line %d: duplicate '%s' line" % (lineno, label))
                 continue
             side_line[side] = lineno
-            for tok in tokens:
+            for tok in rest.split():
                 if not _check_name(tok, lineno, issues):
                     continue
                 if tok in declared:
@@ -93,7 +88,7 @@ def parse_profile(text: str) -> Profile:
                 index_of[side][tok] = len(names[side])
                 names[side].append(tok)
             continue
-        if label.startswith("side"):
+        if label.startswith("side") and label not in declared:
             issues.append("line %d: unknown side %r (use 'side U' or 'side W')" % (lineno, label))
             continue
         # a preference-list line
@@ -110,7 +105,7 @@ def parse_profile(text: str) -> Profile:
                 % (lineno, label, list_lines[key][0])
             )
             continue
-        list_lines[key] = (lineno, tokens)
+        list_lines[key] = (lineno, rest)
 
     if not header_seen:
         raise ValidationError(["line 1: missing %r header" % HEADER])
@@ -122,57 +117,50 @@ def parse_profile(text: str) -> Profile:
         raise ValidationError(issues)
 
     other = {Side.U: Side.W, Side.W: Side.U}
-    lists = {Side.U: [], Side.W: []}
-    line_of = {}
+    lists = {}
     for side in (Side.U, Side.W):
-        for i, name in enumerate(names[side]):
-            entry = list_lines.get((side, i))
-            if entry is None:
-                issues.append(
-                    "line %d: agent %r declared here has no preference-list line"
-                    % (side_line[side], name)
-                )
-                lists[side].append([])
-                continue
-            lineno, tokens = entry
-            line_of[(side, i)] = lineno
-            order = list(map(index_of[other[side]].get, tokens))
-            lists[side].append(order)
-            distinct = set(order)
-            if None not in distinct and len(distinct) == len(order):
-                continue
-            # a faulty line, which always yields an issue: report it token by token
-            seen = set()
-            for tok in tokens:
-                if not _check_name(tok, lineno, issues):
-                    continue
-                if tok not in declared:
-                    issues.append("line %d: unknown agent %r in %s's list" % (lineno, tok, name))
-                    continue
-                tside, tindex = declared[tok]
-                if tside != other[side]:
-                    issues.append(
-                        "line %d: %r is on the same side as %r" % (lineno, tok, name)
-                    )
-                    continue
-                if tindex in seen:
-                    issues.append("line %d: %r listed twice by %r" % (lineno, tok, name))
-                seen.add(tindex)
+        index = index_of[other[side]].get
+        # a token naming no agent of the other side maps to None, and an
+        # agent with no list line gets None for a list: both fault the row.
+        # Each line's tokens are dropped as soon as they are mapped.
+        lists[side] = [
+            None if entry is None else tuple(map(index, entry[1].split()))
+            for entry in map(list_lines.get, [(side, i) for i in range(len(names[side]))])
+        ]
 
-    if not issues:
-        for side, owner, other_index in asymmetries(lists[Side.U], lists[Side.W]):
-            issues.append(
-                "line %d: asymmetric acceptability: %s lists %s but not vice versa"
-                % (line_of[(side, owner)], names[side][owner], names[other[side]][other_index])
-            )
-    if issues:
-        raise ValidationError(issues)
-    # every check validate_profile makes has passed above
-    return Profile(
-        u_lists=tuple(map(tuple, lists[Side.U])),
-        w_lists=tuple(map(tuple, lists[Side.W])),
-        u_names=tuple(names[Side.U]),
-        w_names=tuple(names[Side.W]),
+    def row_issues(side, i):
+        """The issues of a row the table build rejected, token by token."""
+        name = names[side][i]
+        if (side, i) not in list_lines:
+            return [
+                "line %d: agent %r declared here has no preference-list line"
+                % (side_line[side], name)
+            ]
+        lineno, rest = list_lines[(side, i)]
+        out, seen = [], set()
+        for tok in rest.split():
+            if not _check_name(tok, lineno, out):
+                continue
+            if tok not in declared:
+                out.append("line %d: unknown agent %r in %s's list" % (lineno, tok, name))
+                continue
+            tside, tindex = declared[tok]
+            if tside != other[side]:
+                out.append("line %d: %r is on the same side as %r" % (lineno, tok, name))
+                continue
+            if tindex in seen:
+                out.append("line %d: %r listed twice by %r" % (lineno, tok, name))
+            seen.add(tindex)
+        return out
+
+    return _ingest(
+        lists[Side.U],
+        lists[Side.W],
+        names[Side.U],
+        names[Side.W],
+        issues,
+        row_issues,
+        lambda side, i: "line %d: " % list_lines[(side, i)][0],
     )
 
 

@@ -11,8 +11,6 @@ Caps are hard errors (TooLarge), never silent truncation.
 
 import itertools
 
-import numpy as np
-
 from .errors import InvalidInput, TooLarge
 from .profile import (
     Matching,
@@ -167,40 +165,42 @@ def brute_global_cost(p, m, max_d=3, max_profiles=PROFILE_CAP):
 
 
 def _variant_rank_rows(lists, n_other, d):
-    """Per-agent rank rows for every list ordering within distance d."""
-    balls = [_list_ball(lst, d) for lst in lists]
-    width = max(len(b) for b in balls) if balls else 1
-    rows = np.empty((len(lists), width, n_other), dtype=np.int64)
-    counts = np.empty(len(lists), dtype=np.int64)
-    for a, ball in enumerate(balls):
-        counts[a] = len(ball)
-        rows[a, :, :] = len(lists[a])
-        for c, variant in enumerate(ball):
-            for k, other in enumerate(variant):
-                rows[a, c, other] = k
-    return rows, counts
+    """Per-agent rank rows for every list ordering within distance d.
+
+    rows[a][c][o] is o's position in agent a's c-th candidate list, that
+    list's length where o is unlisted; counts[a] is a's number of
+    candidates.
+    """
+    rows = [
+        [
+            [variant.index(o) if o in variant else len(variant) for o in range(n_other)]
+            for variant in _list_ball(lst, d)
+        ]
+        for lst in lists
+    ]
+    return rows, [len(ball) for ball in rows]
 
 
 def stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
     """Does some per-agent choice of candidate list admit no blocking pair?
 
-    ru has shape (nU, maxChoices, nW): one rank row per candidate list of
-    each agent, cnt_u[i] of them valid (rw likewise for W).  With the U
-    side fixed the W agents decouple, so only the U choices are
-    enumerated, by odometer.
+    ru[i][c] is the rank row of U agent i's c-th candidate list, cnt_u[i]
+    of them (rw likewise for W).  With the U side fixed the W agents
+    decouple, so only the U choices are enumerated, by odometer.
     """
-    n_u, _, n_w = ru.shape
-    digits = np.zeros(n_u, dtype=np.int64)
+    n_u, n_w = len(ru), len(rw)
+    digits = [0] * n_u
     while True:
         ok = True
         for j in range(n_w):
             found = False
             for c in range(cnt_w[j]):
-                cur_w = rw[j, c, pw[j]] if pw[j] >= 0 else len_w[j]
+                cur_w = rw[j][c][pw[j]] if pw[j] >= 0 else len_w[j]
                 viable = True
                 for i in range(n_u):
-                    cur_u = ru[i, digits[i], pu[i]] if pu[i] >= 0 else len_u[i]
-                    if ru[i, digits[i], j] < cur_u and rw[j, c, i] < cur_w:
+                    row = ru[i][digits[i]]
+                    cur_u = row[pu[i]] if pu[i] >= 0 else len_u[i]
+                    if row[j] < cur_u and rw[j][c][i] < cur_w:
                         viable = False
                         break
                 if viable:
@@ -234,7 +234,7 @@ def brute_is_locally_d_stable(p, m, d):
     rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, d)
     len_u = [len(lst) for lst in p.u_lists]
     len_w = [len(lst) for lst in p.w_lists]
-    return bool(stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, m.pu, m.pw))
+    return stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, m.pu, m.pw)
 
 
 def _objective_ok(p, m, objective, eta):

@@ -11,6 +11,7 @@ Distances between profiles count adjacent-transposition swaps per list
 """
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -18,8 +19,6 @@ from functools import cached_property
 from itertools import chain
 from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
-
-import numpy as np
 
 from . import _kernels
 from .errors import (
@@ -75,9 +74,10 @@ class SwapOp(NamedTuple):
 class Profile:
     """Immutable preference profile; lists hold opposite-side indices.
 
-    ``rank_u``/``rank_w`` are the one rank table per side, built on first
-    use.  Every engine reads single ranks from them, and the scans in
-    ``_kernels`` walk them.
+    ``rank_u``/``rank_w`` are the one rank table per side.  Ingest
+    (``validate_profile``, ``parse_profile``) hands them over built; a
+    profile made in memory builds them on first use.  Every engine reads
+    single ranks from them, and the scans in ``_kernels`` walk them.
     """
 
     u_lists: tuple
@@ -99,11 +99,11 @@ class Profile:
 
         Lists of the shared ints 0..n_w, so 8 bytes an entry.
         """
-        return _rank_table(self.u_lists, self.n_w)
+        return _rank_table(self.u_lists, self.n_w, [])
 
     @cached_property
     def rank_w(self) -> list:
-        return _rank_table(self.w_lists, self.n_u)
+        return _rank_table(self.w_lists, self.n_u, [])
 
     @cached_property
     def _by_name(self) -> dict:
@@ -210,48 +210,93 @@ class AnalysisQuery:
             )
 
 
-def _flatten(lists):
-    """Lengths of lists, and the owner row and value of every entry, in order."""
-    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
-    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
-    return lengths, np.repeat(np.arange(len(lists)), lengths), flat
+def _rank_table(lists, n_other, faults):
+    """rank[i][j] = position of j in lists[i], the list's length where unlisted.
 
-
-def _rank_table(lists, n_other):
-    """Each entry's position in its list, the list's length where unlisted.
-
-    Computed as one int64 matrix, which is not kept: its rows become lists
-    of the shared ints 0..n_other, one row at a time.
+    One plain loop writes each row from ``ranks``, one list of the ints
+    0..n_other, so every row shares those int objects (8 bytes an entry;
+    ``enumerate`` would make a new int for every rank above 256).  The
+    index of a list that is None, or names a non-index, an index past
+    n_other - 1 or one index twice, goes to ``faults``: a slot written twice
+    leaves one slot more holding the list's length than the list leaves
+    unnamed.  Negative indices are the caller's to reject.
     """
-    lengths, rows, flat = _flatten(lists)
-    m = np.repeat(lengths, n_other).reshape(len(lists), n_other)
-    m[rows, flat] = np.arange(len(flat)) - (np.cumsum(lengths) - lengths)[rows]
-    objs = np.array(range(n_other + 1), dtype=object)
-    return [objs[row].tolist() for row in m]
+    ranks = list(range(n_other + 1))
+    table = []
+    for i, lst in enumerate(lists):
+        try:
+            unlisted = ranks[len(lst)]
+            row = [unlisted] * n_other
+            for k, j in zip(ranks, lst):
+                row[j] = k
+            if row.count(unlisted) + len(lst) != n_other:
+                faults.append(i)
+        except (IndexError, TypeError):
+            faults.append(i)
+            row = []
+        table.append(row)
+    return table
+
+
+def _one_sided(lists, back, back_lists):
+    """(owner, other) for each entry, in list order, whose other end does
+    not list its owner; ``back`` is the other side's rank table."""
+    lengths = list(map(len, back_lists))
+    for owner, lst in enumerate(lists):
+        for other in lst:
+            if back[other][owner] == lengths[other]:
+                yield owner, other
 
 
 def asymmetries(u_lists, w_lists):
     """Yield each one-sided acceptance as (side, owner, other), in list order.
 
     First (Side.U, i, j) for every j in u_lists[i] whose list lacks i, then
-    (Side.W, j, i) likewise.  One byte per (i, j) slot records which sides
-    list the pair: the lists are flattened once and no list is searched, and
-    the table is an eighth the size of one side's rank table.
+    (Side.W, j, i) likewise.  Each entry reads one slot of the other
+    side's rank table, so no list is searched.
     """
-    n_w = len(w_lists)
-    _, u_rows, u_flat = _flatten(u_lists)
-    _, w_rows, w_flat = _flatten(w_lists)
-    u_slots, w_slots = u_rows * n_w + u_flat, w_flat * n_w + w_rows
-    listed = np.zeros(len(u_lists) * n_w, dtype=np.uint8)
-    listed[u_slots] = 1
-    listed[w_slots] += 2
-    for side, owners, others, slots in (
-        (Side.U, u_rows, u_flat, u_slots),
-        (Side.W, w_rows, w_flat, w_slots),
+    rank_u = _rank_table(u_lists, len(w_lists), [])
+    rank_w = _rank_table(w_lists, len(u_lists), [])
+    for owner, other in _one_sided(u_lists, rank_w, w_lists):
+        yield Side.U, owner, other
+    for owner, other in _one_sided(w_lists, rank_u, u_lists):
+        yield Side.W, owner, other
+
+
+def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
+    """The Profile of the lists, with both rank tables, or ValidationError.
+
+    The one ingest pass, shared by ``validate_profile`` and
+    ``fileformat.parse_profile``.  It builds each side's rank table; a
+    list the table build rejects gets its messages from
+    ``row_issues(side, i)``, which finds at least one.  If no list has any
+    issue, every U entry must be listed back in the W table and both
+    sides must hold as many entries: no list repeats an index, so the two
+    sets of pairs are then equal.  Otherwise each one-sided entry is an
+    issue, prefixed with ``where(side, owner)``.
+    """
+    faults = ([], [])
+    rank_u = _rank_table(u_lists, len(w_lists), faults[0])
+    rank_w = _rank_table(w_lists, len(u_lists), faults[1])
+    for side, rows in zip(Side, faults):
+        for i in rows:
+            issues += row_issues(side, i)
+    if not issues and (
+        sum(map(len, u_lists)) != sum(map(len, w_lists))
+        or next(_one_sided(u_lists, rank_w, w_lists), None)
     ):
-        one_sided = np.flatnonzero(listed[slots] != 3)
-        for owner, other in zip(owners[one_sided].tolist(), others[one_sided].tolist()):
-            yield side, owner, other
+        names = {Side.U: (u_names, w_names), Side.W: (w_names, u_names)}
+        for side, owner, other in asymmetries(u_lists, w_lists):
+            issues.append(
+                "%sasymmetric acceptability: %s lists %s but not vice versa"
+                % (where(side, owner), names[side][0][owner], names[side][1][other])
+            )
+    if issues:
+        raise ValidationError(issues)
+    p = Profile(tuple(u_lists), tuple(w_lists), tuple(u_names), tuple(w_names))
+    # the cached_property slots, which Profile.rank_u/rank_w would fill
+    vars(p).update(rank_u=rank_u, rank_w=rank_w)
+    return p
 
 
 def validate_profile(
@@ -279,39 +324,40 @@ def validate_profile(
     for name in sorted(n for n, c in counts.items() if c > 1):
         issues.append("duplicate agent name %r" % name)
 
-    def check_side(lists, n_other, label):
-        for i, lst in enumerate(lists):
-            seen = set()
-            for j in lst:
-                # int first: the Integral check alone is an order of magnitude slower
-                if not isinstance(j, (int, Integral)) or not 0 <= j < n_other:
-                    issues.append(
-                        "unknown agent: %s%d lists out-of-range index %r"
-                        % (label, i + 1, j)
-                    )
-                elif j in seen:
-                    issues.append(
-                        "duplicate entry: index %d repeats in %s%d's list"
-                        % (j, label, i + 1)
-                    )
-                seen.add(j)
+    def row_issues(side, i):
+        if side == Side.U:
+            lst, n_other, label = u_lists[i], n_w, "u"
+        else:
+            lst, n_other, label = w_lists[i], n_u, "w"
+        out, seen = [], set()
+        for j in lst:
+            if not isinstance(j, Integral) or not 0 <= j < n_other:
+                out.append(
+                    "unknown agent: %s%d lists out-of-range index %r" % (label, i + 1, j)
+                )
+            elif j in seen:
+                out.append(
+                    "duplicate entry: index %d repeats in %s%d's list" % (j, label, i + 1)
+                )
+            seen.add(j)
+        return out
 
-    check_side(u_lists, n_w, "u")
-    check_side(w_lists, n_u, "w")
-    if not issues:
-        for side, owner, other in asymmetries(u_lists, w_lists):
-            names = (u_names, w_names) if side == Side.U else (w_names, u_names)
-            issues.append(
-                "asymmetric acceptability: %s lists %s but not vice versa"
-                % (names[0][owner], names[1][other])
-            )
-    if issues:
-        raise ValidationError(issues)
-    return Profile(
-        u_lists=tuple(tuple(int(j) for j in lst) for lst in u_lists),
-        w_lists=tuple(tuple(int(i) for i in lst) for lst in w_lists),
-        u_names=tuple(u_names),
-        w_names=tuple(w_names),
+    def as_row(lst):
+        # ints, or None, which faults the row, for a non-index or negative entry
+        try:
+            row = tuple(map(operator.index, lst))
+        except TypeError:
+            return None
+        return row if min(row, default=0) >= 0 else None
+
+    return _ingest(
+        list(map(as_row, u_lists)),
+        list(map(as_row, w_lists)),
+        u_names,
+        w_names,
+        issues,
+        row_issues,
+        lambda side, i: "",
     )
 
 

@@ -142,18 +142,17 @@ def _collect_constraints(p, dg, d):
     return extra_arcs, forced, forbidden
 
 
-def _robust_closure(p, d, weigh):
-    """Matching of the lightest closed rotation set meeting every
-    d-robustness constraint, or None when none does; ``weigh(dg)`` gives
-    the RotationWeights."""
+def _robust_closure(p, dg, d, weights):
+    """Matching of the lightest closed rotation set of dg, the rotation
+    digraph of p, that meets every d-robustness constraint, or None when
+    none does."""
     if d < 0:
         raise InvalidInput("d must be nonnegative")
-    dg = rotation_digraph(p)
     constraints = _collect_constraints(p, dg, d)
     if constraints is None:
         return None
     extra_arcs, forced, forbidden = constraints
-    chosen = min_weight_closure(dg, weigh(dg), forced, forbidden, extra_arcs)
+    chosen = min_weight_closure(dg, weights, forced, forbidden, extra_arcs)
     return None if chosen is None else matching_of(dg, chosen)
 
 
@@ -164,7 +163,8 @@ def find_d_robust(p, d):
     rotation digraph and returns the matching of the smallest closed
     rotation set that satisfies them all (unit weight per rotation).
     """
-    return _robust_closure(p, d, lambda dg: RotationWeights(delta=(1,) * dg.n))
+    dg = rotation_digraph(p)
+    return _robust_closure(p, dg, d, RotationWeights(delta=(1,) * dg.n))
 
 
 def find_d_robust_optimal(p, d, objective):
@@ -180,16 +180,18 @@ def find_d_robust_optimal(p, d, objective):
         return find_d_robust(p, d)
     if objective != Objective.EGALITARIAN:
         raise InvalidInput("objective must be Perfect or Egalitarian")
-    return _robust_closure(p, d, lambda dg: RotationWeights.measured(dg, p))
+    dg = rotation_digraph(p)
+    return _robust_closure(p, dg, d, RotationWeights.measured(dg, p))
 
 
 def max_robustness(p, cap=None):
     """Largest d admitting a d-robust matching, with a witness matching.
 
-    Searches upward from 0 (d-robust implies (d-1)-robust, so the feasible
-    region is a prefix).  The search stops at ``cap`` (default: the larger
-    side size) or at the total-inversion bound, past which every profile in
-    the ball has already appeared.
+    d-robust implies (d-1)-robust, so the feasible d form a prefix of
+    [0, limit], found by bisection over one rotation digraph; the witness
+    is find_d_robust's matching at that d.  ``limit`` is ``cap`` (default:
+    the larger side size) or the total-inversion bound, past which every
+    profile in the ball has already appeared, whichever is smaller.
     """
     if cap is None:
         cap = max(p.n_u, p.n_w)
@@ -198,15 +200,17 @@ def max_robustness(p, cap=None):
     exhaustion = sum(l * (l - 1) // 2 for l in map(len, p.u_lists)) + sum(
         l * (l - 1) // 2 for l in map(len, p.w_lists)
     )
-    limit = min(cap, exhaustion)
-    best = find_d_robust(p, 0)
+    dg = rotation_digraph(p)
+    weights = RotationWeights(delta=(1,) * dg.n)
+    best = _robust_closure(p, dg, 0, weights)
     if best is None:
         return None
-    d = 0
-    while d < limit:
-        nxt = find_d_robust(p, d + 1)
-        if nxt is None:
-            break
-        d += 1
-        best = nxt
-    return d, best
+    lo, hi = 0, min(cap, exhaustion)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        m = _robust_closure(p, dg, mid, weights)
+        if m is None:
+            hi = mid - 1
+        else:
+            lo, best = mid, m
+    return lo, best

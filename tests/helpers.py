@@ -88,3 +88,80 @@ def random_swap(p, rng):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def broken_profile_texts():
+    """Seeded corpus of profile files parse_profile rejects, by name.
+
+    Hand-written cases cover each diagnostic; the seeded ones apply two
+    random edits each to a serialized gen_random(4, 4, 0.7, seed) profile.
+    """
+    from swapstable import gen_random, serialize_profile
+
+    base = "profile v1\nside U: a\nside W: b\n"
+    corpus = {
+        "empty file": "",
+        "wrong header": "# hi\n\nprofile v2\n",
+        "no side lines": "profile v1\na: b\n",
+        "missing side W": "profile v1\nside U: a\na:\n",
+        "duplicate side U": "profile v1\nside U: a\nside U: c\nside W: b\na: b\nb: a\n",
+        "unknown side": "profile v1\nside X: a\nside U: a\nside W: b\na: b\nb: a\n",
+        "undeclared side-like label": base + "sidekick: b\na: b\nb: a\n",
+        "no colon": base + "a\nb:\n",
+        "whitespace label": base + "a c: b\na: b\nb: a\n",
+        "duplicate list line": base + "a: b\nb: a\na: b\n",
+        "missing list line": base + "a: b\n",
+        "unknown token": base + "a: q\nb:\n",
+        "same-side token": "profile v1\nside U: a c\nside W: b\na: c\nb:\nc:\n",
+        "repeated token": base + "a: b b\nb: a\n",
+        "colon in declared name": "profile v1\nside U: a:x\nside W: b\nb:\n",
+        "colon in list token": base + "a: b:y\nb: a\n",
+        "duplicate declared name": "profile v1\nside U: a a\nside W: b a\na: b\nb: a\n",
+        "asymmetric pair on U side": base + "a: b\nb:\n",
+        "asymmetric pair on W side": base + "a:\nb: a\n",
+        "asymmetric pairs on both sides": (
+            "profile v1\nside U: a b c\nside W: x y z\n"
+            "a: z x\nb: y x\nc: x\nx: b\ny: a c\nz: b c\n"
+        ),
+        "side lines after list lines": "profile v1\na: b\nb: a\nside U: a\nside W: b\n",
+        "comments, blank lines and CRLF": (
+            "# kept\r\nprofile v1\r\n\r\nside U: a c\r\n  # indented\r\n"
+            "side W: b\r\na: b b\r\n\r\nb: a c\r\nc: b\r\nc:\r\n"
+        ),
+        "many faults on one line": (
+            "profile v1\nside U: a b\nside W: x y z\n"
+            "a: q a:x b x x y\nb: y x\nx: a b\ny: y b b\n"
+        ),
+    }
+    for seed in range(16):
+        rng = random.Random(seed)
+        lines = serialize_profile(gen_random(4, 4, 0.7, seed)).splitlines()
+        names = lines[1].split()[2:] + lines[2].split()[2:]
+        for _ in range(2):
+            k = rng.randrange(3, len(lines))
+            label, _, rest = lines[k].partition(":")
+            tokens = rest.split()
+            edit = rng.choice(
+                ["drop", "repeat", "same side", "unknown", "colon", "delete line", "copy line"]
+            )
+            if edit in ("drop", "repeat", "same side", "unknown", "colon") and not tokens:
+                edit = "delete line"
+            if edit == "drop":
+                del tokens[rng.randrange(len(tokens))]
+            elif edit == "repeat":
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(tokens))
+            elif edit == "same side":
+                own = names[:4] if label in names[:4] else names[4:]
+                tokens[rng.randrange(len(tokens))] = rng.choice(own)
+            elif edit == "unknown":
+                tokens[rng.randrange(len(tokens))] = "zz"
+            elif edit == "colon":
+                tokens[rng.randrange(len(tokens))] += ":x"
+            if edit == "delete line":
+                del lines[k]
+            elif edit == "copy line":
+                lines.append(lines[k])
+            else:
+                lines[k] = ("%s: %s" % (label, " ".join(tokens))).rstrip()
+        corpus["seed %d" % seed] = "\n".join(lines) + "\n"
+    return corpus

@@ -38,6 +38,8 @@ from swapstable import (
 )
 from swapstable.cli import _build_parser, _emit, _swap_sequence, main
 
+from helpers import broken_profile_texts
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -286,6 +288,33 @@ def test_error_exits_and_messages(capsys, tmp_path, crown):
         "--objective", "egalitarian",
     )
     assert code == 2 and "eta" in err
+
+
+def test_every_profile_file_gets_an_answer_or_a_message(capsys, tmp_path):
+    # rejected files exit 2 with one "error:" line per issue, never an
+    # internal error; accepted ones answer with JSON
+    for k, text in enumerate(broken_profile_texts().values()):
+        path = tmp_path / ("broken%d.profile" % k)
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run(capsys, "solve", "robust", "--profile", str(path), "--d", "0")
+        lines = err.splitlines()
+        assert code == 2 and out == "" and lines, text
+        assert all(line.startswith("error: ") for line in lines), text
+        assert "internal error" not in err, text
+    named = validate_profile([[0, 1], [1]], [[0], [1, 0]], ["side", "sidekick"], ["sideU", "w"])
+    valid = [
+        serialize_profile(gen_example3()),
+        serialize_profile(named),
+        "# kept\r\nprofile v1\r\n\r\nside U: a c\r\n  # indented\r\n"
+        "side W: b\r\na: b\r\n\r\nb: a c\r\nc: b\r\n",
+        "profile v1\nside U: a\na: b\nside W: b\nb: a\n",
+    ]
+    for k, text in enumerate(valid):
+        path = tmp_path / ("valid%d.profile" % k)
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run(capsys, "solve", "robust", "--profile", str(path), "--d", "0")
+        assert code in (0, 1) and err == "", text
+        assert isinstance(json.loads(out), dict)
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys, crown):

@@ -54,6 +54,10 @@ def test_validate_profile_collects_all_issues():
     assert "repeats" in issues
     assert "out-of-range" in issues
     assert len(err.value.issues) >= 2
+    # a negative entry would index a rank row from its end
+    with pytest.raises(ValidationError) as err:
+        validate_profile([[-1]], [[0]])
+    assert err.value.issues == ["unknown agent: u1 lists out-of-range index -1"]
 
 
 def test_validate_profile_accepts_numpy_integers():

@@ -186,6 +186,41 @@ def test_max_robustness_sits_on_the_boundary():
     assert hit > 15
 
 
+def _linear_max_robustness(p, cap):
+    """max_robustness as an upward scan of find_d_robust, one call per d."""
+    lists = p.u_lists + p.w_lists
+    limit = min(cap, sum(len(l) * (len(l) - 1) // 2 for l in lists))
+    best = find_d_robust(p, 0)
+    if best is None:
+        return None
+    d = 0
+    while d < limit:
+        nxt = find_d_robust(p, d + 1)
+        if nxt is None:
+            break
+        d, best = d + 1, nxt
+    return d, best
+
+
+def test_max_robustness_bisection_matches_the_linear_scan():
+    # Latin squares reach every d up to their robustness, so every cap
+    # below it binds; seeded random profiles are mostly 0- or 1-robust
+    cases = [(gen_cyclic_latin(n), n) for n in range(4, 13)]
+    cases += [(gen_cyclic_latin(9), cap) for cap in range(9)]
+    cases += [(p, 6) for p in random_profiles(30, 4, 4, 0.8, seed_base=7100)]
+    cases += [(p, 12) for p in random_profiles(10, 6, 5, 1.0, seed_base=7200)]
+    cases += [(p, 4) for p in random_profiles(10, 5, 5, 0.25, seed_base=7300)]
+    # seeded profiles whose 1-robust witness is not the 0-robust one
+    moved = [(3, 1.0, 101), (4, 1.0, 61), (5, 1.0, 206), (5, 1.0, 234), (5, 0.6, 66)]
+    cases += [(gen_random(n, n, density, seed), 8) for n, density, seed in moved]
+    for p, cap in cases:
+        assert max_robustness(p, cap=cap) == _linear_max_robustness(p, cap)
+    for p, _ in cases[-len(moved):]:
+        assert max_robustness(p, cap=8)[1] != find_d_robust(p, 0)
+    # Latin squares keep one stable matching, robust up to n - 1
+    assert max_robustness(gen_cyclic_latin(12))[0] == 11
+
+
 def test_negative_budgets_rejected():
     p = gen_random(3, 3, 1.0, seed=1)
     m = u_optimal(p)

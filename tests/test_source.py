@@ -1,7 +1,10 @@
 """Rules that every module of the package's source keeps."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import swapstable
 
@@ -87,11 +90,10 @@ def test_no_unused_imports_in_the_package():
     assert unused == []
 
 
-def test_numpy_only_at_ingest_and_in_the_oracle():
-    # Engines and the matching scans read ranks from the lists of
-    # Profile.rank_u/rank_w: on the small inputs most calls see, numpy's
-    # fixed cost per call dominates.  numpy builds those tables and runs the
-    # asymmetry check in profile.py, and the oracle's candidate rank rows.
+def test_no_numpy_in_the_package():
+    # Ingest, the engines and the oracle all read plain lists: on the small
+    # inputs most calls see, numpy's fixed cost per call dominates, and its
+    # import was most of the package's import time.
     importers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -104,7 +106,13 @@ def test_numpy_only_at_ingest_and_in_the_oracle():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.name)
-    assert sorted(set(importers)) == ["oracle.py", "profile.py"]
+    assert importers == []
+    code = "import sys, swapstable.cli, swapstable.oracle; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_no_indented_json_dumps_in_the_package():
