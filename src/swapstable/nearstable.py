@@ -108,37 +108,39 @@ def witness_profile_local(p, m, d_l) -> Profile:
 
     Each blocking pair is charged to its cheaper matched endpoint (ties
     go to the W side); each charged agent promotes its partner past its
-    best-ranked charged blocker, which defuses all of them and introduces
-    no new blocking pairs.  Raises NotNearlyStable when d_l is too small,
-    that is below local_instability, which the same scan computes.
+    best-ranked charged blocker, that is by its dearest charged defusing
+    cost, which defuses all of them and introduces no new blocking pairs.
+    Raises NotNearlyStable when d_l is below local_instability, which the
+    same scan computes, or when that is INFINITE, whatever d_l is.
     """
     worst = 0
-    u_top = {}
-    w_top = {}
+    u_steps = {}
+    w_steps = {}
     for i, j in blocking_indices(p, m):
         cu, cw = _defuse_costs(p, m, i, j)
         worst = max(worst, min(cu, cw))
         if cw <= cu:
-            r = p.rank_w[j][i]
-            w_top[j] = min(w_top.get(j, r), r)
+            w_steps[j] = max(w_steps.get(j, 0), cw)
         else:
-            r = p.rank_u[i][j]
-            u_top[i] = min(u_top.get(i, r), r)
-    if worst > d_l:
+            u_steps[i] = max(u_steps.get(i, 0), cu)
+    if worst > d_l or worst == INFINITE:
         raise NotNearlyStable(
             "matching has local instability %s, budget was %s" % (worst, d_l)
         )
-    u_lists = p.u_lists
-    w_lists = p.w_lists
-    for i, target in u_top.items():
-        partner = m.pu[i]
-        u_lists = _promote(u_lists, i, partner, p.rank_u[i][partner] - target)
-    for j, target in w_top.items():
-        partner = m.pw[j]
-        w_lists = _promote(w_lists, j, partner, p.rank_w[j][partner] - target)
-    q = Profile(u_lists, w_lists, p.u_names, p.w_names)
+    q = _witness(p, m, u_steps, w_steps)
     verify(is_stable(q, m), "local witness makes the matching stable")
     return q
+
+
+def _witness(p, m, u_steps, w_steps):
+    """p with u_i (w_j) promoting its partner in m by u_steps[i]
+    (w_steps[j]) places."""
+    u_lists, w_lists = p.u_lists, p.w_lists
+    for i, k in u_steps.items():
+        u_lists = _promote(u_lists, i, m.pu[i], k)
+    for j, k in w_steps.items():
+        w_lists = _promote(w_lists, j, m.pw[j], k)
+    return Profile(u_lists, w_lists, p.u_names, p.w_names)
 
 
 def _stabilization_cut(p, m):
@@ -217,10 +219,6 @@ def _stabilization_cut(p, m):
     return (cost, u_steps, w_steps)
 
 
-def _global_cost(p, m):
-    return _stabilization_cut(p, m)[0]
-
-
 def global_stabilization_cost(p, m):
     """Smallest total swap distance to a profile where m is stable.
 
@@ -234,12 +232,7 @@ def global_stabilization_cost(p, m):
         return (INFINITE, None)
     if not cost:
         return (0, p)
-    u_lists, w_lists = p.u_lists, p.w_lists
-    for i, steps in u_steps.items():
-        u_lists = _promote(u_lists, i, m.pu[i], steps)
-    for j, steps in w_steps.items():
-        w_lists = _promote(w_lists, j, m.pw[j], steps)
-    q = Profile(u_lists, w_lists, p.u_names, p.w_names)
+    q = _witness(p, m, u_steps, w_steps)
     verify(is_stable(q, m), "global witness makes the matching stable")
     verify(swap_distance(p, q) == cost, "global witness lies at the cut distance")
     return (cost, q)
@@ -335,7 +328,7 @@ def _undecided_floor(pw, start, cheap):
     return total
 
 
-def _prefix_conflict(p, pu, pw, depth, d, prospects, additive=False):
+def _prefix_conflict(p, pu, pw, depth, d, prospects, additive):
     """Does the decided part already cost more than budget d?
 
     Only pairs whose fate is sealed count: the U endpoint is decided, and
@@ -386,22 +379,23 @@ def _prefix_conflict(p, pu, pw, depth, d, prospects, additive=False):
     return False
 
 
-def _search(p, d, objective, eta, instability, least=None, additive=False):
-    """Branch-and-bound over matchings with instability(p, m) <= d.
+def _search(p, d, objective, eta, mode, least=None):
+    """Branch-and-bound over matchings whose mode instability is <= d.
 
-    The one exact search for near stability: instability is
-    local_instability or the cost of _stabilization_cut, and both are at
-    least every blocking pair's cheaper defusing cost, so _prefix_conflict
-    at budget d drops no candidate of either; additive says the leaf cost
-    is the min-cut's sum, which _prefix_conflict also bounds by the sealed
-    pairs that share no agent.  Depth-first over U agents in index order,
-    partners in preference order (then unmatched, unless the objective is
-    perfect).  A branch dies once its sealed pairs cannot be defused
-    within d or, for the egalitarian objective, once a lower bound on its
-    cost passes eta: the decided U agents' pair costs, plus the list
-    length of each W agent nobody took and no undecided U agent lists,
-    plus _undecided_floor.  At a leaf every agent is decided and that sum
-    is the egalitarian cost.
+    The one exact search for near stability.  mode "local" prices each
+    leaf by local_instability, "global" by the cost of _stabilization_cut;
+    both are at least every blocking pair's cheaper defusing cost, so
+    _prefix_conflict at budget d drops no candidate of either.  Only the
+    global cost is a sum over pairs, so only in that mode does
+    _prefix_conflict also bound it by the sealed pairs that share no
+    agent; the local cost is a maximum, which that sum would overshoot.
+    Depth-first over U agents in index order, partners in preference
+    order (then unmatched, unless the objective is perfect).  A branch
+    dies once its sealed pairs cannot be defused within d or, for the
+    egalitarian objective, once a lower bound on its cost passes eta: the
+    decided U agents' pair costs, plus the list length of each W agent
+    nobody took and no undecided U agent lists, plus _undecided_floor.  At
+    a leaf every agent is decided and that sum is the egalitarian cost.
 
     least picks the answer.  None: the first feasible leaf.  "cost": eta,
     or "instability": d, drops below each feasible leaf's value, and a
@@ -414,6 +408,7 @@ def _search(p, d, objective, eta, instability, least=None, additive=False):
     interpreter's recursion limit.
     """
     prospects = _prospects(p)
+    additive = mode == "global"
     bounded = objective == Objective.EGALITARIAN
     tail = [-1] if bounded else []
     if bounded:
@@ -444,7 +439,10 @@ def _search(p, d, objective, eta, instability, least=None, additive=False):
                 fits = cost <= eta
             else:
                 fits = is_perfect(p, m)
-            level = instability(p, m) if fits else INFINITE
+            if fits:
+                level = _stabilization_cut(p, m)[0] if additive else local_instability(p, m)
+            else:
+                level = INFINITE
             if level <= d:
                 if least is None or (least == "instability" and level == 0):
                     return m
@@ -519,9 +517,7 @@ def solve_global_near(p, d_g, objective, eta=None):
         fits = egalitarian_cost(p, stable) <= eta
     if fits:
         return (stable, p)
-    m = _search(
-        p, d_g, objective, eta, _global_cost, least="instability", additive=True
-    )
+    m = _search(p, d_g, objective, eta, "global", least="instability")
     return None if m is None else (m, global_stabilization_cost(p, m)[1])
 
 
@@ -535,7 +531,7 @@ def solve_local_near(p, d_l, objective, eta=None):
     objective = _check_query(objective, eta, d_l)
     if objective == Objective.PERFECT and not _perfect_precheck(p):
         return None
-    return _search(p, d_l, objective, eta, local_instability)
+    return _search(p, d_l, objective, eta, "local")
 
 
 def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
@@ -621,23 +617,18 @@ def tradeoff_curve(p, mode, d_max, objective):
     only improve as d grows, because a d-nearly stable matching is also
     (d+1)-nearly stable, so each later budget runs the one search with eta
     at the previous value; that matching keeps a leaf feasible.  The mode
-    picks the instability tested at the leaves.
+    picks the solver and the instability _search tests at the leaves.
     """
     objective = _check_query(objective, INFINITE, d_max)
-    if mode == "global":
-        solver, instability = solve_global_near, _global_cost
-    elif mode == "local":
-        solver, instability = solve_local_near, local_instability
-    else:
+    solver = {"global": solve_global_near, "local": solve_local_near}.get(mode)
+    if solver is None:
         raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
     if objective == Objective.PERFECT:
         return [(d, solver(p, d, objective) is not None) for d in range(d_max + 1)]
     value = egalitarian_cost(p, find_d_robust_optimal(p, 0, objective))
     out = [(0, value)]
     for d in range(1, d_max + 1):
-        best = _search(
-            p, d, objective, value, instability, least="cost", additive=mode == "global"
-        )
+        best = _search(p, d, objective, value, mode, least="cost")
         value = egalitarian_cost(p, best)
         out.append((d, value))
     return out

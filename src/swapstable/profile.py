@@ -248,21 +248,6 @@ def _one_sided(lists, back, back_lists):
                 yield owner, other
 
 
-def asymmetries(u_lists, w_lists):
-    """Yield each one-sided acceptance as (side, owner, other), in list order.
-
-    First (Side.U, i, j) for every j in u_lists[i] whose list lacks i, then
-    (Side.W, j, i) likewise.  Each entry reads one slot of the other
-    side's rank table, so no list is searched.
-    """
-    rank_u = _rank_table(u_lists, len(w_lists), [])
-    rank_w = _rank_table(w_lists, len(u_lists), [])
-    for owner, other in _one_sided(u_lists, rank_w, w_lists):
-        yield Side.U, owner, other
-    for owner, other in _one_sided(w_lists, rank_u, u_lists):
-        yield Side.W, owner, other
-
-
 def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
     """The Profile of the lists, with both rank tables, or ValidationError.
 
@@ -285,12 +270,16 @@ def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
         sum(map(len, u_lists)) != sum(map(len, w_lists))
         or next(_one_sided(u_lists, rank_w, w_lists), None)
     ):
-        names = {Side.U: (u_names, w_names), Side.W: (w_names, u_names)}
-        for side, owner, other in asymmetries(u_lists, w_lists):
-            issues.append(
-                "%sasymmetric acceptability: %s lists %s but not vice versa"
-                % (where(side, owner), names[side][0][owner], names[side][1][other])
-            )
+        sides = (
+            (Side.U, u_lists, rank_w, w_lists, u_names, w_names),
+            (Side.W, w_lists, rank_u, u_lists, w_names, u_names),
+        )
+        for side, lists, back, back_lists, names, other_names in sides:
+            for owner, other in _one_sided(lists, back, back_lists):
+                issues.append(
+                    "%sasymmetric acceptability: %s lists %s but not vice versa"
+                    % (where(side, owner), names[owner], other_names[other])
+                )
     if issues:
         raise ValidationError(issues)
     p = Profile(tuple(u_lists), tuple(w_lists), tuple(u_names), tuple(w_names))

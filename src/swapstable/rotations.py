@@ -133,24 +133,14 @@ class RotationDigraph:
             out[b].append(a)
         return out
 
-    @cached_property
-    def ancestor_masks(self):
-        """ancestor_masks[i] has bit j set iff j must precede i (j != i)."""
-        masks = [0] * self.n
-        for i in range(self.n):  # index order is topological
-            acc = 0
-            for a in self.preds[i]:
-                acc |= masks[a] | (1 << a)
-            masks[i] = acc
-        return masks
-
     def is_closed(self, subset):
-        mask = 0
+        """Does subset hold every predecessor of each member?  Closed under
+        the direct arcs means closed under all ancestors."""
+        subset = set(subset)
         for i in subset:
             if not 0 <= i < self.n:
                 raise InvalidInput("rotation index %r out of range" % (i,))
-            mask |= 1 << i
-        return not any(self.ancestor_masks[i] & ~mask for i in subset)
+        return all(a in subset for i in subset for a in self.preds[i])
 
 
 def _claim(table, key, idx, message):
@@ -274,17 +264,22 @@ def matching_of(dg, subset):
 
 
 def closed_subsets(dg):
-    """Yield every predecessor-closed subset of rotation indices."""
+    """Yield every predecessor-closed subset of rotation indices.
 
-    def extend(i, mask):
+    Depth-first over the indices, leaving each out before taking it in; an
+    index may be taken once its direct predecessors are, since index order
+    is topological.  The stack holds one frame per open choice, so depth
+    is not bounded by the interpreter's recursion limit.
+    """
+    stack = [(0, frozenset())]
+    while stack:
+        i, chosen = stack.pop()
         if i == dg.n:
-            yield frozenset(k for k in range(dg.n) if mask & (1 << k))
-            return
-        yield from extend(i + 1, mask)
-        if dg.ancestor_masks[i] & ~mask == 0:
-            yield from extend(i + 1, mask | (1 << i))
-
-    yield from extend(0, 0)
+            yield chosen
+            continue
+        if all(a in chosen for a in dg.preds[i]):
+            stack.append((i + 1, chosen | {i}))
+        stack.append((i + 1, chosen))
 
 
 def enumerate_stable_matchings(p):

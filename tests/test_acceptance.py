@@ -8,8 +8,6 @@ does not deliver what it claims; do not loosen a bound to get a run green.
 import math
 import time
 
-import pytest
-
 from swapstable import (
     INFINITE,
     Agent,
@@ -278,10 +276,20 @@ def test_monotonicity_and_degenerate_budgets():
 
 def test_lattice_fixture_facts():
     p = gen_example1_fixture()
-    if p is None:
-        pytest.skip("constraint search found no profile with the target lattice")
     stable = list(enumerate_stable_bf(p))
+    # the lattice M1 < M3 < {M4, M5} < M2 over u1..u4 / w1..w4
+    targets = {
+        frozenset(pairs)
+        for pairs in (
+            ((0, 1), (1, 2), (2, 3), (3, 0)),
+            ((0, 0), (1, 1), (2, 2), (3, 3)),
+            ((0, 2), (1, 3), (2, 0), (3, 1)),
+            ((0, 0), (1, 3), (2, 2), (3, 1)),
+            ((0, 2), (1, 1), (2, 0), (3, 3)),
+        )
+    }
     assert len(stable) == 5
+    assert {m.pairs for m in stable} == targets
     dg = rotation_digraph(p)
     assert dg.n == 3
     assert dg.arcs == frozenset({(0, 1), (0, 2)})
@@ -289,6 +297,7 @@ def test_lattice_fixture_facts():
     target = matching_of(dg, full)
     robust = [m for m in stable if brute_is_d_robust(p, m, 1)]
     assert robust == [target]
+    assert target.pairs == frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})
     assert find_d_robust(p, 1) == target
     extra_arcs, forced, forbidden = _collect_constraints(p, dg, 1)
     assert forced == {0}

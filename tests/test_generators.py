@@ -93,4 +93,4 @@ def test_lattice_fixture_search_succeeds():
     assert p is not None
     assert p.n_u == p.n_w == 4
     assert len(list(enumerate_stable_bf(p))) == 5
-    assert gen_example1_fixture() is p
+    assert gen_example1_fixture() == p

@@ -129,6 +129,11 @@ def test_unmatched_blockers_cost_infinity():
     assert report.local_bound is INFINITE
     assert report.global_cost is INFINITE
     assert report.witness_local is None and report.witness_global is None
+    # an infinite bound passed back in still has no witness
+    for p, m in (two_unmatched_blockers(), (gen_example3(), Matching.empty(2, 2))):
+        assert local_instability(p, m) is INFINITE
+        with pytest.raises(NotNearlyStable):
+            witness_profile_local(p, m, INFINITE)
 
 
 def test_global_cost_agrees_with_ball_walk():

@@ -36,7 +36,7 @@ from swapstable import (
     validate_matching,
     validate_profile,
 )
-from swapstable.profile import asymmetries, blocking_indices
+from swapstable.profile import blocking_indices
 
 from helpers import (
     blocking_by_definition,
@@ -181,10 +181,20 @@ def test_asymmetries_match_definition_in_order(p, pyrng, drop_from_u):
         for entry in list(lst):
             if pyrng.random() < 0.3:
                 lst.remove(entry)
-    want = list(_naive_asymmetries(u_lists, w_lists))
-    assert list(asymmetries(u_lists, w_lists)) == want
-    assert list(asymmetries(p.u_lists, p.w_lists)) == []
-    assert list(asymmetries([[], []], [])) == []
+    labels = {Side.U: ("u", "w"), Side.W: ("w", "u")}
+    want = [
+        "asymmetric acceptability: %s%d lists %s%d but not vice versa"
+        % (labels[side][0], owner + 1, labels[side][1], other + 1)
+        for side, owner, other in _naive_asymmetries(u_lists, w_lists)
+    ]
+    if want:
+        with pytest.raises(ValidationError) as err:
+            validate_profile(u_lists, w_lists)
+        assert err.value.issues == want
+    else:
+        assert validate_profile(u_lists, w_lists) == p
+    assert validate_profile(p.u_lists, p.w_lists) == p
+    assert validate_profile([[], []], []).u_lists == ((), ())
 
 
 def test_apply_swap_and_adjacency():

@@ -1,6 +1,8 @@
 """Rotation poset: successor maps, closed-subset bijection, weighted closures."""
 
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from swapstable import (
     NoSuccessorDefined,
     NotClosed,
     Rotation,
+    RotationDigraph,
     RotationWeights,
     closed_subsets,
     egalitarian_cost,
@@ -109,6 +112,45 @@ def test_closed_subsets_enumerate_exactly_the_stable_matchings(p):
     assert matching_of(dg, frozenset()) == u_optimal(p)
     assert matching_of(dg, frozenset(range(dg.n))) == w_optimal(p)
     assert set(enumerate_stable_matchings(p)) == set(produced)
+
+
+def test_closed_subsets_follow_exclude_first_order():
+    # The reference filters all 2^n subsets, index 0 decided first and
+    # left out before taken in; arcs only point from lower to higher
+    # indices, as discovery numbers rotations.
+    rng = random.Random(41)
+    graphs = [rotation_digraph(p) for p in random_profiles(20, 5, 5, 1.0, seed_base=900)]
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        arcs = frozenset(
+            (a, b) for b in range(n) for a in range(b) if rng.random() < 0.3
+        )
+        graphs.append(
+            RotationDigraph((None,) * n, arcs, None, movesto={}, u_passed={}, crossed={})
+        )
+    for dg in graphs:
+        want = []
+        for picks in itertools.product((False, True), repeat=dg.n):
+            s = frozenset(i for i in range(dg.n) if picks[i])
+            if all(a in s for a, b in dg.arcs if b in s):
+                want.append(s)
+        assert list(closed_subsets(dg)) == want
+
+
+def test_closed_subsets_are_not_bounded_by_recursion_limit():
+    # disjoint 2x2 blocks with one rotation each, more than the recursion
+    # limit of them: u_2k and u_2k+1 get their first choices at u_optimal
+    # and swap partners at w_optimal
+    k = sys.getrecursionlimit() + 100
+    u_lists, w_lists = [], []
+    for b in range(0, 2 * k, 2):
+        u_lists += [[b, b + 1], [b + 1, b]]
+        w_lists += [[b + 1, b], [b, b + 1]]
+    p = validate_profile(u_lists, w_lists)
+    dg = rotation_digraph(p)
+    assert dg.n == k
+    assert next(closed_subsets(dg)) == frozenset()
+    assert next(enumerate_stable_matchings(p)) == u_optimal(p)
 
 
 def test_matching_of_rejects_open_subsets():

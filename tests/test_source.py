@@ -115,6 +115,48 @@ def test_no_numpy_in_the_package():
     assert out.stdout.strip() == "False"
 
 
+# Self-calls the rule allows, each with the bound on its depth.
+RECURSION_ALLOWED = {
+    "cli._encode": "depth is bounded by the report's shape",
+    "oracle.extend": "depth is at most MATCHING_CAP + 1",
+}
+
+
+def test_no_function_calls_itself():
+    # One frame per element would make the input size meet the
+    # interpreter's recursion limit; walks keep an explicit stack instead.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    found.append("%s.%s" % (path.stem, fn.name))
+                    break
+    assert sorted(found) == sorted(RECURSION_ALLOWED)
+
+
+def test_importing_the_package_leaves_the_oracle_unloaded():
+    # The brute-force oracle is the CLI's referee; the library does not
+    # need it.
+    code = "import sys, swapstable; print('swapstable.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_no_indented_json_dumps_in_the_package():
     # json.dumps with indent runs the standard library's pure-Python
     # encoder; reports go through cli._emit's encoder, the one path that
