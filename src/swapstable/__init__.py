@@ -49,7 +49,6 @@ from .nearstable import (
 from .profile import (
     INFINITE,
     Agent,
-    AnalysisQuery,
     Matching,
     Objective,
     Profile,
@@ -71,8 +70,8 @@ from .robustness import find_d_robust, find_d_robust_optimal, is_d_robust, max_r
 from .rotations import (
     Rotation,
     RotationDigraph,
-    RotationWeights,
     closed_subsets,
+    egalitarian_deltas,
     eliminate,
     enumerate_stable_matchings,
     exposed_rotations,

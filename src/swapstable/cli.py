@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .profile import (
     INFINITE,
-    AnalysisQuery,
     Objective,
     blocking_indices,
     egalitarian_cost,
@@ -233,10 +232,10 @@ def _cmd_solve(args, brute):
     if name is None:
         raise InvalidInput("solve %s requires --objective perfect|egalitarian" % args.what)
     objective = Objective(name)
+    if args.eta is not None and (args.what == "robust" or objective != Objective.EGALITARIAN):
+        raise InvalidInput("--eta only applies to egalitarian near-stable solving")
     found = witness = None
     if args.what == "robust":
-        if args.eta is not None:
-            raise InvalidInput("--eta only applies to near-stable solving")
         if brute:
             found = _brute_solve_robust(p, args.d, objective)
         elif objective == Objective.ANY:
@@ -245,12 +244,11 @@ def _cmd_solve(args, brute):
             found = find_d_robust_optimal(p, args.d, objective)
     else:
         mode = "global" if args.what == "global-near" else "local"
-        query = AnalysisQuery(d=args.d, objective=objective, eta=args.eta)
         if brute:
-            res = brute_solve_near(p, query.d, mode, query.objective, eta=query.eta)
+            res = brute_solve_near(p, args.d, mode, objective, eta=args.eta)
         else:
             solver = solve_global_near if mode == "global" else solve_local_near
-            res = solver(p, query.d, query.objective, eta=query.eta)
+            res = solver(p, args.d, objective, eta=args.eta)
         if res is not None:
             found, witness = res if mode == "global" else (res, None)
     report = {"result": "found" if found is not None else "none"}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._flow import FlowNetwork
-from .classic import matched_partition, u_optimal
+from .classic import u_optimal
 from .errors import InvalidInput, NotNearlyStable, TooLarge, verify
 from .profile import (
     INFINITE,
@@ -42,7 +42,6 @@ from .profile import (
     apply_swap,
     blocking_indices,
     egalitarian_cost,
-    is_perfect,
     is_stable,
     swap_distance,
 )
@@ -100,6 +99,7 @@ def local_instability(p, m) -> Cost:
 
 def is_locally_d_nearly_stable(p, m, d_l) -> bool:
     """Does some profile within d_l swaps per list make m stable?"""
+    _check_budget(d_l)
     return local_instability(p, m) <= d_l
 
 
@@ -113,6 +113,7 @@ def witness_profile_local(p, m, d_l) -> Profile:
     Raises NotNearlyStable when d_l is below local_instability, which the
     same scan computes, or when that is INFINITE, whatever d_l is.
     """
+    _check_budget(d_l)
     worst = 0
     u_steps = {}
     w_steps = {}
@@ -253,22 +254,9 @@ def near_stability_report(p, m) -> NearStabilityReport:
     )
 
 
-def _perfect_precheck(p):
-    """Budget-independent reasons no nearly stable matching is perfect.
-
-    Stability in any reordering matches never-matched agents only to
-    always-matched ones (their acceptable partners are all matched, or
-    the two would block), so a perfect matching needs each side's
-    never-matched agents to fit into the other side's matched set.
-    """
-    if p.n_u != p.n_w:
-        return False
-    part = matched_partition(p)
-    matched_u = sum(1 for a in part.matched_agents if a.side == Side.U)
-    matched_w = part.n_matched - matched_u
-    unmatched_u = p.n_u - matched_u
-    unmatched_w = p.n_w - matched_w
-    return unmatched_u <= matched_w and unmatched_w <= matched_u
+def _check_budget(d):
+    if d < 0:
+        raise InvalidInput("budget must be nonnegative, got %r" % d)
 
 
 def _check_query(objective, eta, d):
@@ -277,8 +265,7 @@ def _check_query(objective, eta, d):
         raise InvalidInput("objective must be perfect or egalitarian")
     if objective == Objective.EGALITARIAN and eta is None:
         raise InvalidInput("egalitarian objective needs an eta bound")
-    if d < 0:
-        raise InvalidInput("budget must be nonnegative, got %r" % d)
+    _check_budget(d)
     return objective
 
 
@@ -433,22 +420,20 @@ def _search(p, d, objective, eta, mode, least=None):
             m = Matching.from_pairs(
                 p.n_u, p.n_w, [(k, pu[k]) for k in range(p.n_u) if pu[k] >= 0]
             )
-            if bounded:
-                # every W agent is settled at a leaf, so acc is the cost
-                cost = acc
-                fits = cost <= eta
-            else:
-                fits = is_perfect(p, m)
-            if fits:
-                level = _stabilization_cut(p, m)[0] if additive else local_instability(p, m)
-            else:
+            # With eta, every W agent is settled at a leaf, so acc is the
+            # egalitarian cost.  A perfect-objective leaf is perfect: it has
+            # matched every U agent (there is no -1 option), and the solvers
+            # search for a perfect matching only when n_u == n_w.
+            if bounded and acc > eta:
                 level = INFINITE
+            else:
+                level = _stabilization_cut(p, m)[0] if additive else local_instability(p, m)
             if level <= d:
                 if least is None or (least == "instability" and level == 0):
                     return m
                 best = m
                 if least == "cost":
-                    eta = cost - 1
+                    eta = acc - 1
                 else:
                     d = level - 1
         # Undo the top agent's choice and move it to its next option that
@@ -493,26 +478,30 @@ def solve_global_near(p, d_g, objective, eta=None):
     Returns the matching of least global cost that meets the objective,
     the first in search order among equals, with that cost's witness
     profile from global_stabilization_cost; None when none costs at most
-    d_g.  The number of matched agents moves by at most two per swap, so
-    perfect matchings are ruled out without searching when d_g is below
-    half the unmatched count.  Cost 0 is the least there is, and the first
-    stable matching in search order is u_optimal(p), which gives every U
-    agent its best stable partner; so when u_optimal(p) meets the
-    objective it is the answer, with witness p, and nothing is searched.
-    Otherwise an exact branch-and-bound (see _search) prices each leaf by
-    the min-cut cost of _stabilization_cut; only the answer gets a
-    witness.  One pass whatever d_g is: the budget tightens below each
-    leaf found.
+    d_g.  Cost 0 is the least there is, and the first stable matching in
+    search order is u_optimal(p), which gives every U agent its best
+    stable partner; so when u_optimal(p) meets the objective it is the
+    answer, with witness p, and nothing is searched.  Otherwise an exact
+    branch-and-bound (see _search) prices each leaf by the min-cut cost of
+    _stabilization_cut; only the answer gets a witness.  One pass whatever
+    d_g is: the budget tightens below each leaf found.
+
+    Every stable matching matches the same agents, the k pairs of
+    u_optimal(p) (the Rural Hospitals theorem), and rules out a perfect
+    answer without searching in three cases: the sides differ in size;
+    the n_u - k agents per side that no stable matching matches outnumber
+    the k that every one does (stable in any reordering, such a matching
+    pairs a never-matched agent only with an always-matched one, or the
+    two would block); or d_g < n_u - k, since the number of matched
+    agents moves by at most two per swap and 2 * (n_u - k) are unmatched.
     """
     objective = _check_query(objective, eta, d_g)
-    if objective == Objective.PERFECT:
-        if not _perfect_precheck(p):
-            return None
-        if 2 * d_g < matched_partition(p).n_unmatched:
-            return None
     stable = u_optimal(p)
     if objective == Objective.PERFECT:
-        fits = is_perfect(p, stable)
+        k = len(stable.pairs)
+        if p.n_u != p.n_w or p.n_u - k > k or d_g < p.n_u - k:
+            return None
+        fits = k == p.n_u
     else:
         fits = egalitarian_cost(p, stable) <= eta
     if fits:
@@ -526,11 +515,16 @@ def solve_local_near(p, d_l, objective, eta=None):
 
     Exact branch-and-bound (see _search) with local_instability at each
     leaf, stopping at the first feasible matching, which is returned;
-    None when there is none.
+    None when there is none.  A perfect answer is ruled out without
+    searching when the sides differ in size or the agents no stable
+    matching matches outnumber the k that every one does (see
+    solve_global_near).
     """
     objective = _check_query(objective, eta, d_l)
-    if objective == Objective.PERFECT and not _perfect_precheck(p):
-        return None
+    if objective == Objective.PERFECT:
+        k = len(u_optimal(p).pairs)
+        if p.n_u != p.n_w or p.n_u - k > k:
+            return None
     return _search(p, d_l, objective, eta, "local")
 
 

@@ -6,7 +6,8 @@ swap by swap, and the robustness/near-stability definitions are applied
 literally.  The fast engines are tested against this module; none of them
 call into it.
 
-Caps are hard errors (TooLarge), never silent truncation.
+Caps are module constants, read at call time, and hard errors (TooLarge),
+never silent truncation.
 """
 
 import itertools
@@ -26,17 +27,17 @@ MATCHING_CAP = 6
 PROFILE_CAP = 2_000_000
 
 
-def enumerate_matchings(p, cap=MATCHING_CAP):
+def enumerate_matchings(p):
     """Yield every matching over mutually acceptable pairs exactly once.
 
     Recursion over U agents; each agent either stays unmatched or takes an
     acceptable, still-free partner.  Raises TooLarge when either side
-    exceeds ``cap``.
+    exceeds MATCHING_CAP.
     """
-    if max(p.n_u, p.n_w) > cap:
+    if max(p.n_u, p.n_w) > MATCHING_CAP:
         raise TooLarge(
             "matching enumeration capped at side size %d, got %dx%d"
-            % (cap, p.n_u, p.n_w)
+            % (MATCHING_CAP, p.n_u, p.n_w)
         )
     pairs = []
     used = set()
@@ -57,9 +58,9 @@ def enumerate_matchings(p, cap=MATCHING_CAP):
     yield from extend(0)
 
 
-def enumerate_stable_bf(p, cap=MATCHING_CAP):
+def enumerate_stable_bf(p):
     """All stable matchings by filtering the full enumeration."""
-    return [m for m in enumerate_matchings(p, cap=cap) if is_stable(p, m)]
+    return [m for m in enumerate_matchings(p) if is_stable(p, m)]
 
 
 def _neighbors(lists):
@@ -93,13 +94,13 @@ def _list_ball(lst, d):
     return out
 
 
-def profiles_within(p, d, mode, max_profiles=PROFILE_CAP):
+def profiles_within(p, d, mode):
     """Every profile within swap distance d of p, each exactly once.
 
     mode "global": total distance over all lists ≤ d (BFS by layers, so
     closer profiles come first).  mode "local": every agent's own list
     within d (cartesian product of per-list balls).  Raises TooLarge when
-    the ball exceeds ``max_profiles``.
+    the ball exceeds PROFILE_CAP.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
@@ -125,8 +126,8 @@ def profiles_within(p, d, mode, max_profiles=PROFILE_CAP):
                         seen.add(key)
                         nxt.append(key)
             count += len(nxt)
-            if count > max_profiles:
-                raise TooLarge("profile ball exceeds %d profiles" % max_profiles)
+            if count > PROFILE_CAP:
+                raise TooLarge("profile ball exceeds %d profiles" % PROFILE_CAP)
             for u_lists, w_lists in nxt:
                 yield Profile(u_lists, w_lists, p.u_names, p.w_names)
             frontier = nxt
@@ -136,29 +137,29 @@ def profiles_within(p, d, mode, max_profiles=PROFILE_CAP):
     total = 1
     for ball in itertools.chain(u_balls, w_balls):
         total *= len(ball)
-        if total > max_profiles:
-            raise TooLarge("profile ball exceeds %d profiles" % max_profiles)
+        if total > PROFILE_CAP:
+            raise TooLarge("profile ball exceeds %d profiles" % PROFILE_CAP)
     for u_combo in itertools.product(*u_balls):
         for w_combo in itertools.product(*w_balls):
             yield Profile(tuple(u_combo), tuple(w_combo), p.u_names, p.w_names)
 
 
-def brute_is_d_robust(p, m, d, max_profiles=PROFILE_CAP):
+def brute_is_d_robust(p, m, d):
     """Definitional check: m stable in every profile within distance d."""
-    for q in profiles_within(p, d, "global", max_profiles=max_profiles):
+    for q in profiles_within(p, d, "global"):
         if not is_stable(q, m):
             return False
     return True
 
 
-def brute_global_cost(p, m, max_d=3, max_profiles=PROFILE_CAP):
+def brute_global_cost(p, m, max_d=3):
     """Smallest total swap distance to a profile where m is stable.
 
     Walks ball layers outward, so the first hit is a closest witness;
     returns (cost, witness profile), or None when no profile within max_d
     works (the true cost is then larger, possibly infinite).
     """
-    for q in profiles_within(p, max_d, "global", max_profiles=max_profiles):
+    for q in profiles_within(p, max_d, "global"):
         if is_stable(q, m):
             return (int(swap_distance(p, q)), q)
     return None
@@ -168,25 +169,23 @@ def _variant_rank_rows(lists, n_other, d):
     """Per-agent rank rows for every list ordering within distance d.
 
     rows[a][c][o] is o's position in agent a's c-th candidate list, that
-    list's length where o is unlisted; counts[a] is a's number of
-    candidates.
+    list's length where o is unlisted.
     """
-    rows = [
+    return [
         [
             [variant.index(o) if o in variant else len(variant) for o in range(n_other)]
             for variant in _list_ball(lst, d)
         ]
         for lst in lists
     ]
-    return rows, [len(ball) for ball in rows]
 
 
-def stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
+def stabilizable_product(ru, rw, len_u, len_w, pu, pw):
     """Does some per-agent choice of candidate list admit no blocking pair?
 
-    ru[i][c] is the rank row of U agent i's c-th candidate list, cnt_u[i]
-    of them (rw likewise for W).  With the U side fixed the W agents
-    decouple, so only the U choices are enumerated, by odometer.
+    ru[i][c] is the rank row of U agent i's c-th candidate list (rw
+    likewise for W).  With the U side fixed the W agents decouple, so only
+    the U choices are enumerated, by odometer.
     """
     n_u, n_w = len(ru), len(rw)
     digits = [0] * n_u
@@ -194,13 +193,13 @@ def stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
         ok = True
         for j in range(n_w):
             found = False
-            for c in range(cnt_w[j]):
-                cur_w = rw[j][c][pw[j]] if pw[j] >= 0 else len_w[j]
+            for row_w in rw[j]:
+                cur_w = row_w[pw[j]] if pw[j] >= 0 else len_w[j]
                 viable = True
                 for i in range(n_u):
                     row = ru[i][digits[i]]
                     cur_u = row[pu[i]] if pu[i] >= 0 else len_u[i]
-                    if row[j] < cur_u and rw[j][c][i] < cur_w:
+                    if row[j] < cur_u and row_w[i] < cur_w:
                         viable = False
                         break
                 if viable:
@@ -214,7 +213,7 @@ def stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
         pos = 0
         while pos < n_u:
             digits[pos] += 1
-            if digits[pos] < cnt_u[pos]:
+            if digits[pos] < len(ru[pos]):
                 break
             digits[pos] = 0
             pos += 1
@@ -230,11 +229,11 @@ def brute_is_locally_d_stable(p, m, d):
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
-    ru, cnt_u = _variant_rank_rows(p.u_lists, p.n_w, d)
-    rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, d)
+    ru = _variant_rank_rows(p.u_lists, p.n_w, d)
+    rw = _variant_rank_rows(p.w_lists, p.n_u, d)
     len_u = [len(lst) for lst in p.u_lists]
     len_w = [len(lst) for lst in p.w_lists]
-    return stabilizable_product(ru, rw, len_u, len_w, cnt_u, cnt_w, m.pu, m.pw)
+    return stabilizable_product(ru, rw, len_u, len_w, m.pu, m.pw)
 
 
 def _objective_ok(p, m, objective, eta):
@@ -247,7 +246,7 @@ def _objective_ok(p, m, objective, eta):
     raise InvalidInput("objective must be perfect or egalitarian")
 
 
-def brute_solve_near(p, budget, mode, objective, eta=None, max_profiles=PROFILE_CAP):
+def brute_solve_near(p, budget, mode, objective, eta=None):
     """Exhaustive near-stable solver mirroring solve_global_near/solve_local_near.
 
     Looks for a matching that satisfies the objective in p (costs always
@@ -264,14 +263,14 @@ def brute_solve_near(p, budget, mode, objective, eta=None, max_profiles=PROFILE_
         if _objective_ok(p, m, objective, eta)
     ]
     if mode == "global":
-        for q in profiles_within(p, budget, "global", max_profiles=max_profiles):
+        for q in profiles_within(p, budget, "global"):
             for m in candidates:
                 if is_stable(q, m):
                     return (m, q)
         return None
     if mode == "local":
         for m in candidates:
-            for q in profiles_within(p, budget, "local", max_profiles=max_profiles):
+            for q in profiles_within(p, budget, "local"):
                 if is_stable(q, m):
                     return m
         return None

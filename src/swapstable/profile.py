@@ -195,21 +195,6 @@ class Matching:
         return sorted(self.pairs)
 
 
-@dataclass(frozen=True)
-class AnalysisQuery:
-    """Bundle of budgets and objective handed from the CLI to the solvers."""
-
-    d: int = 0
-    eta: Optional[int] = None
-    objective: Objective = Objective.ANY
-
-    def __post_init__(self):
-        if (self.eta is not None) != (self.objective == Objective.EGALITARIAN):
-            raise InvalidInput(
-                "eta must be given exactly when the objective is egalitarian"
-            )
-
-
 def _rank_table(lists, n_other, faults):
     """rank[i][j] = position of j in lists[i], the list's length where unlisted.
 

@@ -10,16 +10,15 @@ between two events, each brought about by one rotation of the digraph's
 per-pair index (``u_passed``, ``crossed``).  A threat becomes an
 implication arc, a forced or forbidden rotation, or infeasibility.  The
 closure that picks the matching weighs every rotation 1 for find_d_robust
-(the smallest admissible closed set) and by its egalitarian delta for
-find_d_robust_optimal.
+and the perfect objective (the smallest admissible closed set) and by its
+egalitarian delta for the egalitarian one.
 """
 
 from dataclasses import replace
 
-from .classic import matched_partition
 from .errors import InvalidInput
-from .profile import Agent, Objective, _promote, blocking_pairs
-from .rotations import RotationWeights, matching_of, min_weight_closure, rotation_digraph
+from .profile import Agent, Objective, _promote, blocking_pairs, is_perfect
+from .rotations import egalitarian_deltas, matching_of, min_weight_closure, rotation_digraph
 
 
 def _gap_witness(p, m, ui, wj):
@@ -164,24 +163,26 @@ def find_d_robust(p, d):
     rotation set that satisfies them all (unit weight per rotation).
     """
     dg = rotation_digraph(p)
-    return _robust_closure(p, dg, d, RotationWeights(delta=(1,) * dg.n))
+    return _robust_closure(p, dg, d, (1,) * dg.n)
 
 
 def find_d_robust_optimal(p, d, objective):
     """Best d-robust matching under Perfect or Egalitarian objectives.
 
-    Perfect succeeds iff the profile matches everybody (all stable
-    matchings match the same agents).  Egalitarian solves minimum-weight
-    closure under the same constraint system find_d_robust uses.
+    Both solve the closure find_d_robust solves, Egalitarian with each
+    rotation weighed by its egalitarian delta.  Perfect returns that
+    matching only when it is perfect: all stable matchings match the same
+    agents (the Rural Hospitals theorem), so if it is not, none is.
     """
-    if objective == Objective.PERFECT:
-        if matched_partition(p).n_unmatched > 0:
-            return None
-        return find_d_robust(p, d)
-    if objective != Objective.EGALITARIAN:
+    if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
         raise InvalidInput("objective must be Perfect or Egalitarian")
+    perfect = objective == Objective.PERFECT
     dg = rotation_digraph(p)
-    return _robust_closure(p, dg, d, RotationWeights.measured(dg, p))
+    weights = (1,) * dg.n if perfect else egalitarian_deltas(dg, p)
+    m = _robust_closure(p, dg, d, weights)
+    if perfect and m is not None and not is_perfect(p, m):
+        return None
+    return m
 
 
 def max_robustness(p, cap=None):
@@ -201,7 +202,7 @@ def max_robustness(p, cap=None):
         l * (l - 1) // 2 for l in map(len, p.w_lists)
     )
     dg = rotation_digraph(p)
-    weights = RotationWeights(delta=(1,) * dg.n)
+    weights = (1,) * dg.n
     best = _robust_closure(p, dg, 0, weights)
     if best is None:
         return None

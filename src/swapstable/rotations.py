@@ -289,62 +289,55 @@ def enumerate_stable_matchings(p):
         yield matching_of(dg, subset)
 
 
-def stable_pairs(p, dg=None):
+def stable_pairs(p):
     """Pairs appearing in at least one stable matching, as index tuples.
 
     A pair is stable iff it is in the U-optimal matching or some rotation
     produces it.
     """
-    if dg is None:
-        dg = rotation_digraph(p)
+    dg = rotation_digraph(p)
     return dg.u_opt.pairs.union(dg.movesto)
 
 
-@dataclass(frozen=True)
-class RotationWeights:
+def egalitarian_deltas(dg, p):
     """Egalitarian-cost delta per rotation: eliminating rho adds delta[rho].
 
     For any closed subset S, the cost of matching_of(S) equals the cost of
-    u_optimal plus the sum of deltas over S, with ranks taken from the
-    profile passed to ``measured``.
+    u_optimal plus the sum of deltas over S, with ranks taken from p.
     """
-
-    delta: tuple
-
-    @classmethod
-    def measured(cls, dg, p):
-        # u moves from partner a to b and b trades its partner for u; summed
-        # over the cycle, each move adds rank_w[b][u] - rank_w[a][u]
-        ru, rw = p.rank_u, p.rank_w
-        return cls(
-            delta=tuple(
-                sum(ru[u][b] - ru[u][a] + rw[b][u] - rw[a][u] for u, a, b in rho.moves())
-                for rho in dg.rotations
-            )
-        )
+    # u moves from partner a to b and b trades its partner for u; summed
+    # over the cycle, each move adds rank_w[b][u] - rank_w[a][u]
+    ru, rw = p.rank_u, p.rank_w
+    return tuple(
+        sum(ru[u][b] - ru[u][a] + rw[b][u] - rw[a][u] for u, a, b in rho.moves())
+        for rho in dg.rotations
+    )
 
 
 def min_weight_closure(dg, weights, forced=frozenset(), forbidden=frozenset(), extra_arcs=frozenset()):
     """Minimum-total-weight predecessor-closed subset, or None if infeasible.
 
-    The subset must contain ``forced``, avoid ``forbidden``, and respect
-    ``extra_arcs`` on top of the digraph's own: an arc (a, b) means b may
-    only be chosen together with a, so the nodes of a cycle of arcs enter
-    or leave together.  Solved as one max-flow project selection over all
-    rotations (Picard 1976): chosen rotations form the sink side, weights
-    are arcs from the source (positive) or to the sink (negative), and
-    every constraint is an infinite arc: a -> b per arc (a, b), forced ->
-    sink, source -> forbidden.  A flow reaching the infinite capacity means
-    no subset is feasible.  The minimal source side over all minimum cuts
-    makes the answer the union of all minimum-weight feasible subsets.
+    ``weights`` holds one weight per rotation.  The subset must contain
+    ``forced``, avoid ``forbidden``, and respect ``extra_arcs`` on top of
+    the digraph's own: an arc (a, b) means b may only be chosen together
+    with a, so the nodes of a cycle of arcs enter or leave together.
+    Solved as one max-flow project selection over all rotations (Picard
+    1976): chosen rotations form the sink side, weights are arcs from the
+    source (positive) or to the sink (negative), and every constraint is
+    an infinite arc: a -> b per arc (a, b), forced -> sink, source ->
+    forbidden.  A flow reaching the infinite capacity means no subset is
+    feasible.  The minimal source side over all minimum cuts makes the
+    answer the union of all minimum-weight feasible subsets.
     """
+    if len(weights) != dg.n:
+        raise InvalidInput("%d weights for %d rotations" % (len(weights), dg.n))
     arcs = dg.arcs | frozenset(extra_arcs)
     for i in chain(forced, forbidden, *extra_arcs):
         if not 0 <= i < dg.n:
             raise InvalidInput("rotation index %r out of range" % (i,))
-    inf = 1 + sum(abs(w) for w in weights.delta)
+    inf = 1 + sum(abs(w) for w in weights)
     net = FlowNetwork()
-    for i, w in enumerate(weights.delta):
+    for i, w in enumerate(weights):
         if w > 0:
             net.add_edge("s", i, w)
         elif w < 0:

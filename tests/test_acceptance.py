@@ -17,6 +17,7 @@ from swapstable import (
     apply_swap,
     closed_subsets,
     egalitarian_cost,
+    egalitarian_deltas,
     example2_rotated_matching,
     example2_stable_matching,
     find_d_robust,
@@ -37,13 +38,13 @@ from swapstable import (
     parse_profile,
     repair_after_swap,
     rotation_digraph,
-    RotationWeights,
     serialize_profile,
     solve_global_near,
     solve_local_near,
     tradeoff_curve,
     u_optimal,
 )
+from swapstable import oracle
 from swapstable.oracle import (
     brute_global_cost,
     brute_is_d_robust,
@@ -62,7 +63,7 @@ def robust_battery():
     return batch
 
 
-def test_crown_family_costs_and_witness():
+def test_crown_family_costs_and_witness(monkeypatch):
     start = time.perf_counter()
     for n in range(3, 9):
         p = gen_example2(n)
@@ -70,7 +71,8 @@ def test_crown_family_costs_and_witness():
         assert is_stable(p, m)
         assert rotation_digraph(p).n == 0
         if n <= 4:
-            assert list(enumerate_stable_bf(p, cap=2 * n)) == [m]
+            monkeypatch.setattr(oracle, "MATCHING_CAP", 2 * n)
+            assert list(enumerate_stable_bf(p)) == [m]
         assert egalitarian_cost(p, m) == n * n - 1
         rotated = example2_rotated_matching(n)
         assert egalitarian_cost(p, rotated) == n + 1
@@ -130,10 +132,10 @@ def test_rotation_lattice_bijection_and_weights():
         brute = list(enumerate_stable_bf(p))
         assert len(subsets) == len(brute)
         assert set(produced) == set(brute)
-        weights = RotationWeights.measured(dg, p)
+        delta = egalitarian_deltas(dg, p)
         base = egalitarian_cost(p, u_optimal(p))
         for s, m in zip(subsets, produced):
-            assert egalitarian_cost(p, m) == base + sum(weights.delta[r] for r in s)
+            assert egalitarian_cost(p, m) == base + sum(delta[r] for r in s)
     assert time.perf_counter() - start < 60
 
 

@@ -288,6 +288,24 @@ def test_error_exits_and_messages(capsys, tmp_path, crown):
         "--objective", "egalitarian",
     )
     assert code == 2 and "eta" in err
+    code, _, err = run(
+        capsys, "solve", "global-near", "--profile", prof, "--d", "1",
+        "--objective", "perfect", "--eta", "3",
+    )
+    assert code == 2 and "--eta" in err
+
+
+def test_perfect_robust_solve_with_a_negative_budget_exits_2(capsys, tmp_path):
+    # example 3 leaves agents unmatched: the answer would be "none" at any
+    # valid budget, and a negative one must not read as that answer
+    prof = tmp_path / "example3.profile"
+    prof.write_text(serialize_profile(gen_example3()))
+    for engine in ([], ["oracle"]):
+        code, out, err = run(
+            capsys, *engine, "solve", "robust", "--profile", str(prof), "--d", "-1",
+            "--objective", "perfect",
+        )
+        assert code == 2 and out == "" and "nonnegative" in err
 
 
 def test_every_profile_file_gets_an_answer_or_a_message(capsys, tmp_path):

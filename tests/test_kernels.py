@@ -56,10 +56,10 @@ def _blocks(ru, rw, len_u, len_w, pu, pw):
     )
 
 
-def _some_choice_is_stable(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
+def _some_choice_is_stable(ru, rw, len_u, len_w, pu, pw):
     """Try every combination of candidate lists, U and W sides together."""
-    choices = [range(c) for c in cnt_u] + [range(c) for c in cnt_w]
-    n_u = len(cnt_u)
+    choices = [range(len(rows)) for rows in ru] + [range(len(rows)) for rows in rw]
+    n_u = len(ru)
     for combo in itertools.product(*choices):
         rows_u = [ru[i][c] for i, c in enumerate(combo[:n_u])]
         rows_w = [rw[j][c] for j, c in enumerate(combo[n_u:])]
@@ -72,10 +72,10 @@ def _some_choice_is_stable(ru, rw, len_u, len_w, cnt_u, cnt_w, pu, pw):
 def test_stabilizable_product_matches_enumeration(seed):
     rng = make_rng(seed)
     p = gen_random(3, 3, 1.0, seed=seed)
-    ru, cnt_u = _variant_rank_rows(p.u_lists, p.n_w, 1)
-    rw, cnt_w = _variant_rank_rows(p.w_lists, p.n_u, 1)
+    ru = _variant_rank_rows(p.u_lists, p.n_w, 1)
+    rw = _variant_rank_rows(p.w_lists, p.n_u, 1)
     m = random_matching(p, rng)
     len_u = [len(lst) for lst in p.u_lists]
     len_w = [len(lst) for lst in p.w_lists]
-    args = (ru, rw, len_u, len_w, cnt_u, cnt_w, m.pu, m.pw)
+    args = (ru, rw, len_u, len_w, m.pu, m.pw)
     assert stabilizable_product(*args) == _some_choice_is_stable(*args)

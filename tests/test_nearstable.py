@@ -247,12 +247,20 @@ def test_report_mirrors_both_engines():
             assert swap_distance(p, report.witness_global) == report.global_cost
 
 
+def sparse_profiles(seed_base):
+    """Seeded 3x4, 4x3 and 4x4 profiles at density 0.5: unequal sides, and
+    stable matchings that leave agents unmatched, which the perfect
+    solvers rule out or bound by the unmatched count without searching."""
+    sizes = [(3, 4), (4, 3), (4, 4)] * 3
+    return [gen_random(n_u, n_w, 0.5, seed=seed_base + k) for k, (n_u, n_w) in enumerate(sizes)]
+
+
 def test_global_solver_agrees_with_ball_walk():
     # The oracle walks the ball closest profile first, so its witness lies
     # at the least distance any qualifying matching needs; the solver
     # returns a matching of least global cost with that cost's witness.
     moved = 0
-    for p in random_profiles(30, 3, 3, 0.8, seed_base=8500):
+    for p in random_profiles(30, 3, 3, 0.8, seed_base=8500) + sparse_profiles(8550):
         for d in (0, 1, 2):
             res = solve_global_near(p, d, Objective.PERFECT)
             want = brute_solve_near(p, d, "global", Objective.PERFECT)
@@ -314,7 +322,7 @@ def test_global_tradeoff_agrees_with_oracle():
 
 
 def test_local_solver_agrees_with_ball_walk():
-    for p in random_profiles(30, 3, 3, 0.8, seed_base=8600):
+    for p in random_profiles(30, 3, 3, 0.8, seed_base=8600) + sparse_profiles(8650):
         for d in (0, 1):
             res = solve_local_near(p, d, Objective.PERFECT)
             want = brute_solve_near(p, d, "local", Objective.PERFECT)
@@ -526,6 +534,20 @@ def test_global_solver_takes_huge_budgets_in_one_pass():
             assert q == p and egalitarian_cost(p, m) == cheapest
         else:
             assert swap_distance(p, q) > 0 and egalitarian_cost(p, m) <= eta
+
+
+def test_local_check_rejects_a_negative_budget():
+    p = gen_random(3, 3, 1.0, seed=4)
+    for m in (u_optimal(p), Matching.empty(3, 3)):
+        with pytest.raises(InvalidInput):
+            is_locally_d_nearly_stable(p, m, -1)
+
+
+def test_local_witness_rejects_a_negative_budget():
+    # u_optimal is stable, so only the budget check can refuse it
+    p = gen_random(3, 3, 1.0, seed=4)
+    with pytest.raises(InvalidInput):
+        witness_profile_local(p, u_optimal(p), -1)
 
 
 def test_solver_input_validation():

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from swapstable import (
     INFINITE,
     Agent,
-    AnalysisQuery,
     InvalidInput,
     InvalidMatching,
     Matching,
     NonAdjacentSwap,
-    Objective,
     Profile,
     Side,
     SwapOp,
@@ -334,15 +332,6 @@ def test_is_perfect():
     q = validate_profile([[0]], [[0]])
     assert is_perfect(q, Matching.from_pairs(1, 1, [(0, 0)]))
     assert not is_perfect(q, Matching.empty(1, 1))
-
-
-def test_analysis_query_requires_eta_exactly_for_egalitarian():
-    AnalysisQuery(d=1, objective=Objective.EGALITARIAN, eta=5)
-    AnalysisQuery(d=1, objective=Objective.PERFECT)
-    with pytest.raises(InvalidInput):
-        AnalysisQuery(d=1, objective=Objective.EGALITARIAN)
-    with pytest.raises(InvalidInput):
-        AnalysisQuery(d=1, objective=Objective.PERFECT, eta=5)
 
 
 def test_agent_and_side_helpers():

@@ -16,6 +16,7 @@ from swapstable import (
     find_d_robust_optimal,
     gen_cyclic_latin,
     gen_example2,
+    gen_example3,
     gen_random,
     is_d_robust,
     is_perfect,
@@ -219,6 +220,15 @@ def test_max_robustness_bisection_matches_the_linear_scan():
         assert max_robustness(p, cap=8)[1] != find_d_robust(p, 0)
     # Latin squares keep one stable matching, robust up to n - 1
     assert max_robustness(gen_cyclic_latin(12))[0] == 11
+
+
+def test_perfect_robust_solve_rejects_a_negative_budget():
+    # example 3 leaves agents unmatched, so no stable matching is perfect;
+    # a negative budget is still an invalid input, not a negative answer
+    p = gen_example3()
+    with pytest.raises(InvalidInput):
+        find_d_robust_optimal(p, -1, Objective.PERFECT)
+    assert find_d_robust_optimal(p, 0, Objective.PERFECT) is None
 
 
 def test_negative_budgets_rejected():

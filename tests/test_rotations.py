@@ -15,9 +15,9 @@ from swapstable import (
     NotClosed,
     Rotation,
     RotationDigraph,
-    RotationWeights,
     closed_subsets,
     egalitarian_cost,
+    egalitarian_deltas,
     eliminate,
     enumerate_stable_matchings,
     exposed_rotations,
@@ -166,10 +166,10 @@ def test_matching_of_rejects_open_subsets():
 @given(profiles(max_side=5))
 def test_measured_weights_reproduce_egalitarian_deltas(p):
     dg = rotation_digraph(p)
-    weights = RotationWeights.measured(dg, p)
+    delta = egalitarian_deltas(dg, p)
     base = egalitarian_cost(p, u_optimal(p))
     for s in closed_subsets(dg):
-        expected = base + sum(weights.delta[r] for r in s)
+        expected = base + sum(delta[r] for r in s)
         assert egalitarian_cost(p, matching_of(dg, s)) == expected
 
 
@@ -265,9 +265,7 @@ def test_min_weight_closure_agrees_with_enumeration():
         delta = [rng.randint(-5, 5) for _ in range(dg.n)]
         for k, (forced, forbidden, extra) in enumerate(closure_draws(dg, rng)):
             cycles += k > 0 and len(extra) > 1
-            got = min_weight_closure(
-                dg, RotationWeights(delta=tuple(delta)), forced, forbidden, extra
-            )
+            got = min_weight_closure(dg, delta, forced, forbidden, extra)
             want = brute_closure(dg, delta, forced, forbidden, extra)
             if want is None:
                 assert got is None
@@ -286,7 +284,7 @@ def test_min_weight_closure_agrees_with_enumeration():
 
 def test_min_weight_closure_rejects_out_of_range_indices():
     dg = rotation_digraph(gen_random(5, 5, 1.0, seed=903))
-    weights = RotationWeights(delta=(1,) * dg.n)
+    weights = (1,) * dg.n
     for constraints in (
         {"forced": {dg.n}},
         {"forbidden": {-1}},
@@ -294,6 +292,9 @@ def test_min_weight_closure_rejects_out_of_range_indices():
     ):
         with pytest.raises(InvalidInput, match="out of range"):
             min_weight_closure(dg, weights, **constraints)
+    for wrong in ((), weights + (1,)):
+        with pytest.raises(InvalidInput, match="weights for"):
+            min_weight_closure(dg, wrong)
 
 
 def test_non_topological_discovery_raises_error(monkeypatch):

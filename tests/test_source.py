@@ -146,6 +146,26 @@ def test_no_function_calls_itself():
     assert sorted(found) == sorted(RECURSION_ALLOWED)
 
 
+def test_no_parameter_defaults_to_a_cap():
+    # A default is bound when the function is defined, so a cap patched
+    # on its module later would not reach the call; caps are read inside
+    # the body instead.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            defaults = fn.args.defaults + [d for d in fn.args.kw_defaults if d is not None]
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, node.id)
+                for default in defaults
+                for node in ast.walk(default)
+                if isinstance(node, ast.Name) and node.id.endswith("_CAP")
+            ]
+    assert found == []
+
+
 def test_importing_the_package_leaves_the_oracle_unloaded():
     # The brute-force oracle is the CLI's referee; the library does not
     # need it.
