@@ -12,13 +12,49 @@ implication arc, a forced or forbidden rotation, or infeasibility.  The
 closure that picks the matching weighs every rotation 1 for find_d_robust
 and the perfect objective (the smallest admissible closed set) and by its
 egalitarian delta for the egalitarian one.
+
+At d >= 1 the solvers answer None before building the digraph when the
+two extreme stable matchings alone name a pair that is in no stable
+matching and costs at most d against each (``_unshielded_pair``, exact at
+d = 1); ``max_robustness`` runs the same check at each budget it tries.
 """
 
 from dataclasses import replace
 
+from .classic import u_optimal, w_optimal
 from .errors import InvalidInput
 from .profile import Agent, Objective, _promote, blocking_pairs, is_perfect
 from .rotations import egalitarian_deltas, matching_of, min_weight_closure, rotation_digraph
+
+
+def _partner_ranks(p, m):
+    """Rank of each agent's partner in m, as one list per side.  An agent m
+    leaves unmatched gets its list length, past every pair it lists, so no
+    gap measured against it is positive."""
+    ru, rw = p.rank_u, p.rank_w
+    rank_u = [len(lst) for lst in p.u_lists]
+    rank_w = [len(lst) for lst in p.w_lists]
+    for a, b in m.pairs:
+        rank_u[a] = ru[a][b]
+        rank_w[b] = rw[b][a]
+    return rank_u, rank_w
+
+
+def _cheap_pairs(p, rank_u, rank_w, d):
+    """(u, w, gap_u, gap_w) for every acceptable pair that costs at most d
+    swaps against partners of the given ranks, in U-list order.
+
+    A side's gap is the pair's rank in its owner's list minus the partner's
+    rank; only a positive gap costs swaps.  Each U list is scanned only
+    while its own gap is at most d.
+    """
+    rw = p.rank_w
+    for a, lst in enumerate(p.u_lists):
+        top = rank_u[a]
+        for pos, b in enumerate(lst[: top + d + 1]):
+            gap_u, gap_w = pos - top, rw[b][a] - rank_w[b]
+            if max(gap_u, 0) + max(gap_w, 0) <= d:
+                yield a, b, gap_u, gap_w
 
 
 def _gap_witness(p, m, ui, wj):
@@ -40,30 +76,46 @@ def is_d_robust(p, m, d):
     profile lies within distance d of p and the pair blocks m there.  A
     threat by an acceptable pair outside m costs rank(other) -
     rank(partner) swaps on each matched side (nothing on an unmatched
-    side), and m is d-robust iff every such pair costs more than d.  The
-    scan of a matched U agent's list stops where its own gap exceeds d.
+    side), and m is d-robust iff every such pair costs more than d.
     """
     if d < 0:
         raise InvalidInput("d must be nonnegative")
     bp = blocking_pairs(p, m)
     if bp:
         return False, (p, bp[0])
-    pu, pw, ru, rw = m.pu, m.pw, p.rank_u, p.rank_w
-    for ui in range(p.n_u):
-        for pos, wj in enumerate(p.u_lists[ui]):
-            if pu[ui] == wj:
-                continue
-            cost = 0
-            if pu[ui] >= 0:
-                cost += max(pos - ru[ui][pu[ui]], 0)
-                if cost > d:
-                    break  # every later pair costs more on ui's side alone
-            if pw[wj] >= 0:
-                cost += max(rw[wj][ui] - rw[wj][pw[wj]], 0)
-            if cost <= d:
-                witness = _gap_witness(p, m, ui, wj)
-                return False, (witness, (Agent.u(ui), Agent.w(wj)))
+    for ui, wj, _, _ in _cheap_pairs(p, *_partner_ranks(p, m), d):
+        if m.pu[ui] != wj:
+            witness = _gap_witness(p, m, ui, wj)
+            return False, (witness, (Agent.u(ui), Agent.w(wj)))
     return True, None
+
+
+def _unshielded_pair(p, u_opt, d):
+    """A pair in no stable matching that costs at most d swaps against every
+    stable matching of p, or None; ``u_opt`` is p's U-optimal matching.
+
+    In every stable matching a U agent's partner ranks between its partners
+    in u_opt (best) and w_optimal (worst), and a W agent's the other way
+    round (Gale & Shapley 1962; Gusfield & Irving 1989); an agent unmatched
+    there is unmatched in all of them and adds no gap.  So no side's gap
+    (see is_d_robust) exceeds its gap against the best partner, and a pair
+    that one side ranks outside that range is in no stable matching: if it
+    costs at most d against the best partners, it threatens every stable
+    matching.
+
+    It names a pair exactly when constraint collection would meet a threat
+    live from the start and never shielded, at d = 1 (a pair in no stable
+    matching has no zero gap, so one of its gaps is negative) and when p has
+    one stable matching.  At d >= 2 a pair inside both ranges may still be
+    in no stable matching, which only the digraph can tell.  At d = 0 such
+    a pair would block u_opt, so the solvers skip the check.
+    """
+    best_u, worst_w = _partner_ranks(p, u_opt)
+    worst_u, best_w = _partner_ranks(p, w_optimal(p))
+    for a, b, gap_u, gap_w in _cheap_pairs(p, best_u, best_w, d):
+        if not (0 <= gap_u <= worst_u[a] - best_u[a] and 0 <= gap_w <= worst_w[b] - best_w[b]):
+            return a, b
+    return None
 
 
 # An event is the rotation of the per-pair index that brings it about, or
@@ -79,14 +131,9 @@ def _threats(p, dg, d):
     and ``shield`` has not; one (live, shield) per way of splitting d
     between the two sides' rank gaps (see is_d_robust).
     """
-    ru, rw = p.rank_u, p.rank_w
-    # rank of each U-optimal partner; an agent unmatched there is unmatched
-    # in every stable matching, which ranks below its whole list
-    rank_u0 = [len(lst) for lst in p.u_lists]
-    rank_w0 = [len(lst) for lst in p.w_lists]
-    for a, b in dg.u_opt.pairs:
-        rank_u0[a] = ru[a][b]
-        rank_w0[b] = rw[b][a]
+    rw = p.rank_w
+    # an agent unmatched at u_optimal is unmatched in every stable matching
+    rank_u0, rank_w0 = _partner_ranks(p, dg.u_opt)
 
     def sinks(a, r):
         """a's partner ranks r or worse."""
@@ -160,8 +207,12 @@ def find_d_robust(p, d):
 
     Turns every threat of at most d swaps into constraints over the
     rotation digraph and returns the matching of the smallest closed
-    rotation set that satisfies them all (unit weight per rotation).
+    rotation set that satisfies them all (unit weight per rotation).  At
+    d >= 1 a pair that rules out every matching from the two extreme stable
+    matchings alone answers None before the digraph is built.
     """
+    if d > 0 and _unshielded_pair(p, u_optimal(p), d) is not None:
+        return None
     dg = rotation_digraph(p)
     return _robust_closure(p, dg, d, (1,) * dg.n)
 
@@ -176,6 +227,8 @@ def find_d_robust_optimal(p, d, objective):
     """
     if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
         raise InvalidInput("objective must be Perfect or Egalitarian")
+    if d > 0 and _unshielded_pair(p, u_optimal(p), d) is not None:
+        return None
     perfect = objective == Objective.PERFECT
     dg = rotation_digraph(p)
     weights = (1,) * dg.n if perfect else egalitarian_deltas(dg, p)
@@ -189,8 +242,10 @@ def max_robustness(p, cap=None):
     """Largest d admitting a d-robust matching, with a witness matching.
 
     d-robust implies (d-1)-robust, so the feasible d form a prefix of
-    [0, limit], found by bisection over one rotation digraph; the witness
-    is find_d_robust's matching at that d.  ``limit`` is ``cap`` (default:
+    [0, limit], found by bisection over one rotation digraph; a budget at
+    which the two extreme stable matchings already name an unshielded pair
+    is ruled out before its constraints are collected.  The witness is
+    find_d_robust's matching at that d.  ``limit`` is ``cap`` (default:
     the larger side size) or the total-inversion bound, past which every
     profile in the ball has already appeared, whichever is smaller.
     """
@@ -209,7 +264,7 @@ def max_robustness(p, cap=None):
     lo, hi = 0, min(cap, exhaustion)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        m = _robust_closure(p, dg, mid, weights)
+        m = None if _unshielded_pair(p, dg.u_opt, mid) else _robust_closure(p, dg, mid, weights)
         if m is None:
             hi = mid - 1
         else:

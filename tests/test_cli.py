@@ -376,6 +376,25 @@ def test_search_cap_exits_2(capsys, monkeypatch, crown):
     assert err == "error: near-stability search exceeds 3 nodes\n"
 
 
+def test_table_cap_exits_2(capsys, monkeypatch, tmp_path):
+    # a profile too large for its rank tables is refused with a message,
+    # tested on a cap rather than a real allocation
+    prof = tmp_path / "r4.profile"
+    prof.write_text(serialize_profile(gen_random(4, 4, 1.0, seed=3)))
+    monkeypatch.setattr("swapstable.profile.TABLE_CAP", 15)
+    message = "error: profile has 4 x 4 agent pairs; rank tables hold at most 15 (TABLE_CAP)\n"
+    for argv in (
+        ["solve", "robust", "--profile", str(prof), "--d", "1"],
+        ["gen", "--family", "random", "--n", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == message
+    monkeypatch.setattr("swapstable.profile.TABLE_CAP", 16)
+    code, report = run_json(capsys, "solve", "robust", "--profile", str(prof), "--d", "0")
+    assert code == 0 and report["result"] == "found"
+
+
 def test_solve_global_near_with_a_huge_budget(capsys, tmp_path):
     p = gen_random(5, 5, 1.0, seed=7)
     prof = tmp_path / "r5.profile"

@@ -18,6 +18,7 @@ from swapstable import (
     Profile,
     Side,
     SwapOp,
+    TooLarge,
     UnknownAgent,
     ValidationError,
     apply_swap,
@@ -29,11 +30,13 @@ from swapstable import (
     is_stable,
     parse_profile,
     rank,
+    serialize_profile,
     swap_distance,
     swap_distance_per_agent,
     validate_matching,
     validate_profile,
 )
+from swapstable import profile as profile_module
 from swapstable.profile import blocking_indices
 
 from helpers import (
@@ -66,6 +69,25 @@ def test_validate_profile_accepts_numpy_integers():
         validate_profile([[np.int64(1), 0.0]], [[0]])
     assert len(err.value.issues) == 2
     assert all("out-of-range" in issue for issue in err.value.issues)
+
+
+def test_table_cap_refuses_a_profile_before_building_its_tables(monkeypatch):
+    # a cap in place of a real allocation: 4 x 3 agents is 12 pairs
+    p = gen_random(4, 3, 0.7, seed=2)
+    text = serialize_profile(p)
+    monkeypatch.setattr(profile_module, "TABLE_CAP", 12)
+    assert validate_profile(p.u_lists, p.w_lists) == p
+    assert parse_profile(text) == p
+
+    def no_tables(*args):
+        raise AssertionError("rank table built past the cap")
+
+    monkeypatch.setattr(profile_module, "TABLE_CAP", 11)
+    monkeypatch.setattr(profile_module, "_rank_table", no_tables)
+    with pytest.raises(TooLarge, match=r"4 x 3 agent pairs; .* at most 11 \(TABLE_CAP\)"):
+        validate_profile(p.u_lists, p.w_lists)
+    with pytest.raises(TooLarge, match="4 x 3"):
+        parse_profile(text)
 
 
 def test_validate_profile_asymmetry_names_both_agents():

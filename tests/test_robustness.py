@@ -34,7 +34,8 @@ from swapstable.oracle import (
     brute_solve_near,
     enumerate_stable_bf,
 )
-from swapstable.robustness import _collect_constraints
+from swapstable import robustness
+from swapstable.robustness import _collect_constraints, _unshielded_pair
 
 from helpers import profiles, random_profiles
 
@@ -256,3 +257,99 @@ def test_negative_budgets_rejected():
         for q in (p, lopsided):
             with pytest.raises(InvalidInput):
                 brute_solve_near(q, -1, mode, Objective.PERFECT)
+
+
+def gap_cost(p, m, a, b):
+    """Swaps the pair (a, b) needs to block m, from list positions: on each
+    matched side, how far the pair sits below the partner."""
+    cost = 0
+    if m.pu[a] >= 0:
+        lst = p.u_lists[a]
+        cost += max(lst.index(b) - lst.index(m.pu[a]), 0)
+    if m.pw[b] >= 0:
+        lst = p.w_lists[b]
+        cost += max(lst.index(a) - lst.index(m.pw[b]), 0)
+    return cost
+
+
+def precheck_batch():
+    """Seeded complete and sparse profiles, square and lopsided."""
+    batch = []
+    for density, base in ((1.0, 9100), (0.7, 9200), (0.4, 9300)):
+        for n_u, n_w in ((4, 4), (5, 3), (3, 6), (6, 6)):
+            batch += random_profiles(12, n_u, n_w, density, seed_base=base + 10 * n_u + n_w)
+        batch += random_profiles(6, 12, 10, density, seed_base=base + 500)
+    return batch + [gen_cyclic_latin(n) for n in range(2, 7)]
+
+
+def test_unshielded_pair_rules_out_every_stable_matching():
+    fired = 0
+    for p in precheck_batch():
+        dg = rotation_digraph(p)
+        stable = list(enumerate_stable_bf(p)) if max(p.n_u, p.n_w) <= 6 else []
+        for d in range(1, 5):
+            pair = _unshielded_pair(p, u_optimal(p), d)
+            if pair is None:
+                continue
+            fired += 1
+            assert _collect_constraints(p, dg, d) is None
+            for m in stable:
+                assert pair not in m.pairs
+                assert gap_cost(p, m, *pair) <= d
+    assert fired >= 100
+
+
+def test_unshielded_pair_is_exact_at_one_swap():
+    # with one swap, a threat live from the start and never shielded is a
+    # pair that one side ranks outside the range of its stable partners
+    fired = 0
+    for p in precheck_batch():
+        pair = _unshielded_pair(p, u_optimal(p), 1)
+        constraints = _collect_constraints(p, rotation_digraph(p), 1)
+        assert (pair is None) == (constraints is not None)
+        fired += pair is not None
+    assert fired >= 50
+
+
+def test_unshielded_pair_is_exact_with_one_stable_matching():
+    # a Latin square's one stable matching is every agent's best and worst
+    # stable partner, so every other pair ranks outside both ranges: the
+    # check fires from d = n on, where every pair costs n
+    for n in range(2, 9):
+        p = gen_cyclic_latin(n)
+        dg = rotation_digraph(p)
+        assert dg.n == 0
+        for d in range(1, n + 2):
+            pair = _unshielded_pair(p, u_optimal(p), d)
+            assert (pair is None) == (_collect_constraints(p, dg, d) is not None)
+            assert (pair is None) == (d < n)
+
+
+def test_solvers_answer_alike_without_the_precheck(monkeypatch):
+    batch = precheck_batch()
+    objectives = (Objective.EGALITARIAN, Objective.PERFECT)
+
+    def answers():
+        out = []
+        for p in batch:
+            for d in range(5):
+                out.append(find_d_robust(p, d))
+                out += [find_d_robust_optimal(p, d, obj) for obj in objectives]
+            out.append(max_robustness(p))
+        return out
+
+    with_check = answers()
+    monkeypatch.setattr(robustness, "_unshielded_pair", lambda p, u_opt, d: None)
+    assert answers() == with_check
+    assert sum(m is None for m in with_check) >= 100
+
+
+def test_solvers_skip_the_precheck_at_zero_budget(monkeypatch):
+    def refuse(p):
+        raise AssertionError("w_optimal called at d=0")
+
+    monkeypatch.setattr(robustness, "w_optimal", refuse)
+    for p in precheck_batch()[::7]:
+        find_d_robust(p, 0)
+        for obj in (Objective.EGALITARIAN, Objective.PERFECT):
+            find_d_robust_optimal(p, 0, obj)
