@@ -115,6 +115,14 @@ class Profile:
         return _rank_table(self.w_lists, self.n_u, [])
 
     @cached_property
+    def u_opt(self) -> "Matching":
+        """``classic.u_optimal(self)``, run once per profile: the rotation
+        digraph and the robust solvers' pre-check share it."""
+        from .classic import u_optimal  # classic imports this module
+
+        return u_optimal(self)
+
+    @cached_property
     def _by_name(self) -> dict:
         table = {}
         for i, name in enumerate(self.u_names):
@@ -251,8 +259,10 @@ def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
     ``row_issues(side, i)``, which finds at least one.  If no list has any
     issue, every U entry must be listed back in the W table and both
     sides must hold as many entries: no list repeats an index, so the two
-    sets of pairs are then equal.  Otherwise each one-sided entry is an
-    issue, prefixed with ``where(side, owner)``.  A profile with more than
+    sets of pairs are then equal.  When every W list names all of U, each U
+    entry is listed back without a look, so only the totals are compared.
+    Otherwise each one-sided entry is an issue, prefixed with
+    ``where(side, owner)``.  A profile with more than
     TABLE_CAP agent pairs raises TooLarge before either table is built.
     """
     if len(u_lists) * len(w_lists) > TABLE_CAP:
@@ -268,7 +278,10 @@ def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
             issues += row_issues(side, i)
     if not issues and (
         sum(map(len, u_lists)) != sum(map(len, w_lists))
-        or next(_one_sided(u_lists, rank_w, w_lists), None)
+        or (
+            any(len(lst) != len(u_lists) for lst in w_lists)
+            and next(_one_sided(u_lists, rank_w, w_lists), None)
+        )
     ):
         sides = (
             (Side.U, u_lists, rank_w, w_lists, u_names, w_names),
@@ -379,6 +392,19 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
     if not (0 <= x.index < p.n_w and 0 <= y.index < p.n_u):
         raise UnknownAgent("agent out of range")
     return p.rank_w[x.index][y.index]
+
+
+def _partner_ranks(p, m):
+    """Rank of each agent's partner in m, as one list per side.  An agent m
+    leaves unmatched gets its list length, past every pair it lists, so no
+    gap measured against it is positive."""
+    ru, rw = p.rank_u, p.rank_w
+    rank_u = [len(lst) for lst in p.u_lists]
+    rank_w = [len(lst) for lst in p.w_lists]
+    for a, b in m.pairs:
+        rank_u[a] = ru[a][b]
+        rank_w[b] = rw[b][a]
+    return rank_u, rank_w
 
 
 def _promote(lists, owner, member, steps):

@@ -7,11 +7,12 @@ matching.  The solver states the same condition per acceptable pair over
 the rotation digraph: down the lattice a U agent's partner only sinks and a
 W agent's only climbs, so each way a pair can cost at most d is a threat
 between two events, each brought about by one rotation of the digraph's
-per-pair index (``u_passed``, ``crossed``).  A threat becomes an
-implication arc, a forced or forbidden rotation, or infeasibility.  The
-closure that picks the matching weighs every rotation 1 for find_d_robust
-and the perfect objective (the smallest admissible closed set) and by its
-egalitarian delta for the egalitarian one.
+runs (``u_runs``, ``w_runs``).  A threat becomes an implication arc, a
+forced or forbidden rotation, or infeasibility.  At d = 0 no threat adds
+a constraint, and none is collected.  The closure that picks the matching
+weighs every rotation 1 for find_d_robust and the perfect objective (the
+smallest admissible closed set) and by its egalitarian delta for the
+egalitarian one.
 
 At d >= 1 the solvers answer None before building the digraph when the
 two extreme stable matchings alone name a pair that is in no stable
@@ -19,25 +20,20 @@ matching and costs at most d against each (``_unshielded_pair``, exact at
 d = 1); ``max_robustness`` runs the same check at each budget it tries.
 """
 
+from bisect import bisect_left
 from dataclasses import replace
 
-from .classic import u_optimal, w_optimal
+from .classic import w_optimal
 from .errors import InvalidInput
-from .profile import Agent, Objective, _promote, blocking_pairs, is_perfect
-from .rotations import egalitarian_deltas, matching_of, min_weight_closure, rotation_digraph
-
-
-def _partner_ranks(p, m):
-    """Rank of each agent's partner in m, as one list per side.  An agent m
-    leaves unmatched gets its list length, past every pair it lists, so no
-    gap measured against it is positive."""
-    ru, rw = p.rank_u, p.rank_w
-    rank_u = [len(lst) for lst in p.u_lists]
-    rank_w = [len(lst) for lst in p.w_lists]
-    for a, b in m.pairs:
-        rank_u[a] = ru[a][b]
-        rank_w[b] = rw[b][a]
-    return rank_u, rank_w
+from .profile import Agent, Objective, _partner_ranks, _promote, blocking_pairs, is_perfect
+from .rotations import (
+    ALWAYS,
+    NEVER,
+    egalitarian_deltas,
+    matching_of,
+    min_weight_closure,
+    rotation_digraph,
+)
 
 
 def _cheap_pairs(p, rank_u, rank_w, d):
@@ -118,51 +114,54 @@ def _unshielded_pair(p, u_opt, d):
     return None
 
 
-# An event is the rotation of the per-pair index that brings it about, or
-# one of these: it holds at u_optimal already, or in no stable matching.
-_ALWAYS, _NEVER = "always", "never"
-
-
 def _threats(p, dg, d):
-    """Every way an acceptable pair can cost at most d swaps, as events.
+    """Every way an acceptable pair (a, b) can cost at most d swaps, as
+    events of dg's runs: yields (a, b, live, shield).
 
     Down the lattice a U agent's partner only sinks and a W agent's only
     climbs.  A pair threatens a stable matching where ``live`` has happened
-    and ``shield`` has not; one (live, shield) per way of splitting d
-    between the two sides' rank gaps (see is_d_robust).
+    and ``shield`` has not; one (live, shield) per way x of splitting d
+    between the two sides' rank gaps (see is_d_robust): a's partner ranks
+    pos - x or worse, b's better than rb - d + x.  Both events change only
+    where x crosses a bound of a's or b's runs, so each pair yields once per
+    bound in its two windows, plus once.
     """
     rw = p.rank_w
-    # an agent unmatched at u_optimal is unmatched in every stable matching
-    rank_u0, rank_w0 = _partner_ranks(p, dg.u_opt)
-
-    def sinks(a, r):
-        """a's partner ranks r or worse."""
-        if r <= rank_u0[a]:
-            return _ALWAYS
-        return dg.u_passed.get((a, p.u_lists[a][r - 1]), _NEVER)
-
-    def climbs(b, r):
-        """b's partner ranks better than r."""
-        if r <= 0:
-            return _NEVER
-        if rank_w0[b] < r:
-            return _ALWAYS
-        return dg.crossed.get((b, p.w_lists[b][r - 1]), _NEVER)
-
-    for a in range(p.n_u):
-        for pos, b in enumerate(p.u_lists[a]):
-            if sinks(a, pos - d) == _NEVER:
-                break  # a's own gap exceeds d here and further down
+    w_runs = dg.w_runs
+    # b's partner never ranks below its u_optimal partner, its last bound
+    worst_w = [bounds[-1] for bounds, _ in w_runs]
+    for a, lst in enumerate(p.u_lists):
+        ubounds, uevents = dg.u_runs[a]
+        # a's own gap exceeds d past its last bound plus d
+        for pos, b in enumerate(lst[: ubounds[-1] + d + 1]):
             rb = rw[b][a]
-            if (a, b) in dg.u_opt.pairs or (a, b) in dg.movesto:
-                # opposing interests: away from (a, b) exactly one of the
-                # two is better off, so only that side's gap counts
-                yield sinks(a, pos - d), sinks(a, pos)
-                yield climbs(b, rb), climbs(b, rb - d)
+            if rb - d > worst_w[b]:
+                continue  # b's own gap exceeds d in every stable matching
+            wbounds, wevents = w_runs[b]
+            i = bisect_left(ubounds, pos)
+            if i < len(ubounds) and ubounds[i] == pos:
+                # a stable pair, with opposing interests: away from (a, b)
+                # exactly one of the two is better off, so only that side's
+                # gap counts
+                yield a, b, uevents[bisect_left(ubounds, pos - d)], uevents[i]
+                j = bisect_left(wbounds, rb)
+                yield a, b, wevents[j], wevents[bisect_left(wbounds, rb - d)]
             elif d:
-                # at d=0 the one split is (a, b) blocking as it stands, which no closed set allows
-                for x in range(d + 1):
-                    yield sinks(a, pos - x), climbs(b, rb - d + x)
+                # at d=0 the one split is (a, b) blocking as it stands,
+                # which no closed set allows; from x = 0, stop once b's
+                # partner always ranks better than rb - d + x
+                j = bisect_left(wbounds, rb - d)
+                while j < len(wbounds):
+                    yield a, b, uevents[i], wevents[j]
+                    # the next x at which i falls and at which j rises
+                    xa = pos - ubounds[i - 1] if i else d + 1
+                    xb = wbounds[j] - rb + d + 1
+                    if xa > d and xb > d:
+                        break
+                    if xa <= xb:
+                        i -= 1
+                    if xb <= xa:
+                        j += 1
 
 
 def _collect_constraints(p, dg, d):
@@ -174,14 +173,14 @@ def _collect_constraints(p, dg, d):
     infeasibility when both hold.
     """
     extra_arcs, forced, forbidden = set(), set(), set()
-    for live, shield in _threats(p, dg, d):
-        if live == _NEVER or shield == _ALWAYS or live == shield:
+    for _, _, live, shield in _threats(p, dg, d):
+        if live == NEVER or shield == ALWAYS or live == shield:
             continue
-        if live == _ALWAYS and shield == _NEVER:
+        if live == ALWAYS and shield == NEVER:
             return None
-        if live == _ALWAYS:
+        if live == ALWAYS:
             forced.add(shield)
-        elif shield == _NEVER:
+        elif shield == NEVER:
             forbidden.add(live)
         else:
             extra_arcs.add((shield, live))
@@ -194,7 +193,9 @@ def _robust_closure(p, dg, d, weights):
     none does."""
     if d < 0:
         raise InvalidInput("d must be nonnegative")
-    constraints = _collect_constraints(p, dg, d)
+    # at d = 0 only stable pairs threaten, each with live == shield, so
+    # there is nothing to collect
+    constraints = _collect_constraints(p, dg, d) if d else (frozenset(),) * 3
     if constraints is None:
         return None
     extra_arcs, forced, forbidden = constraints
@@ -211,7 +212,7 @@ def find_d_robust(p, d):
     d >= 1 a pair that rules out every matching from the two extreme stable
     matchings alone answers None before the digraph is built.
     """
-    if d > 0 and _unshielded_pair(p, u_optimal(p), d) is not None:
+    if d > 0 and _unshielded_pair(p, p.u_opt, d) is not None:
         return None
     dg = rotation_digraph(p)
     return _robust_closure(p, dg, d, (1,) * dg.n)
@@ -227,7 +228,7 @@ def find_d_robust_optimal(p, d, objective):
     """
     if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
         raise InvalidInput("objective must be Perfect or Egalitarian")
-    if d > 0 and _unshielded_pair(p, u_optimal(p), d) is not None:
+    if d > 0 and _unshielded_pair(p, p.u_opt, d) is not None:
         return None
     perfect = objective == Objective.PERFECT
     dg = rotation_digraph(p)

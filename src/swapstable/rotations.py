@@ -9,14 +9,14 @@ stable matchings, which turns optimization over stable matchings into
 minimum-weight closure, solved here by max-flow project selection.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 from ._flow import FlowNetwork
-from .classic import u_optimal
 from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify
-from .profile import Agent, Matching, Side, is_stable
+from .profile import Agent, Matching, Side, _partner_ranks, is_stable
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,15 @@ class Rotation:
             yield u, w, self.cycle[(k + 1) % r][1]
 
 
-def _successor_at(p, pw, i, pos):
-    """Position of u_i's successor in its list, scanning from ``pos``, or -1."""
+def _successor_at(p, held, i, pos):
+    """Position of the first agent from ``pos`` on in u_i's list that ranks
+    u_i above the partner it holds, or -1; ``held[j]`` is the rank of w_j's
+    partner, its list length when unmatched."""
     lst = p.u_lists[i]
     rank = p.rank_w
     for pos in range(pos, len(lst)):
         j = lst[pos]
-        if pw[j] < 0:
-            return -1  # unmatched in every stable matching: u_i stops above it
-        if rank[j][i] < rank[j][pw[j]]:
+        if rank[j][i] < held[j]:
             return pos
     return -1
 
@@ -68,8 +68,9 @@ def successor(p, m, u):
     i = u.index
     if m.pu[i] < 0:
         raise NoSuccessorDefined("%s is unmatched" % p.name_of(u))
-    pos = _successor_at(p, m.pw, i, p.rank_u[i][m.pu[i]] + 1)
-    return Agent.w(p.u_lists[i][pos]) if pos >= 0 else None
+    pos = _successor_at(p, _partner_ranks(p, m)[1], i, p.rank_u[i][m.pu[i]] + 1)
+    j = p.u_lists[i][pos] if pos >= 0 else -1
+    return Agent.w(j) if j >= 0 and m.pw[j] >= 0 else None
 
 
 def exposed_rotations(p, m):
@@ -98,29 +99,39 @@ def eliminate(m, rho):
     return Matching(n_u=m.n_u, n_w=m.n_w, pairs=frozenset(pairs))
 
 
+# Events at the two ends of an agent's runs (see RotationDigraph): what
+# already holds at u_optimal, and what holds in no stable matching.
+ALWAYS, NEVER = "always", "never"
+
+
 @dataclass(frozen=True)
 class RotationDigraph:
-    """All rotations of a profile, precedence arcs, and a per-pair index.
+    """All rotations of a profile, precedence arcs, and each agent's runs.
 
     Arc (a, b) means rotation a must be eliminated before rotation b;
     subsets closed under predecessors correspond exactly to the stable
     matchings, with the empty set mapping to u_optimal.
 
-    The index maps a pair to the unique rotation that changes it, as a
-    rotation index:
-    ``movesto[(u, w)]`` produces the pair (u's partner becomes w);
-    ``u_passed[(u, w)]`` takes u's partner from w or above to below w;
-    ``crossed[(w, u)]`` lifts w's partner from below u to u or above.
-    A pair sits in matching_of(S) iff it is in u_opt or its producer is
-    in S, and the rotation in ``u_passed`` for it is not.
+    Down the lattice a U agent's partner only sinks through its list and a
+    W agent's only climbs, one rotation per move, so each agent's stable
+    partners cut its list into runs.  ``u_runs[a]`` is a pair (bounds,
+    events): a's partner sits at list position ``bounds[0]`` in u_optimal
+    and moves from ``bounds[k - 1]`` to ``bounds[k]`` when rotation
+    ``events[k]`` is eliminated, so ``events[bisect_left(bounds, r)]`` is
+    the event by which a's partner ranks r or worse.  ``w_runs[b]`` holds
+    b's bounds in ascending order, from its w_optimal partner to its
+    u_optimal one, and ``events[bisect_left(bounds, r)]`` is the event by
+    which b's partner ranks better than r.  An event is a rotation, or
+    ALWAYS or NEVER at the two ends of ``events``.  An agent unmatched at
+    u_optimal is unmatched in every stable matching; its one bound is its
+    list length.  The stable pairs are exactly the pairs at the bounds.
     """
 
     rotations: tuple
     arcs: frozenset
     u_opt: Matching
-    movesto: dict = field(compare=False, repr=False)
-    u_passed: dict = field(compare=False, repr=False)
-    crossed: dict = field(compare=False, repr=False)
+    u_runs: list = field(compare=False, repr=False)
+    w_runs: list = field(compare=False, repr=False)
 
     @property
     def n(self):
@@ -143,14 +154,8 @@ class RotationDigraph:
         return all(a in subset for i in subset for a in self.preds[i])
 
 
-def _claim(table, key, idx, message):
-    if key in table:
-        raise Error(message % key)
-    table[key] = idx
-
-
 def rotation_digraph(p):
-    """Discover all rotations of p, wire the precedence arcs, index the pairs.
+    """Discover all rotations of p, wire the precedence arcs, cut the runs.
 
     Discovery is one Gusfield–Irving walk from the U-optimal matching (The
     Stable Marriage Problem: Structure and Algorithms, 1989, ch. 3): from
@@ -165,14 +170,17 @@ def rotation_digraph(p):
     Arcs come from two rules: the rotation that produced a pair precedes
     the one consuming it, and for every agent skipped between w_k and
     w_{k+1} in u_k's list, the rotation that made that agent reject u_k
-    precedes.  Every index entry must be unique, and a pair some rotation
-    jumps over (strictly between the old and the new partner, on either
-    side) is never a stable pair.
+    precedes.  Each move must start where the agent's neighbouring run
+    ends and go on in the agent's own direction (down a U agent's list, up
+    a W agent's), so each agent's runs are disjoint and contiguous; a pair
+    some rotation jumps over (strictly inside a run, on either side) is
+    then never a stable pair.
     """
-    m0 = u_optimal(p)
+    m0 = p.u_opt
     ru, rw = p.rank_u, p.rank_w
-    pu, pw = list(m0.pu), list(m0.pw)  # the walk below moves partners
-    at = [ru[i][w] + 1 if w >= 0 else 0 for i, w in enumerate(pu)]
+    rank_u0, rank_w0 = _partner_ranks(p, m0)
+    pu, pw, held = list(m0.pu), list(m0.pw), list(rank_w0)  # the walk moves partners
+    at = [r + 1 for r in rank_u0]
     final = [w < 0 for w in pu]
     place = [-1] * p.n_u  # position on the current path, or -1
     rotations = []
@@ -182,7 +190,7 @@ def rotation_digraph(p):
             if not path:
                 path, place[start] = [start], 0
             i = path[-1]
-            at[i] = _successor_at(p, pw, i, at[i])
+            at[i] = _successor_at(p, held, i, at[i])
             nxt = pw[p.u_lists[i][at[i]]] if at[i] >= 0 else -1
             if nxt < 0 or final[nxt]:
                 # next(u) final means u final: its successor keeps its partner
@@ -200,52 +208,54 @@ def rotation_digraph(p):
                     place[k] = -1
                     pu[k] = p.u_lists[k][at[k]]
                     pw[pu[k]] = k
+                    held[pu[k]] = rw[pu[k]][k]
                     at[k] += 1
-    movesto = {}
-    crossed = {}
-    for idx, rho in enumerate(rotations):
-        cycle = rho.cycle
-        for k, (u, w) in enumerate(cycle):
-            # u moves on to w_new; w trades u for u_prev, whom it prefers
-            w_new = cycle[(k + 1) % len(cycle)][1]
-            u_prev = cycle[k - 1][0]
-            _claim(movesto, (u, w_new), idx, "two rotations move u%d's partner to w%d")
-            lst = p.w_lists[w]
-            for pos in range(rw[w][u_prev], rw[w][u]):
-                _claim(crossed, (w, lst[pos]), idx, "two rotations cross w%d over u%d")
-    u_passed = {}
+    # each events list keeps its far-end sentinel last; moves go in before it
+    u_runs = [([r], [ALWAYS, NEVER]) for r in rank_u0]
     arcs = set()
-    pw0 = m0.pw
+    for idx, rho in enumerate(rotations):
+        for u, w, w_new in rho.moves():
+            bounds, events = u_runs[u]
+            if bounds[-1] != ru[u][w] or ru[u][w_new] <= bounds[-1]:
+                raise Error("rotation %d moves u%d's partner off its runs" % (idx, u))
+            if events[-2] != ALWAYS:
+                arcs.add((events[-2], idx))  # the rotation that produced (u, w)
+            bounds.append(ru[u][w_new])
+            events.insert(-1, idx)
+    # W bounds ascend from the w_optimal partners the walk ended on, so the
+    # W side takes the rotations last to first
+    w_runs = [([r], [NEVER, ALWAYS]) for r in held]
+    for idx in reversed(range(len(rotations))):
+        cycle = rotations[idx].cycle
+        for k, (u, w) in enumerate(cycle):
+            # w climbs from u to u_prev, whom it prefers
+            bounds, events = w_runs[w]
+            if bounds[-1] != rw[w][cycle[k - 1][0]] or rw[w][u] <= bounds[-1]:
+                raise Error("rotation %d moves w%d's partner off its runs" % (idx, w))
+            bounds.append(rw[w][u])
+            events.insert(-1, idx)
+    w_bounds = [bounds for bounds, _ in w_runs]
+    w_events = [events for _, events in w_runs]
     for idx, rho in enumerate(rotations):
         for u, w_old, w_new in rho.moves():
-            producer = movesto.get((u, w_old))
-            if producer is None:
-                if (w_old, u) in crossed:
-                    raise Error("jumped-over pair (u%d, w%d) is a stable pair" % (u, w_old))
-            elif producer != idx:
-                arcs.add((producer, idx))
-            _claim(u_passed, (u, w_old), idx, "two rotations pass u%d's partner over w%d")
-            lst = p.u_lists[u]
-            for pos in range(ru[u][w_old] + 1, ru[u][w_new]):
-                w_between = lst[pos]
-                _claim(u_passed, (u, w_between), idx, "two rotations pass u%d's partner over w%d")
-                if (u, w_between) in movesto:
-                    raise Error("jumped-over pair (u%d, w%d) is a stable pair" % (u, w_between))
-                c = crossed.get((w_between, u))
-                if c is not None:
-                    if c != idx:
-                        arcs.add((c, idx))
-                elif pw0[w_between] < 0 or rw[w_between][pw0[w_between]] > rw[w_between][u]:
-                    # skipped agents are matched and were already rejecting
-                    # u at u_optimal, or some earlier rotation crossed them
-                    raise Error("no rotation explains why w%d rejects u%d" % (w_between, u))
+            # each agent u skips rejects it once the rotation lifting its
+            # partner above u is eliminated, or already at u_optimal
+            skipped = p.u_lists[u][ru[u][w_old] + 1 : ru[u][w_new]]
+            if not skipped:
+                continue
+            why = {w_events[j][bisect_right(w_bounds[j], rw[j][u])] for j in skipped}
+            if NEVER in why:
+                j = next(j for j in skipped if rw[j][u] < w_bounds[j][0])
+                raise Error("no rotation explains why w%d rejects u%d" % (j, u))
+            why.discard(ALWAYS)
+            why.discard(idx)
+            arcs.update((c, idx) for c in why)
     dg = RotationDigraph(
         rotations=tuple(rotations),
         arcs=frozenset(arcs),
         u_opt=m0,
-        movesto=movesto,
-        u_passed=u_passed,
-        crossed=crossed,
+        u_runs=u_runs,
+        w_runs=w_runs,
     )
     verify(all(a < b for a, b in dg.arcs), "discovery order is topological")
     return dg
@@ -293,10 +303,12 @@ def stable_pairs(p):
     """Pairs appearing in at least one stable matching, as index tuples.
 
     A pair is stable iff it is in the U-optimal matching or some rotation
-    produces it.
+    produces it: the pairs at the bounds of the U agents' runs.
     """
     dg = rotation_digraph(p)
-    return dg.u_opt.pairs.union(dg.movesto)
+    return dg.u_opt.pairs.union(
+        (u, p.u_lists[u][k]) for u, (bounds, _) in enumerate(dg.u_runs) for k in bounds[1:]
+    )
 
 
 def egalitarian_deltas(dg, p):

@@ -165,3 +165,79 @@ def broken_profile_texts():
                 lines[k] = ("%s: %s" % (label, " ".join(tokens))).rstrip()
         corpus["seed %d" % seed] = "\n".join(lines) + "\n"
     return corpus
+
+
+# The per-pair threat walk the robust solvers used before the runs, kept as
+# the reference the run-stepping walk must agree with.  Events are rotation
+# indices or these two.
+ALWAYS, NEVER = "always", "never"
+
+
+def pair_index(p, dg):
+    """The rotation index of dg, one entry per pair, from the rotations:
+    ``movesto[(u, w)]`` produces the pair, ``u_passed[(u, w)]`` takes u's
+    partner from w or above to below w, and ``crossed[(w, u)]`` lifts w's
+    partner from below u to u or above."""
+    ru, rw = p.rank_u, p.rank_w
+    movesto, u_passed, crossed = {}, {}, {}
+    for idx, rho in enumerate(dg.rotations):
+        cycle = rho.cycle
+        for k, (u, w) in enumerate(cycle):
+            w_new, u_prev = cycle[(k + 1) % len(cycle)][1], cycle[k - 1][0]
+            movesto[(u, w_new)] = idx
+            for pos in range(ru[u][w], ru[u][w_new]):
+                u_passed[(u, p.u_lists[u][pos])] = idx
+            for pos in range(rw[w][u_prev], rw[w][u]):
+                crossed[(w, p.w_lists[w][pos])] = idx
+    return movesto, u_passed, crossed
+
+
+def threats_by_pair(p, dg, d):
+    """(live, shield) for every split of d over every acceptable pair."""
+    movesto, u_passed, crossed = pair_index(p, dg)
+    rw = p.rank_w
+    rank_u0 = [len(lst) for lst in p.u_lists]
+    rank_w0 = [len(lst) for lst in p.w_lists]
+    for a, b in dg.u_opt.pairs:
+        rank_u0[a], rank_w0[b] = p.rank_u[a][b], rw[b][a]
+
+    def sinks(a, r):
+        if r <= rank_u0[a]:
+            return ALWAYS
+        return u_passed.get((a, p.u_lists[a][r - 1]), NEVER)
+
+    def climbs(b, r):
+        if r <= 0:
+            return NEVER
+        if rank_w0[b] < r:
+            return ALWAYS
+        return crossed.get((b, p.w_lists[b][r - 1]), NEVER)
+
+    for a in range(p.n_u):
+        for pos, b in enumerate(p.u_lists[a]):
+            if sinks(a, pos - d) == NEVER:
+                break
+            rb = rw[b][a]
+            if (a, b) in dg.u_opt.pairs or (a, b) in movesto:
+                yield sinks(a, pos - d), sinks(a, pos)
+                yield climbs(b, rb), climbs(b, rb - d)
+            elif d:
+                for x in range(d + 1):
+                    yield sinks(a, pos - x), climbs(b, rb - d + x)
+
+
+def constraints_by_pair(p, dg, d):
+    """(extra arcs, forced, forbidden) from threats_by_pair, or None."""
+    extra_arcs, forced, forbidden = set(), set(), set()
+    for live, shield in threats_by_pair(p, dg, d):
+        if live == NEVER or shield == ALWAYS or live == shield:
+            continue
+        if live == ALWAYS and shield == NEVER:
+            return None
+        if live == ALWAYS:
+            forced.add(shield)
+        elif shield == NEVER:
+            forbidden.add(live)
+        else:
+            extra_arcs.add((shield, live))
+    return extra_arcs, forced, forbidden

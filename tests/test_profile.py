@@ -125,6 +125,20 @@ def test_asymmetry_issues_keep_their_order_in_both_checkers():
     ]
 
 
+def test_full_w_lists_need_no_asymmetry_scan(monkeypatch):
+    # when every W list names all of U, each U entry is listed back, so
+    # equal totals prove mutual acceptability
+    complete = gen_random(6, 5, 1.0, seed=3)
+    text = serialize_profile(complete)
+
+    def refuse(*args):
+        raise AssertionError("asymmetry scan on full W lists")
+
+    monkeypatch.setattr(profile_module, "_one_sided", refuse)
+    assert validate_profile(complete.u_lists, complete.w_lists) == complete
+    assert parse_profile(text) == complete
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ValidationError) as err:
         validate_profile([[]], [[]], ["x"], ["x"])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,10 @@ from swapstable.oracle import (
     brute_solve_near,
     enumerate_stable_bf,
 )
-from swapstable import robustness
-from swapstable.robustness import _collect_constraints, _unshielded_pair
+from swapstable import classic, robustness
+from swapstable.robustness import _collect_constraints, _threats, _unshielded_pair
 
-from helpers import profiles, random_profiles
+from helpers import constraints_by_pair, profiles, random_profiles
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,6 +142,53 @@ def test_zero_budget_adds_no_constraints():
     batch += random_profiles(3, 60, 60, 1.0, seed_base=0)
     for p in batch:
         assert _collect_constraints(p, rotation_digraph(p), 0) == (set(), set(), set())
+
+
+def run_walk_batch():
+    """Seeded profiles for the run walk: complete, density 0.7 and 0.4,
+    square and lopsided, a few larger ones, the Latin and crown families,
+    and padded Latin squares, whose constraints are rarely infeasible."""
+    batch = []
+    for density, base in ((1.0, 5100), (0.7, 5200), (0.4, 5300)):
+        for n_u, n_w in ((6, 6), (5, 7), (7, 4)):
+            batch += random_profiles(15, n_u, n_w, density, seed_base=base + 10 * n_u + n_w)
+        batch += random_profiles(2, 30, 30, density, seed_base=base + 500)
+    batch += [gen_cyclic_latin(n) for n in range(2, 9)]
+    batch += [gen_example2(n) for n in range(2, 9)]
+    rng = random.Random(23)
+    return batch + [padded_latin(rng.randint(2, 5), rng.randint(1, 3), rng) for _ in range(60)]
+
+
+def test_run_walk_collects_what_the_per_pair_walk_does():
+    kinds = Counter()
+    for p in run_walk_batch():
+        dg = rotation_digraph(p)
+        for d in range(7):
+            want = constraints_by_pair(p, dg, d)
+            assert _collect_constraints(p, dg, d) == want
+            if want is None:
+                kinds["none"] += 1
+            else:
+                kinds.update(k for k, c in zip(("arcs", "forced", "forbidden"), want) if c)
+    assert min(kinds[k] for k in ("none", "arcs", "forced", "forbidden")) >= 20
+
+
+def test_threats_per_pair_are_bounded_by_the_bounds_in_its_windows():
+    # A pair's events change only where a split crosses a bound of one of
+    # the two agents' runs, so it yields at most once per bound in its
+    # windows [pos - d, pos] and [rb - d, rb], plus once, not d + 1 times.
+    stepped = 0
+    for p in run_walk_batch():
+        dg = rotation_digraph(p)
+        for d in range(7):
+            per_pair = Counter((a, b) for a, b, _, _ in _threats(p, dg, d))
+            for (a, b), count in per_pair.items():
+                pos, rb = p.rank_u[a][b], p.rank_w[b][a]
+                inside = sum(pos - d <= k <= pos for k in dg.u_runs[a][0])
+                inside += sum(rb - d <= k <= rb for k in dg.w_runs[b][0])
+                assert count <= inside + 1
+                stepped += count > 1
+    assert stepped >= 100
 
 
 def test_optimal_solver_matches_brute_optimum():
@@ -353,3 +401,22 @@ def test_solvers_skip_the_precheck_at_zero_budget(monkeypatch):
         find_d_robust(p, 0)
         for obj in (Objective.EGALITARIAN, Objective.PERFECT):
             find_d_robust_optimal(p, 0, obj)
+
+
+def test_a_solve_runs_deferred_acceptance_once(monkeypatch):
+    # the digraph and the pre-check share the profile's U-optimal matching
+    calls = []
+    real = classic.u_optimal
+    monkeypatch.setattr(classic, "u_optimal", lambda p: calls.append(p) or real(p))
+    solved = 0
+    for d in range(4):
+        for p in precheck_batch():
+            calls.clear()
+            find_d_robust_optimal(p, d, Objective.EGALITARIAN)
+            assert calls == [p]
+            solved += 1
+    p = gen_random(6, 6, 1.0, seed=3)
+    calls.clear()
+    max_robustness(p)
+    assert calls == [p]
+    assert solved >= 100

@@ -1,5 +1,6 @@
 """Rotation poset: successor maps, closed-subset bijection, weighted closures."""
 
+import bisect
 import itertools
 import random
 import sys
@@ -36,6 +37,7 @@ from swapstable import (
 )
 from swapstable import rotations
 from swapstable.oracle import enumerate_stable_bf
+from swapstable.rotations import ALWAYS, NEVER
 
 from helpers import profiles, random_profiles
 
@@ -126,7 +128,7 @@ def test_closed_subsets_follow_exclude_first_order():
             (a, b) for b in range(n) for a in range(b) if rng.random() < 0.3
         )
         graphs.append(
-            RotationDigraph((None,) * n, arcs, None, movesto={}, u_passed={}, crossed={})
+            RotationDigraph((None,) * n, arcs, None, u_runs=(), w_runs=())
         )
     for dg in graphs:
         want = []
@@ -173,47 +175,72 @@ def test_measured_weights_reproduce_egalitarian_deltas(p):
         assert egalitarian_cost(p, matching_of(dg, s)) == expected
 
 
-def test_pair_index_matches_the_lattice():
-    # Every closed subset S is checked against the three per-pair maps the
-    # digraph keeps, over every acceptable pair, so a missing entry fails
-    # as surely as a wrong one: movesto and u_passed decide each pair of
-    # matching_of(S), and u_passed/crossed decide where partners sit.
+def partner_positions(p, m):
+    """Each agent's partner's position in its list, per side; the list
+    length when unmatched."""
+    return tuple(
+        [lst.index(k) if k >= 0 else len(lst) for lst, k in zip(lists, partners)]
+        for lists, partners in ((p.u_lists, m.pu), (p.w_lists, m.pw))
+    )
+
+
+def index_batch():
     batch = random_profiles(100, 6, 6, 1.0, seed_base=500)
     batch += random_profiles(40, 5, 6, 0.6, seed_base=600)
     # more U agents than W agents: some stay unmatched, and paths of the
     # discovery walk end at unmatched W agents
     batch += random_profiles(40, 6, 5, 0.6, seed_base=700)
-    batch += [gen_cyclic_latin(4), gen_example2(3)]
+    return batch + [gen_cyclic_latin(4), gen_example2(3)]
+
+
+def test_pair_index_matches_the_lattice():
+    # Every closed subset S is checked against each agent's runs at every
+    # rank r, the two ends included, so a missing or misplaced bound fails
+    # as surely as a wrong event: the U event at r is eliminated in S
+    # exactly when u's partner in matching_of(S) ranks r or worse, and the
+    # W event exactly when w's partner ranks better than r.  Together they
+    # place every partner, and so decide every pair of matching_of(S).
     rotations_seen = 0
-    for p in batch:
+    for p in index_batch():
         dg = rotation_digraph(p)
-        m0 = dg.u_opt
         rotations_seen += dg.n
         for s in closed_subsets(dg):
-            m = matching_of(dg, s)
-            for u in range(p.n_u):
-                for w in p.u_lists[u]:
-                    produced = (u, w) in m0.pairs or dg.movesto.get((u, w)) in s
-                    held = produced and dg.u_passed.get((u, w)) not in s
-                    assert ((u, w) in m.pairs) == held
-                    if m0.pu[u] >= 0:
-                        # u's partner ranks below w: from the start, or
-                        # once the rotation passing w is eliminated
-                        rank = p.rank_u[u]
-                        below = rank[m.pu[u]] > rank[w]
-                        passed = rank[m0.pu[u]] > rank[w] or dg.u_passed.get((u, w)) in s
-                        assert below == passed
-            for w in range(p.n_w):
-                if m0.pw[w] < 0:
-                    continue
-                rank = p.rank_w[w]
-                for u in p.w_lists[w]:
-                    # w's partner ranks at u or above: from the start, or
-                    # once the rotation lifting it there is eliminated
-                    at_or_above = rank[m.pw[w]] <= rank[u]
-                    lifted = rank[m0.pw[w]] <= rank[u] or dg.crossed.get((w, u)) in s
-                    assert at_or_above == lifted
+            happened = set(s) | {ALWAYS}
+            rank_u, rank_w = partner_positions(p, matching_of(dg, s))
+            for u, (bounds, events) in enumerate(dg.u_runs):
+                for r in range(len(p.u_lists[u]) + 2):
+                    sunk = events[bisect.bisect_left(bounds, r)] in happened
+                    assert sunk == (rank_u[u] >= r)
+            for w, (bounds, events) in enumerate(dg.w_runs):
+                for r in range(len(p.w_lists[w]) + 2):
+                    climbed = events[bisect.bisect_left(bounds, r)] in happened
+                    assert climbed == (rank_w[w] < r)
     assert rotations_seen >= 80
+
+
+def test_runs_tile_each_agents_stable_range():
+    # A U agent's bounds ascend from its u_optimal partner's rank to its
+    # w_optimal partner's, one run per rotation that moves it, in
+    # elimination order; a W agent's ascend from its w_optimal partner's
+    # rank to its u_optimal partner's.  An unmatched agent's one bound is
+    # its list length.
+    for p in index_batch():
+        dg = rotation_digraph(p)
+        top_u, bottom_w = partner_positions(p, u_optimal(p))
+        bottom_u, top_w = partner_positions(p, w_optimal(p))
+        sides = (
+            (dg.u_runs, top_u, bottom_u, (ALWAYS, NEVER), 0),
+            (dg.w_runs, top_w, bottom_w, (NEVER, ALWAYS), 1),
+        )
+        for runs, first, last, ends, side in sides:
+            for a, (bounds, events) in enumerate(runs):
+                assert (bounds[0], bounds[-1]) == (first[a], last[a])
+                assert all(x < y for x, y in zip(bounds, bounds[1:]))
+                assert (events[0], events[-1]) == ends
+                moved = [
+                    i for i, rho in enumerate(dg.rotations) if any(x[side] == a for x in rho.cycle)
+                ]
+                assert events[1:-1] == (moved if side == 0 else moved[::-1])
 
 
 def brute_closure(dg, delta, forced, forbidden, extra_arcs):
