@@ -1,5 +1,6 @@
 """Plain scans of the rank tables behind is_stable, blocking_indices and
-egalitarian_cost, and the inversion count behind swap distances.
+egalitarian_cost (``partner_ranks``, which the rotation and robustness
+engines share), and the inversion count behind swap distances.
 
 The module and its names stay because the benchmark reports its
 ``kernels.*`` per-layer metrics from them, as it reports
@@ -9,16 +10,20 @@ The module and its names stay because the benchmark reports its
 from bisect import bisect_right, insort
 
 
-def _current_ranks(rank, lists, partners):
-    # each agent's partner rank, its list length when unmatched (-1)
-    return [row[k] if k >= 0 else len(lst) for row, lst, k in zip(rank, lists, partners)]
+def partner_ranks(p, m):
+    """Rank of each agent's partner in m, as one list per side.  An agent m
+    leaves unmatched gets its list length, past every pair it lists, so no
+    gap measured against it is positive."""
+    return (
+        [row[k] if k >= 0 else len(lst) for row, lst, k in zip(p.rank_u, p.u_lists, m.pu)],
+        [row[k] if k >= 0 else len(lst) for row, lst, k in zip(p.rank_w, p.w_lists, m.pw)],
+    )
 
 
 def _above_partners(p, m):
     """Each W agent's partner rank, and lazily each U agent's list cut
     where its partner stands: the W agents it would rather have."""
-    cur_u = _current_ranks(p.rank_u, p.u_lists, m.pu)
-    cur_w = _current_ranks(p.rank_w, p.w_lists, m.pw)
+    cur_u, cur_w = partner_ranks(p, m)
     return cur_w, (lst[:c] for lst, c in zip(p.u_lists, cur_u))
 
 
@@ -40,8 +45,8 @@ def first_blocking(p, m):
 
 
 def egal_cost(p, m):
-    cur_u = _current_ranks(p.rank_u, p.u_lists, m.pu)
-    return sum(cur_u) + sum(_current_ranks(p.rank_w, p.w_lists, m.pw))
+    cur_u, cur_w = partner_ranks(p, m)
+    return sum(cur_u) + sum(cur_w)
 
 
 def count_inversions(seq):

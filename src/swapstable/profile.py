@@ -123,6 +123,14 @@ class Profile:
         return u_optimal(self)
 
     @cached_property
+    def w_opt(self) -> "Matching":
+        """``classic.w_optimal(self)``, run once per profile for the robust
+        pre-check, which ``max_robustness`` runs at each budget it tries."""
+        from .classic import w_optimal  # classic imports this module
+
+        return w_optimal(self)
+
+    @cached_property
     def _by_name(self) -> dict:
         table = {}
         for i, name in enumerate(self.u_names):
@@ -392,19 +400,6 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
     if not (0 <= x.index < p.n_w and 0 <= y.index < p.n_u):
         raise UnknownAgent("agent out of range")
     return p.rank_w[x.index][y.index]
-
-
-def _partner_ranks(p, m):
-    """Rank of each agent's partner in m, as one list per side.  An agent m
-    leaves unmatched gets its list length, past every pair it lists, so no
-    gap measured against it is positive."""
-    ru, rw = p.rank_u, p.rank_w
-    rank_u = [len(lst) for lst in p.u_lists]
-    rank_w = [len(lst) for lst in p.w_lists]
-    for a, b in m.pairs:
-        rank_u[a] = ru[a][b]
-        rank_w[b] = rw[b][a]
-    return rank_u, rank_w
 
 
 def _promote(lists, owner, member, steps):

@@ -7,10 +7,10 @@ matching.  The solver states the same condition per acceptable pair over
 the rotation digraph: down the lattice a U agent's partner only sinks and a
 W agent's only climbs, so each way a pair can cost at most d is a threat
 between two events, each brought about by one rotation of the digraph's
-runs (``u_runs``, ``w_runs``).  A threat becomes an implication arc, a
-forced or forbidden rotation, or infeasibility.  At d = 0 no threat adds
-a constraint, and none is collected.  The closure that picks the matching
-weighs every rotation 1 for find_d_robust and the perfect objective (the
+runs (``u_runs``, ``w_runs``).  Each threat becomes one closure arc, whose
+ends may be the sentinels ALWAYS and NEVER (see min_weight_closure).  At
+d = 0 no threat adds an arc.  The closure that picks the matching weighs
+every rotation 1 for find_d_robust and the perfect objective (the
 smallest admissible closed set) and by its egalitarian delta for the
 egalitarian one.
 
@@ -23,9 +23,9 @@ d = 1); ``max_robustness`` runs the same check at each budget it tries.
 from bisect import bisect_left
 from dataclasses import replace
 
-from .classic import w_optimal
+from ._kernels import partner_ranks
 from .errors import InvalidInput
-from .profile import Agent, Objective, _partner_ranks, _promote, blocking_pairs, is_perfect
+from .profile import Agent, Objective, _promote, blocking_pairs, is_perfect
 from .rotations import (
     ALWAYS,
     NEVER,
@@ -79,19 +79,19 @@ def is_d_robust(p, m, d):
     bp = blocking_pairs(p, m)
     if bp:
         return False, (p, bp[0])
-    for ui, wj, _, _ in _cheap_pairs(p, *_partner_ranks(p, m), d):
+    for ui, wj, _, _ in _cheap_pairs(p, *partner_ranks(p, m), d):
         if m.pu[ui] != wj:
             witness = _gap_witness(p, m, ui, wj)
             return False, (witness, (Agent.u(ui), Agent.w(wj)))
     return True, None
 
 
-def _unshielded_pair(p, u_opt, d):
+def _unshielded_pair(p, d):
     """A pair in no stable matching that costs at most d swaps against every
-    stable matching of p, or None; ``u_opt`` is p's U-optimal matching.
+    stable matching of p, or None.
 
     In every stable matching a U agent's partner ranks between its partners
-    in u_opt (best) and w_optimal (worst), and a W agent's the other way
+    in u_optimal (best) and w_optimal (worst), and a W agent's the other way
     round (Gale & Shapley 1962; Gusfield & Irving 1989); an agent unmatched
     there is unmatched in all of them and adds no gap.  So no side's gap
     (see is_d_robust) exceeds its gap against the best partner, and a pair
@@ -100,14 +100,15 @@ def _unshielded_pair(p, u_opt, d):
     matching.
 
     It names a pair exactly when constraint collection would meet a threat
-    live from the start and never shielded, at d = 1 (a pair in no stable
-    matching has no zero gap, so one of its gaps is negative) and when p has
-    one stable matching.  At d >= 2 a pair inside both ranges may still be
-    in no stable matching, which only the digraph can tell.  At d = 0 such
-    a pair would block u_opt, so the solvers skip the check.
+    live from the start and never shielded, the arc (NEVER, ALWAYS), at
+    d = 1 (a pair in no stable matching has no zero gap, so one of its gaps
+    is negative) and when p has one stable matching.  At d >= 2 a pair
+    inside both ranges may still be in no stable matching, which only the
+    digraph can tell.  At d = 0 such a pair would block u_optimal, so the
+    solvers skip the check.
     """
-    best_u, worst_w = _partner_ranks(p, u_opt)
-    worst_u, best_w = _partner_ranks(p, w_optimal(p))
+    best_u, worst_w = partner_ranks(p, p.u_opt)
+    worst_u, best_w = partner_ranks(p, p.w_opt)
     for a, b, gap_u, gap_w in _cheap_pairs(p, best_u, best_w, d):
         if not (0 <= gap_u <= worst_u[a] - best_u[a] and 0 <= gap_w <= worst_w[b] - best_w[b]):
             return a, b
@@ -165,57 +166,54 @@ def _threats(p, dg, d):
 
 
 def _collect_constraints(p, dg, d):
-    """Constraint system over rotations for d-robustness, or None.
+    """Closure arcs (shield, live) for d-robustness: live in S requires
+    shield in S.
 
-    Each threat leaves one of: an implication arc (shield, live) meaning
-    live in S requires shield in S, a forbidden live (the threat can never
-    be answered), a forced shield (the threat is live from the start), or
-    infeasibility when both hold.
+    A threat live from the start (live == ALWAYS) forces its shield, one
+    never shielded (shield == NEVER) forbids its live rotation, and one
+    both leaves no matching; those that always hold are dropped.
     """
-    extra_arcs, forced, forbidden = set(), set(), set()
-    for _, _, live, shield in _threats(p, dg, d):
-        if live == NEVER or shield == ALWAYS or live == shield:
-            continue
-        if live == ALWAYS and shield == NEVER:
-            return None
-        if live == ALWAYS:
-            forced.add(shield)
-        elif shield == NEVER:
-            forbidden.add(live)
-        else:
-            extra_arcs.add((shield, live))
-    return extra_arcs, forced, forbidden
+    return {
+        (shield, live)
+        for _, _, live, shield in _threats(p, dg, d)
+        if live != NEVER and shield != ALWAYS and live != shield
+    }
 
 
 def _robust_closure(p, dg, d, weights):
     """Matching of the lightest closed rotation set of dg, the rotation
     digraph of p, that meets every d-robustness constraint, or None when
     none does."""
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
     # at d = 0 only stable pairs threaten, each with live == shield, so
     # there is nothing to collect
-    constraints = _collect_constraints(p, dg, d) if d else (frozenset(),) * 3
-    if constraints is None:
-        return None
-    extra_arcs, forced, forbidden = constraints
-    chosen = min_weight_closure(dg, weights, forced, forbidden, extra_arcs)
+    chosen = min_weight_closure(dg, weights, _collect_constraints(p, dg, d) if d else frozenset())
     return None if chosen is None else matching_of(dg, chosen)
+
+
+def _solve(p, d, objective):
+    """find_d_robust's matching (objective None) or the objective's."""
+    if d < 0:
+        raise InvalidInput("d must be nonnegative")
+    if d > 0 and _unshielded_pair(p, d) is not None:
+        return None
+    dg = rotation_digraph(p)
+    weights = egalitarian_deltas(dg, p) if objective == Objective.EGALITARIAN else (1,) * dg.n
+    m = _robust_closure(p, dg, d, weights)
+    if objective == Objective.PERFECT and m is not None and not is_perfect(p, m):
+        return None
+    return m
 
 
 def find_d_robust(p, d):
     """A d-robust matching of p, or None when none exists.
 
-    Turns every threat of at most d swaps into constraints over the
-    rotation digraph and returns the matching of the smallest closed
-    rotation set that satisfies them all (unit weight per rotation).  At
-    d >= 1 a pair that rules out every matching from the two extreme stable
-    matchings alone answers None before the digraph is built.
+    Turns every threat of at most d swaps into arcs over the rotation
+    digraph and returns the matching of the smallest closed rotation set
+    that respects them all (unit weight per rotation).  At d >= 1 a pair
+    that rules out every matching from the two extreme stable matchings
+    alone answers None before the digraph is built.
     """
-    if d > 0 and _unshielded_pair(p, p.u_opt, d) is not None:
-        return None
-    dg = rotation_digraph(p)
-    return _robust_closure(p, dg, d, (1,) * dg.n)
+    return _solve(p, d, None)
 
 
 def find_d_robust_optimal(p, d, objective):
@@ -228,15 +226,7 @@ def find_d_robust_optimal(p, d, objective):
     """
     if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
         raise InvalidInput("objective must be Perfect or Egalitarian")
-    if d > 0 and _unshielded_pair(p, p.u_opt, d) is not None:
-        return None
-    perfect = objective == Objective.PERFECT
-    dg = rotation_digraph(p)
-    weights = (1,) * dg.n if perfect else egalitarian_deltas(dg, p)
-    m = _robust_closure(p, dg, d, weights)
-    if perfect and m is not None and not is_perfect(p, m):
-        return None
-    return m
+    return _solve(p, d, objective)
 
 
 def max_robustness(p, cap=None):
@@ -265,7 +255,7 @@ def max_robustness(p, cap=None):
     lo, hi = 0, min(cap, exhaustion)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        m = None if _unshielded_pair(p, dg.u_opt, mid) else _robust_closure(p, dg, mid, weights)
+        m = None if _unshielded_pair(p, mid) else _robust_closure(p, dg, mid, weights)
         if m is None:
             hi = mid - 1
         else:

@@ -15,8 +15,9 @@ from functools import cached_property
 from itertools import chain
 
 from ._flow import FlowNetwork
+from ._kernels import partner_ranks
 from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify
-from .profile import Agent, Matching, Side, _partner_ranks, is_stable
+from .profile import Agent, Matching, Side, is_stable
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def successor(p, m, u):
     i = u.index
     if m.pu[i] < 0:
         raise NoSuccessorDefined("%s is unmatched" % p.name_of(u))
-    pos = _successor_at(p, _partner_ranks(p, m)[1], i, p.rank_u[i][m.pu[i]] + 1)
+    pos = _successor_at(p, partner_ranks(p, m)[1], i, p.rank_u[i][m.pu[i]] + 1)
     j = p.u_lists[i][pos] if pos >= 0 else -1
     return Agent.w(j) if j >= 0 and m.pw[j] >= 0 else None
 
@@ -100,7 +101,8 @@ def eliminate(m, rho):
 
 
 # Events at the two ends of an agent's runs (see RotationDigraph): what
-# already holds at u_optimal, and what holds in no stable matching.
+# already holds at u_optimal, and what holds in no stable matching; the
+# sink and the source of min_weight_closure.
 ALWAYS, NEVER = "always", "never"
 
 
@@ -178,7 +180,7 @@ def rotation_digraph(p):
     """
     m0 = p.u_opt
     ru, rw = p.rank_u, p.rank_w
-    rank_u0, rank_w0 = _partner_ranks(p, m0)
+    rank_u0, rank_w0 = partner_ranks(p, m0)
     pu, pw, held = list(m0.pu), list(m0.pw), list(rank_w0)  # the walk moves partners
     at = [r + 1 for r in rank_u0]
     final = [w < 0 for w in pu]
@@ -326,41 +328,37 @@ def egalitarian_deltas(dg, p):
     )
 
 
-def min_weight_closure(dg, weights, forced=frozenset(), forbidden=frozenset(), extra_arcs=frozenset()):
+def min_weight_closure(dg, weights, arcs=frozenset()):
     """Minimum-total-weight predecessor-closed subset, or None if infeasible.
 
-    ``weights`` holds one weight per rotation.  The subset must contain
-    ``forced``, avoid ``forbidden``, and respect ``extra_arcs`` on top of
-    the digraph's own: an arc (a, b) means b may only be chosen together
-    with a, so the nodes of a cycle of arcs enter or leave together.
-    Solved as one max-flow project selection over all rotations (Picard
-    1976): chosen rotations form the sink side, weights are arcs from the
-    source (positive) or to the sink (negative), and every constraint is
-    an infinite arc: a -> b per arc (a, b), forced -> sink, source ->
-    forbidden.  A flow reaching the infinite capacity means no subset is
-    feasible.  The minimal source side over all minimum cuts makes the
-    answer the union of all minimum-weight feasible subsets.
+    ``weights`` holds one weight per rotation.  Each of ``arcs``, on top of
+    the digraph's own, is an arc (a, b): b may only be chosen together with
+    a.  Either end may be a sentinel, ALWAYS (in every subset) or NEVER (in
+    none), so (a, ALWAYS) forces a and (NEVER, b) forbids b.  Solved as one
+    max-flow project selection (Picard 1976) from NEVER, the source, to
+    ALWAYS, the sink: chosen rotations form the sink side, weights are arcs
+    from the source (positive) or to the sink (negative), and every arc is
+    an infinite one.  The flow reaches the infinite capacity, and no subset
+    is feasible, exactly when a path of arcs leads from NEVER to ALWAYS.
+    The minimal source side over all minimum cuts makes the answer the
+    union of all minimum-weight feasible subsets.
     """
     if len(weights) != dg.n:
         raise InvalidInput("%d weights for %d rotations" % (len(weights), dg.n))
-    arcs = dg.arcs | frozenset(extra_arcs)
-    for i in chain(forced, forbidden, *extra_arcs):
-        if not 0 <= i < dg.n:
+    rotations = range(dg.n)
+    for i in chain(*arcs):
+        if i not in (ALWAYS, NEVER) and i not in rotations:
             raise InvalidInput("rotation index %r out of range" % (i,))
     inf = 1 + sum(abs(w) for w in weights)
     net = FlowNetwork()
     for i, w in enumerate(weights):
         if w > 0:
-            net.add_edge("s", i, w)
+            net.add_edge(NEVER, i, w)
         elif w < 0:
-            net.add_edge(i, "t", -w)
-    for a, b in sorted(arcs):
+            net.add_edge(i, ALWAYS, -w)
+    for a, b in chain(dg.arcs, arcs):
         net.add_edge(a, b, inf)
-    for i in sorted(forced):
-        net.add_edge(i, "t", inf)
-    for i in sorted(forbidden):
-        net.add_edge("s", i, inf)
-    if net.max_flow("s", "t") >= inf:
+    if net.max_flow(NEVER, ALWAYS) >= inf:
         return None
-    dropped = net.source_side("s")
-    return frozenset(i for i in range(dg.n) if i not in dropped)
+    dropped = net.source_side(NEVER)
+    return frozenset(i for i in rotations if i not in dropped)

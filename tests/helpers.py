@@ -227,17 +227,10 @@ def threats_by_pair(p, dg, d):
 
 
 def constraints_by_pair(p, dg, d):
-    """(extra arcs, forced, forbidden) from threats_by_pair, or None."""
-    extra_arcs, forced, forbidden = set(), set(), set()
-    for live, shield in threats_by_pair(p, dg, d):
-        if live == NEVER or shield == ALWAYS or live == shield:
-            continue
-        if live == ALWAYS and shield == NEVER:
-            return None
-        if live == ALWAYS:
-            forced.add(shield)
-        elif shield == NEVER:
-            forbidden.add(live)
-        else:
-            extra_arcs.add((shield, live))
-    return extra_arcs, forced, forbidden
+    """Closure arcs (shield, live) from threats_by_pair, less those that
+    always hold."""
+    return {
+        (shield, live)
+        for live, shield in threats_by_pair(p, dg, d)
+        if live != NEVER and shield != ALWAYS and live != shield
+    }

@@ -52,6 +52,7 @@ from swapstable.oracle import (
     enumerate_stable_bf,
 )
 from swapstable.robustness import _collect_constraints
+from swapstable.rotations import ALWAYS, NEVER
 
 from helpers import make_rng, random_matching, random_swap
 
@@ -301,14 +302,12 @@ def test_lattice_fixture_facts():
     assert robust == [target]
     assert target.pairs == frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})
     assert find_d_robust(p, 1) == target
-    extra_arcs, forced, forbidden = _collect_constraints(p, dg, 1)
-    assert forced == {0}
-    assert not forbidden
+    arcs = _collect_constraints(p, dg, 1)
+    assert {a for a, b in arcs if b == ALWAYS} == {0}
+    assert not any(a == NEVER for a, b in arcs)
     satisfying = [
         s
         for s in closed_subsets(dg)
-        if forced <= s
-        and not (s & forbidden)
-        and all(a in s for a, b in extra_arcs if b in s)
+        if all(a in s | {ALWAYS} for a, b in arcs if b in s | {ALWAYS})
     ]
     assert satisfying == [full]

@@ -37,6 +37,7 @@ from swapstable.oracle import (
 )
 from swapstable import classic, robustness
 from swapstable.robustness import _collect_constraints, _threats, _unshielded_pair
+from swapstable.rotations import ALWAYS, NEVER
 
 from helpers import constraints_by_pair, profiles, random_profiles
 
@@ -115,17 +116,12 @@ def test_constraints_select_exactly_the_robust_matchings():
         subsets = list(closed_subsets(dg))
         for d in range(4):
             robust = [s for s in subsets if brute_is_d_robust(p, matching_of(dg, s), d)]
-            constraints = _collect_constraints(p, dg, d)
-            satisfying = []
-            if constraints is not None:
-                extra_arcs, forced, forbidden = constraints
-                satisfying = [
-                    s
-                    for s in subsets
-                    if forced <= s
-                    and not (s & forbidden)
-                    and all(a in s for a, b in extra_arcs if b in s)
-                ]
+            arcs = _collect_constraints(p, dg, d)
+            satisfying = [
+                s
+                for s in subsets
+                if all(a in s | {ALWAYS} for a, b in arcs if b in s | {ALWAYS})
+            ]
             assert satisfying == robust
             strict += 0 < len(robust) < len(subsets)
     assert strict >= 10
@@ -141,7 +137,7 @@ def test_zero_budget_adds_no_constraints():
     batch += [gen_example2(n) for n in range(2, 7)]
     batch += random_profiles(3, 60, 60, 1.0, seed_base=0)
     for p in batch:
-        assert _collect_constraints(p, rotation_digraph(p), 0) == (set(), set(), set())
+        assert _collect_constraints(p, rotation_digraph(p), 0) == set()
 
 
 def run_walk_batch():
@@ -166,10 +162,10 @@ def test_run_walk_collects_what_the_per_pair_walk_does():
         for d in range(7):
             want = constraints_by_pair(p, dg, d)
             assert _collect_constraints(p, dg, d) == want
-            if want is None:
-                kinds["none"] += 1
-            else:
-                kinds.update(k for k, c in zip(("arcs", "forced", "forbidden"), want) if c)
+            kinds["none"] += (NEVER, ALWAYS) in want
+            kinds["arcs"] += any(ALWAYS not in arc and NEVER not in arc for arc in want)
+            kinds["forced"] += any(b == ALWAYS != a != NEVER for a, b in want)
+            kinds["forbidden"] += any(a == NEVER != b != ALWAYS for a, b in want)
     assert min(kinds[k] for k in ("none", "arcs", "forced", "forbidden")) >= 20
 
 
@@ -336,11 +332,11 @@ def test_unshielded_pair_rules_out_every_stable_matching():
         dg = rotation_digraph(p)
         stable = list(enumerate_stable_bf(p)) if max(p.n_u, p.n_w) <= 6 else []
         for d in range(1, 5):
-            pair = _unshielded_pair(p, u_optimal(p), d)
+            pair = _unshielded_pair(p, d)
             if pair is None:
                 continue
             fired += 1
-            assert _collect_constraints(p, dg, d) is None
+            assert (NEVER, ALWAYS) in _collect_constraints(p, dg, d)
             for m in stable:
                 assert pair not in m.pairs
                 assert gap_cost(p, m, *pair) <= d
@@ -352,9 +348,9 @@ def test_unshielded_pair_is_exact_at_one_swap():
     # pair that one side ranks outside the range of its stable partners
     fired = 0
     for p in precheck_batch():
-        pair = _unshielded_pair(p, u_optimal(p), 1)
-        constraints = _collect_constraints(p, rotation_digraph(p), 1)
-        assert (pair is None) == (constraints is not None)
+        pair = _unshielded_pair(p, 1)
+        arcs = _collect_constraints(p, rotation_digraph(p), 1)
+        assert (pair is None) == ((NEVER, ALWAYS) not in arcs)
         fired += pair is not None
     assert fired >= 50
 
@@ -368,8 +364,8 @@ def test_unshielded_pair_is_exact_with_one_stable_matching():
         dg = rotation_digraph(p)
         assert dg.n == 0
         for d in range(1, n + 2):
-            pair = _unshielded_pair(p, u_optimal(p), d)
-            assert (pair is None) == (_collect_constraints(p, dg, d) is not None)
+            pair = _unshielded_pair(p, d)
+            assert (pair is None) == ((NEVER, ALWAYS) not in _collect_constraints(p, dg, d))
             assert (pair is None) == (d < n)
 
 
@@ -387,7 +383,7 @@ def test_solvers_answer_alike_without_the_precheck(monkeypatch):
         return out
 
     with_check = answers()
-    monkeypatch.setattr(robustness, "_unshielded_pair", lambda p, u_opt, d: None)
+    monkeypatch.setattr(robustness, "_unshielded_pair", lambda p, d: None)
     assert answers() == with_check
     assert sum(m is None for m in with_check) >= 100
 
@@ -396,7 +392,7 @@ def test_solvers_skip_the_precheck_at_zero_budget(monkeypatch):
     def refuse(p):
         raise AssertionError("w_optimal called at d=0")
 
-    monkeypatch.setattr(robustness, "w_optimal", refuse)
+    monkeypatch.setattr(classic, "w_optimal", refuse)
     for p in precheck_batch()[::7]:
         find_d_robust(p, 0)
         for obj in (Objective.EGALITARIAN, Objective.PERFECT):
@@ -420,3 +416,15 @@ def test_a_solve_runs_deferred_acceptance_once(monkeypatch):
     max_robustness(p)
     assert calls == [p]
     assert solved >= 100
+
+
+def test_max_robustness_runs_w_side_deferred_acceptance_once(monkeypatch):
+    # the pre-check at each budget the bisection tries reads the profile's
+    # one W-optimal matching
+    calls = []
+    real = classic.w_optimal
+    monkeypatch.setattr(classic, "w_optimal", lambda p: calls.append(p) or real(p))
+    for p in (gen_cyclic_latin(80), gen_random(60, 60, 1.0, 4)):
+        calls.clear()
+        max_robustness(p)
+        assert calls == [p]

@@ -4,6 +4,7 @@ import bisect
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -243,13 +244,14 @@ def test_runs_tile_each_agents_stable_range():
                 assert events[1:-1] == (moved if side == 0 else moved[::-1])
 
 
-def brute_closure(dg, delta, forced, forbidden, extra_arcs):
-    """Least weight of a feasible closed subset, with the union of all such."""
+def brute_closure(dg, delta, arcs):
+    """Least weight of a feasible closed subset, with the union of all such:
+    each arc (a, b) asks for a in s when b is, ALWAYS being in every s and
+    NEVER in none."""
     best = None
     for s in closed_subsets(dg):
-        if not forced <= s or s & forbidden:
-            continue
-        if any(b in s and a not in s for a, b in extra_arcs):
+        held = s | {ALWAYS}
+        if any(b in held and a not in held for a, b in arcs):
             continue
         w = sum(delta[r] for r in s)
         if best is None or w < best[0]:
@@ -259,10 +261,15 @@ def brute_closure(dg, delta, forced, forbidden, extra_arcs):
     return best
 
 
+def sentinel_arcs(forced, forbidden, extra):
+    """One arc set: (a, ALWAYS) per forced a, (NEVER, b) per forbidden b."""
+    return extra | {(a, ALWAYS) for a in forced} | {(NEVER, b) for b in forbidden}
+
+
 def closure_draws(dg, rng):
-    """Constraint draws: loose random ones, then a cycle of extra arcs
-    through a forced rotation and one through a forbidden rotation, with
-    the other kind drawn from all rotations (the cycle's included)."""
+    """Arc draws: loose random ones, then a cycle of arcs through a forced
+    rotation and one through a forbidden rotation, with the other kind
+    drawn from all rotations (the cycle's included)."""
     nodes = list(range(dg.n))
     forced = frozenset(rng.sample(nodes, k=rng.randint(0, min(2, dg.n))))
     rest = [i for i in nodes if i not in forced]
@@ -270,13 +277,14 @@ def closure_draws(dg, rng):
     extra = frozenset(
         (rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 2))
     )
-    yield forced, forbidden, extra
+    yield sentinel_arcs(forced, forbidden, extra)
     for pin_forced in (True, False):
         cycle = rng.sample(nodes, k=min(3, dg.n))
         extra = frozenset(zip(cycle, cycle[1:] + cycle[:1]))
         pinned = frozenset(cycle[:1])
         other = frozenset(rng.sample(nodes, k=rng.randint(0, 1)))
-        yield (pinned, other, extra) if pin_forced else (other, pinned, extra)
+        forced, forbidden = (pinned, other) if pin_forced else (other, pinned)
+        yield sentinel_arcs(forced, forbidden, extra)
 
 
 def test_min_weight_closure_agrees_with_enumeration():
@@ -290,19 +298,18 @@ def test_min_weight_closure_agrees_with_enumeration():
         if dg.n == 0:
             continue
         delta = [rng.randint(-5, 5) for _ in range(dg.n)]
-        for k, (forced, forbidden, extra) in enumerate(closure_draws(dg, rng)):
-            cycles += k > 0 and len(extra) > 1
-            got = min_weight_closure(dg, delta, forced, forbidden, extra)
-            want = brute_closure(dg, delta, forced, forbidden, extra)
+        for k, arcs in enumerate(closure_draws(dg, rng)):
+            cycles += k > 0 and sum(ALWAYS not in arc and NEVER not in arc for arc in arcs) > 1
+            got = min_weight_closure(dg, delta, arcs)
+            want = brute_closure(dg, delta, arcs)
             if want is None:
                 assert got is None
                 infeasible += 1
             else:
                 assert got == want[1]
                 assert sum(delta[r] for r in got) == want[0]
-                assert forced <= got and not got & forbidden
-                closed_under = dg.arcs | extra
-                assert all(a in got for a, b in closed_under if b in got)
+                held = got | {ALWAYS}
+                assert all(a in held for a, b in dg.arcs | arcs if b in held)
                 checked += 1
     assert checked > 40
     assert infeasible >= 10
@@ -312,16 +319,42 @@ def test_min_weight_closure_agrees_with_enumeration():
 def test_min_weight_closure_rejects_out_of_range_indices():
     dg = rotation_digraph(gen_random(5, 5, 1.0, seed=903))
     weights = (1,) * dg.n
-    for constraints in (
-        {"forced": {dg.n}},
-        {"forbidden": {-1}},
-        {"extra_arcs": {(0, dg.n)}},
-    ):
+    for arc in ((dg.n, ALWAYS), (NEVER, -1), (0, dg.n), ("sometimes", 0)):
         with pytest.raises(InvalidInput, match="out of range"):
-            min_weight_closure(dg, weights, **constraints)
+            min_weight_closure(dg, weights, {arc})
     for wrong in ((), weights + (1,)):
         with pytest.raises(InvalidInput, match="weights for"):
             min_weight_closure(dg, wrong)
+
+
+def test_min_weight_closure_is_infeasible_when_never_reaches_always():
+    # One max-flow decides infeasibility: it reaches the infinite capacity
+    # exactly when a path of arcs leads from NEVER, the source, to ALWAYS,
+    # the sink.  Each draw forbids one rotation and forces one, so many
+    # paths run over more than one arc, some over the digraph's own.
+    def reaches(arcs):
+        reached, queue = {NEVER}, [NEVER]
+        for x in queue:
+            for a, b in arcs:
+                if a == x and b not in reached:
+                    reached.add(b)
+                    queue.append(b)
+        return ALWAYS in reached
+
+    rng = random.Random(11)
+    kinds = Counter()
+    for p in random_profiles(150, 6, 6, 1.0, seed_base=950):
+        dg = rotation_digraph(p)
+        nodes = list(range(dg.n)) + [ALWAYS, NEVER]
+        for _ in range(4):
+            arcs = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 3))}
+            if dg.n:
+                arcs |= {(NEVER, rng.randrange(dg.n)), (rng.randrange(dg.n), ALWAYS)}
+            weights = [rng.randint(-3, 3) for _ in range(dg.n)]
+            got = min_weight_closure(dg, weights, arcs)
+            assert (got is None) == reaches(dg.arcs | arcs)
+            kinds["feasible" if got is not None else "arcs" if reaches(arcs) else "digraph"] += 1
+    assert min(kinds[k] for k in ("feasible", "arcs", "digraph")) >= 30
 
 
 def test_non_topological_discovery_raises_error(monkeypatch):
@@ -366,10 +399,18 @@ def test_eliminate_and_exposed_reject_bad_inputs():
         exposed_rotations(p, bad)
 
 
+def stable_pair_union(p):
+    return set().union(*(m.pairs for m in enumerate_stable_bf(p)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(profiles(max_side=5))
 def test_stable_pairs_is_union_over_stable_matchings(p):
-    union = set()
-    for m in enumerate_stable_bf(p):
-        union |= set(m.pairs)
-    assert set(stable_pairs(p)) == union
+    assert set(stable_pairs(p)) == stable_pair_union(p)
+
+
+def test_stable_pairs_is_union_over_stable_matchings_on_the_index_batch():
+    # the seeded batch pins what random draws reach only some of the time:
+    # profiles whose agents move through several runs
+    for p in index_batch():
+        assert set(stable_pairs(p)) == stable_pair_union(p)
