@@ -74,11 +74,10 @@ def matched_partition(p):
     """Split agents into always-matched and never-matched sets.
 
     Every stable matching of a profile matches exactly the same agents,
-    so one run of deferred acceptance determines the split.
+    so the profile's one u_optimal (``p.u_opt``) determines the split.
     """
-    m = u_optimal(p)
     matched = set()
-    for i, j in m.pairs:
+    for i, j in p.u_opt.pairs:
         matched.add(Agent.u(i))
         matched.add(Agent.w(j))
     unmatched = frozenset(a for a in p.agents() if a not in matched)

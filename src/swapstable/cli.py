@@ -33,10 +33,9 @@ from .nearstable import (
 )
 from .oracle import (
     brute_global_cost,
-    brute_is_d_robust,
     brute_is_locally_d_stable,
     brute_solve_near,
-    enumerate_stable_bf,
+    brute_solve_robust,
     profiles_within,
 )
 from .profile import (
@@ -44,7 +43,6 @@ from .profile import (
     Objective,
     blocking_indices,
     egalitarian_cost,
-    is_perfect,
     is_stable,
 )
 from .robustness import find_d_robust, find_d_robust_optimal, is_d_robust
@@ -212,20 +210,6 @@ def _cmd_check(args, brute):
     return 0 if report["result"] else 1
 
 
-def _brute_solve_robust(p, d, objective):
-    best = None
-    for m in enumerate_stable_bf(p):
-        if not brute_is_d_robust(p, m, d):
-            continue
-        if objective == Objective.PERFECT and not is_perfect(p, m):
-            continue
-        if objective != Objective.EGALITARIAN:
-            return m
-        if best is None or egalitarian_cost(p, m) < egalitarian_cost(p, best):
-            best = m
-    return best
-
-
 def _cmd_solve(args, brute):
     p = parse_profile(_read(args.profile))
     name = args.objective or ("any" if args.what == "robust" else None)
@@ -237,7 +221,7 @@ def _cmd_solve(args, brute):
     found = witness = None
     if args.what == "robust":
         if brute:
-            found = _brute_solve_robust(p, args.d, objective)
+            found = brute_solve_robust(p, args.d, objective)
         elif objective == Objective.ANY:
             found = find_d_robust(p, args.d)
         else:
@@ -300,8 +284,6 @@ def _cmd_rotations(args):
 def _csv_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value == INFINITE:
-        return "inf"
     return str(value)
 
 

@@ -15,21 +15,24 @@ meets the objective, the egalitarian tradeoff takes its d=0 value from
 the egalitarian-optimal stable matching (a rotation closure) and caps
 each later budget at the previous value, and the search prunes with
 admissible lower bounds on the egalitarian cost and, in global mode, on
-the stabilization cost.
+the stabilization cost.  Both solvers rule out a perfect answer up front
+from the agents the profile's u_optimal matches, which every stable
+matching matches (_perfect_ruled_out).
 
 The defusing move throughout is promoting an agent's current partner past
 a blocker in that agent's own list.  Such promotions never create new
 blocking pairs, which is what makes both witness constructions and the
-cut model exact.  An unmatched agent has no partner to promote, so a
-blocking pair of two unmatched agents cannot be defused at any budget;
-checkers report INFINITE in that case.
+cut model exact.  Its cost per endpoint of each blocking pair comes from
+_defuse_costs, which the local checker, the local witness and the cut
+all read.  An unmatched agent has no partner to promote, so a blocking
+pair of two unmatched agents cannot be defused at any budget; checkers
+report INFINITE in that case.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._flow import FlowNetwork
-from .classic import u_optimal
 from .errors import InvalidInput, NotNearlyStable, TooLarge, verify
 from .profile import (
     INFINITE,
@@ -69,16 +72,19 @@ class NearStabilityReport:
     witness_global: Optional[Profile]
 
 
-def _defuse_costs(p, m, i, j):
-    """Swaps each endpoint of blocking pair (u_i, w_j) needs to defuse it.
+def _defuse_costs(p, m):
+    """Yield (i, j, cu, cw) for each blocking pair (u_i, w_j) of m, in
+    blocking_indices order: the swaps each endpoint needs to defuse it.
 
     The cost at an endpoint is the forward shift of its current partner
     past the blocker; INFINITE when the endpoint is unmatched.
     """
-    pi, pj = m.pu[i], m.pw[j]
-    cu = INFINITE if pi < 0 else p.rank_u[i][pi] - p.rank_u[i][j]
-    cw = INFINITE if pj < 0 else p.rank_w[j][pj] - p.rank_w[j][i]
-    return cu, cw
+    ru, rw, pu, pw = p.rank_u, p.rank_w, m.pu, m.pw
+    for i, j in blocking_indices(p, m):
+        pi, pj = pu[i], pw[j]
+        cu = INFINITE if pi < 0 else ru[i][pi] - ru[i][j]
+        cw = INFINITE if pj < 0 else rw[j][pj] - rw[j][i]
+        yield i, j, cu, cw
 
 
 def local_instability(p, m) -> Cost:
@@ -91,8 +97,7 @@ def local_instability(p, m) -> Cost:
     list can settle a blocking pair for less than the rank gap.
     """
     worst = 0
-    for i, j in blocking_indices(p, m):
-        cu, cw = _defuse_costs(p, m, i, j)
+    for _, _, cu, cw in _defuse_costs(p, m):
         worst = max(worst, min(cu, cw))
     return worst
 
@@ -117,8 +122,7 @@ def witness_profile_local(p, m, d_l) -> Profile:
     worst = 0
     u_steps = {}
     w_steps = {}
-    for i, j in blocking_indices(p, m):
-        cu, cw = _defuse_costs(p, m, i, j)
+    for i, j, cu, cw in _defuse_costs(p, m):
         worst = max(worst, min(cu, cw))
         if cw <= cu:
             w_steps[j] = max(w_steps.get(j, 0), cw)
@@ -163,11 +167,13 @@ def _stabilization_cut(p, m):
     needs = []
     u_levels = {}
     w_levels = {}
-    for i, j in blocking_indices(p, m):
-        cu, cw = _defuse_costs(p, m, i, j)
+    for i, j, cu, cw in _defuse_costs(p, m):
         if cu is INFINITE and cw is INFINITE:
             return (INFINITE, None, None)
-        needs.append((i, j, cu, cw))
+        # an unmatched endpoint's node is its side's terminal
+        a = "s" if cu is INFINITE else ("u", i, cu)
+        b = "t" if cw is INFINITE else ("w", j, cw)
+        needs.append((a, b))
         if cu is not INFINITE:
             u_levels.setdefault(i, set()).add(cu)
         if cw is not INFINITE:
@@ -196,13 +202,8 @@ def _stabilization_cut(p, m):
             if below:
                 net.add_edge(("w", j, c), ("w", j, below), inf_cap)
             below = c
-    for i, j, cu, cw in needs:
-        if cu is INFINITE:
-            net.add_edge("s", ("w", j, cw), inf_cap)
-        elif cw is INFINITE:
-            net.add_edge(("u", i, cu), "t", inf_cap)
-        else:
-            net.add_edge(("u", i, cu), ("w", j, cw), inf_cap)
+    for a, b in needs:
+        net.add_edge(a, b, inf_cap)
     cost = net.max_flow("s", "t")
     # Min cuts form a lattice; taking the one nearest the sink resolves
     # ties toward W-side promotions, which keeps the witness deterministic.
@@ -414,7 +415,7 @@ def _search(p, d, objective, eta, mode, least=None):
     acc = 0
     while True:
         if len(frames) < p.n_u:
-            options = [int(j) for j in p.u_lists[len(frames)] if pw[j] < 0]
+            options = [j for j in p.u_lists[len(frames)] if pw[j] < 0]
             frames.append([options + tail, 0, acc])
         else:
             m = Matching.from_pairs(
@@ -472,6 +473,22 @@ def _search(p, d, objective, eta, mode, least=None):
             return best
 
 
+def _perfect_ruled_out(p, d):
+    """True when a rule shows no perfect matching of p stable in a profile
+    within d swaps in all.
+
+    Every stable matching matches the same agents, the k pairs of
+    u_optimal(p) (the Rural Hospitals theorem), which gives three rules: the sides differ in size; the n_u - k agents per side that no
+    stable matching matches outnumber the k that every one does (stable in
+    any reordering, such a matching pairs a never-matched agent only with
+    an always-matched one, or the two would block); or d < n_u - k, since
+    the number of matched agents moves by at most two per swap and
+    2 * (n_u - k) are unmatched.
+    """
+    k = len(p.u_opt.pairs)
+    return p.n_u != p.n_w or p.n_u - k > k or d < p.n_u - k
+
+
 def solve_global_near(p, d_g, objective, eta=None):
     """Matching satisfying the objective in p and stable within d_g swaps.
 
@@ -484,24 +501,15 @@ def solve_global_near(p, d_g, objective, eta=None):
     answer, with witness p, and nothing is searched.  Otherwise an exact
     branch-and-bound (see _search) prices each leaf by the min-cut cost of
     _stabilization_cut; only the answer gets a witness.  One pass whatever
-    d_g is: the budget tightens below each leaf found.
-
-    Every stable matching matches the same agents, the k pairs of
-    u_optimal(p) (the Rural Hospitals theorem), and rules out a perfect
-    answer without searching in three cases: the sides differ in size;
-    the n_u - k agents per side that no stable matching matches outnumber
-    the k that every one does (stable in any reordering, such a matching
-    pairs a never-matched agent only with an always-matched one, or the
-    two would block); or d_g < n_u - k, since the number of matched
-    agents moves by at most two per swap and 2 * (n_u - k) are unmatched.
+    d_g is: the budget tightens below each leaf found.  A perfect answer
+    may be ruled out without searching (see _perfect_ruled_out).
     """
     objective = _check_query(objective, eta, d_g)
-    stable = u_optimal(p)
+    stable = p.u_opt
     if objective == Objective.PERFECT:
-        k = len(stable.pairs)
-        if p.n_u != p.n_w or p.n_u - k > k or d_g < p.n_u - k:
+        if _perfect_ruled_out(p, d_g):
             return None
-        fits = k == p.n_u
+        fits = len(stable.pairs) == p.n_u
     else:
         fits = egalitarian_cost(p, stable) <= eta
     if fits:
@@ -515,16 +523,13 @@ def solve_local_near(p, d_l, objective, eta=None):
 
     Exact branch-and-bound (see _search) with local_instability at each
     leaf, stopping at the first feasible matching, which is returned;
-    None when there is none.  A perfect answer is ruled out without
-    searching when the sides differ in size or the agents no stable
-    matching matches outnumber the k that every one does (see
-    solve_global_near).
+    None when there is none.  A perfect answer may be ruled out without
+    searching (see _perfect_ruled_out; no per-list budget bounds the
+    number of swaps).
     """
     objective = _check_query(objective, eta, d_l)
-    if objective == Objective.PERFECT:
-        k = len(u_optimal(p).pairs)
-        if p.n_u != p.n_w or p.n_u - k > k:
-            return None
+    if objective == Objective.PERFECT and _perfect_ruled_out(p, INFINITE):
+        return None
     return _search(p, d_l, objective, eta, "local")
 
 
@@ -567,32 +572,24 @@ def repair_after_swap(p1, m1, s: SwapOp) -> Matching:
     # whoever reaches her first would not defuse her better-ranked blocking
     # pairs, and the box would be empty.  She resolves them on her own turn
     # by taking her most preferred blocking partner.
-    while box_u is not None:
-        u = box_u
-        box_u = None
-        for j in p2.u_lists[u]:
-            if j == box_w:
-                continue
-            pj = pw[j]
-            if pj < 0 or rw[j][u] < rw[j][pj]:
-                if pj >= 0:
-                    pu[pj] = -1
-                    box_u = pj
-                pu[u] = j
-                pw[j] = u
-                break
-    while box_w is not None:
-        w = box_w
-        box_w = None
-        for i in p2.w_lists[w]:
-            pi = pu[i]
-            if pi < 0 or ru[i][w] < ru[i][pi]:
-                if pi >= 0:
-                    pw[pi] = -1
-                    box_w = pi
-                pw[w] = i
-                pu[i] = w
-                break
+    phases = (
+        (box_u, p2.u_lists, pu, pw, rw, box_w),
+        (box_w, p2.w_lists, pw, pu, ru, None),
+    )
+    for box, lists, mine, theirs, their_rank, barred in phases:
+        while box is not None:
+            a, box = box, None
+            for b in lists[a]:
+                if b == barred:
+                    continue
+                c = theirs[b]
+                if c < 0 or their_rank[b][a] < their_rank[b][c]:
+                    if c >= 0:
+                        mine[c] = -1
+                        box = c
+                    mine[a] = b
+                    theirs[b] = a
+                    break
     m2 = Matching.from_pairs(
         p2.n_u, p2.n_w, [(i, pu[i]) for i in range(p2.n_u) if pu[i] >= 0]
     )

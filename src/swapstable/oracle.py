@@ -152,6 +152,22 @@ def brute_is_d_robust(p, m, d):
     return True
 
 
+def brute_solve_robust(p, d, objective):
+    """Exhaustive mirror of find_d_robust(_optimal): a d-robust stable
+    matching (perfect, or of least egalitarian cost, per objective), or None."""
+    best = None
+    for m in enumerate_stable_bf(p):
+        if not brute_is_d_robust(p, m, d):
+            continue
+        if objective == Objective.PERFECT and not is_perfect(p, m):
+            continue
+        if objective != Objective.EGALITARIAN:
+            return m
+        if best is None or egalitarian_cost(p, m) < egalitarian_cost(p, best):
+            best = m
+    return best
+
+
 def brute_global_cost(p, m, max_d=3):
     """Smallest total swap distance to a profile where m is stable.
 

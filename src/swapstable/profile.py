@@ -117,7 +117,7 @@ class Profile:
     @cached_property
     def u_opt(self) -> "Matching":
         """``classic.u_optimal(self)``, run once per profile: the rotation
-        digraph and the robust solvers' pre-check share it."""
+        digraph, the solvers' pre-checks and matched_partition share it."""
         from .classic import u_optimal  # classic imports this module
 
         return u_optimal(self)

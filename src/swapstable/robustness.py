@@ -14,10 +14,11 @@ every rotation 1 for find_d_robust and the perfect objective (the
 smallest admissible closed set) and by its egalitarian delta for the
 egalitarian one.
 
-At d >= 1 the solvers answer None before building the digraph when the
-two extreme stable matchings alone name a pair that is in no stable
-matching and costs at most d against each (``_unshielded_pair``, exact at
-d = 1); ``max_robustness`` runs the same check at each budget it tries.
+The solvers answer None before building the digraph for the perfect
+objective when u_optimal is not perfect, and at d >= 1 when the two
+extreme stable matchings alone name a pair that is in no stable matching
+and costs at most d against each (``_unshielded_pair``, exact at d = 1);
+``max_robustness`` runs the same check at each budget it tries.
 """
 
 from bisect import bisect_left
@@ -194,14 +195,13 @@ def _solve(p, d, objective):
     """find_d_robust's matching (objective None) or the objective's."""
     if d < 0:
         raise InvalidInput("d must be nonnegative")
+    if objective == Objective.PERFECT and not is_perfect(p, p.u_opt):
+        return None
     if d > 0 and _unshielded_pair(p, d) is not None:
         return None
     dg = rotation_digraph(p)
     weights = egalitarian_deltas(dg, p) if objective == Objective.EGALITARIAN else (1,) * dg.n
-    m = _robust_closure(p, dg, d, weights)
-    if objective == Objective.PERFECT and m is not None and not is_perfect(p, m):
-        return None
-    return m
+    return _robust_closure(p, dg, d, weights)
 
 
 def find_d_robust(p, d):
@@ -220,39 +220,42 @@ def find_d_robust_optimal(p, d, objective):
     """Best d-robust matching under Perfect or Egalitarian objectives.
 
     Both solve the closure find_d_robust solves, Egalitarian with each
-    rotation weighed by its egalitarian delta.  Perfect returns that
-    matching only when it is perfect: all stable matchings match the same
-    agents (the Rural Hospitals theorem), so if it is not, none is.
+    rotation weighed by its egalitarian delta.  All stable matchings match
+    the same agents (the Rural Hospitals theorem), so Perfect answers None
+    before the digraph is built when u_optimal is not perfect, and
+    otherwise find_d_robust's matching, which is then perfect.
     """
     if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
         raise InvalidInput("objective must be Perfect or Egalitarian")
     return _solve(p, d, objective)
 
 
-def max_robustness(p, cap=None):
+def max_robustness(p):
     """Largest d admitting a d-robust matching, with a witness matching.
 
     d-robust implies (d-1)-robust, so the feasible d form a prefix of
     [0, limit], found by bisection over one rotation digraph; a budget at
     which the two extreme stable matchings already name an unshielded pair
     is ruled out before its constraints are collected.  The witness is
-    find_d_robust's matching at that d.  ``limit`` is ``cap`` (default:
-    the larger side size) or the total-inversion bound, past which every
-    profile in the ball has already appeared, whichever is smaller.
+    find_d_robust's matching at that d, which at d = 0 is u_optimal (the
+    empty closed set).  ``limit`` is the total-inversion bound, past which every
+    profile in the ball has already appeared, or min(n_u, n_w) - 1.
+
+    When some list has two entries (else the first bound is 0), every
+    matching leaves an acceptable pair out, so some U agent lists
+    someone besides its partner.  If that agent is matched and lists
+    someone right below its partner, that pair's U gap is 1 and its W gap
+    at most n_u - 1; otherwise its own gap adds nothing to some pair's
+    cost.  Either way a pair costs at most n_u swaps, so no d >= n_u is
+    feasible, and the same argument from a W agent rules out d >= n_w.
     """
-    if cap is None:
-        cap = max(p.n_u, p.n_w)
-    if cap < 0:
-        raise InvalidInput("cap must be nonnegative")
     exhaustion = sum(l * (l - 1) // 2 for l in map(len, p.u_lists)) + sum(
         l * (l - 1) // 2 for l in map(len, p.w_lists)
     )
     dg = rotation_digraph(p)
     weights = (1,) * dg.n
-    best = _robust_closure(p, dg, 0, weights)
-    if best is None:
-        return None
-    lo, hi = 0, min(cap, exhaustion)
+    lo, best = 0, dg.u_opt
+    hi = min(exhaustion, p.n_u - 1, p.n_w - 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         m = None if _unshielded_pair(p, mid) else _robust_closure(p, dg, mid, weights)

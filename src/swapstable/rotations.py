@@ -212,20 +212,9 @@ def rotation_digraph(p):
                     pw[pu[k]] = k
                     held[pu[k]] = rw[pu[k]][k]
                     at[k] += 1
-    # each events list keeps its far-end sentinel last; moves go in before it
-    u_runs = [([r], [ALWAYS, NEVER]) for r in rank_u0]
-    arcs = set()
-    for idx, rho in enumerate(rotations):
-        for u, w, w_new in rho.moves():
-            bounds, events = u_runs[u]
-            if bounds[-1] != ru[u][w] or ru[u][w_new] <= bounds[-1]:
-                raise Error("rotation %d moves u%d's partner off its runs" % (idx, u))
-            if events[-2] != ALWAYS:
-                arcs.add((events[-2], idx))  # the rotation that produced (u, w)
-            bounds.append(ru[u][w_new])
-            events.insert(-1, idx)
-    # W bounds ascend from the w_optimal partners the walk ended on, so the
-    # W side takes the rotations last to first
+    # each events list keeps its far-end sentinel last; moves go in before
+    # it.  W bounds ascend from the w_optimal partners the walk ended on, so
+    # the W side takes the rotations last to first.
     w_runs = [([r], [NEVER, ALWAYS]) for r in held]
     for idx in reversed(range(len(rotations))):
         cycle = rotations[idx].cycle
@@ -238,11 +227,21 @@ def rotation_digraph(p):
             events.insert(-1, idx)
     w_bounds = [bounds for bounds, _ in w_runs]
     w_events = [events for _, events in w_runs]
+    u_runs = [([r], [ALWAYS, NEVER]) for r in rank_u0]
+    arcs = set()
     for idx, rho in enumerate(rotations):
-        for u, w_old, w_new in rho.moves():
+        for u, w, w_new in rho.moves():
+            bounds, events = u_runs[u]
+            old, new = ru[u][w], ru[u][w_new]
+            if bounds[-1] != old or new <= old:
+                raise Error("rotation %d moves u%d's partner off its runs" % (idx, u))
+            if events[-2] != ALWAYS:
+                arcs.add((events[-2], idx))  # the rotation that produced (u, w)
+            bounds.append(new)
+            events.insert(-1, idx)
             # each agent u skips rejects it once the rotation lifting its
             # partner above u is eliminated, or already at u_optimal
-            skipped = p.u_lists[u][ru[u][w_old] + 1 : ru[u][w_new]]
+            skipped = p.u_lists[u][old + 1 : new]
             if not skipped:
                 continue
             why = {w_events[j][bisect_right(w_bounds[j], rw[j][u])] for j in skipped}

@@ -23,6 +23,7 @@ from swapstable import (
     example2_rotated_matching,
     example2_stable_matching,
     gen_cyclic_latin,
+    gen_example1_fixture,
     gen_example2,
     gen_example3,
     gen_random,
@@ -185,9 +186,9 @@ def test_solve_near_modes(capsys, crown):
 
 
 def test_rotations_json_and_dot(capsys, tmp_path):
-    p = gen_random(5, 5, 1.0, seed=0)
+    p = gen_example1_fixture()
     dg = rotation_digraph(p)
-    assert dg.n > 0
+    assert dg.n > 0 and dg.arcs
     prof = tmp_path / "r.profile"
     prof.write_text(serialize_profile(p))
     dot_path = tmp_path / "out.dot"
@@ -254,6 +255,8 @@ def test_oracle_mirrors_agree_with_fast_engines(capsys, tmp_path):
                 assert run(capsys, *base)[0] == run(capsys, "oracle", *base)[0]
             for what, extra in (
                 ("robust", []),
+                ("robust", ["--objective", "egalitarian"]),
+                ("robust", ["--objective", "perfect"]),
                 ("global-near", ["--objective", "perfect"]),
                 ("local-near", ["--objective", "perfect"]),
             ):
@@ -393,6 +396,47 @@ def test_table_cap_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("swapstable.profile.TABLE_CAP", 16)
     code, report = run_json(capsys, "solve", "robust", "--profile", str(prof), "--d", "0")
     assert code == 0 and report["result"] == "found"
+
+
+def test_oracle_caps_exit_2(capsys, monkeypatch, tmp_path):
+    # the brute-force mirrors refuse a profile too large to enumerate with a
+    # message, tested on caps rather than a real blow-up
+    p = gen_random(3, 3, 1.0, seed=2)
+    prof = tmp_path / "r3.profile"
+    prof.write_text(serialize_profile(p))
+    match = tmp_path / "r3.matching"
+    match.write_text(serialize_matching(p, u_optimal(p)))
+    monkeypatch.setattr("swapstable.oracle.PROFILE_CAP", 5)
+    # p's perfect u_optimal ends the global walk at p itself, before the
+    # cap, so that walk looks for a matching of negative cost instead
+    for argv in (
+        ["check", "robust", "--profile", str(prof), "--matching", str(match), "--d", "1"],
+        ["solve", "global-near", "--profile", str(prof), "--d", "1",
+         "--objective", "egalitarian", "--eta", "-1"],
+        ["solve", "local-near", "--profile", str(prof), "--d", "1", "--objective", "perfect"],
+    ):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: profile ball exceeds 5 profiles\n"
+    monkeypatch.setattr("swapstable.oracle.MATCHING_CAP", 2)
+    code, out, err = run(capsys, "oracle", "solve", "robust", "--profile", str(prof), "--d", "0")
+    assert code == 2 and out == ""
+    assert err == "error: matching enumeration capped at side size 2, got 3x3\n"
+
+
+def test_negative_eta_without_u_agents_finds_none(capsys, tmp_path):
+    # with no U agent the search is one leaf, the empty matching, whose
+    # cost 0 is above eta = -1; engines and oracle alike answer none
+    prof = tmp_path / "no_u.profile"
+    prof.write_text("profile v1\nside U:\nside W: x y\nx:\ny:\n")
+    for what in ("global-near", "local-near"):
+        argv = [
+            "solve", what, "--profile", str(prof), "--d", "0",
+            "--objective", "egalitarian", "--eta", "-1",
+        ]
+        for prefix in ([], ["oracle"]):
+            code, report = run_json(capsys, *prefix, *argv)
+            assert code == 1 and report == {"result": "none"}
 
 
 def test_solve_global_near_with_a_huge_budget(capsys, tmp_path):

@@ -156,6 +156,17 @@ def test_global_cost_agrees_with_ball_walk():
     assert finite > 30
 
 
+def defuse_costs(p, m, i, j):
+    """Swaps each endpoint of blocking pair (u_i, w_j) needs, from list
+    positions: how far its partner sits below the blocker; INFINITE when
+    the endpoint is unmatched."""
+    pi, pj = m.pu[i], m.pw[j]
+    lu, lw = p.u_lists[i], p.w_lists[j]
+    cu = INFINITE if pi < 0 else lu.index(pi) - lu.index(j)
+    cw = INFINITE if pj < 0 else lw.index(pj) - lw.index(i)
+    return cu, cw
+
+
 def unit_chain_cost(p, m):
     """Reference cut model: one chain node per unit step of each agent."""
     needs = []
@@ -163,7 +174,7 @@ def unit_chain_cost(p, m):
     max_w = {}
     for ua, wa in blocking_pairs(p, m):
         i, j = ua.index, wa.index
-        cu, cw = nearstable._defuse_costs(p, m, i, j)
+        cu, cw = defuse_costs(p, m, i, j)
         if cu is INFINITE and cw is INFINITE:
             return (INFINITE, None)
         needs.append((i, j, cu, cw))
@@ -218,7 +229,7 @@ def test_threshold_chains_match_unit_chains():
             continue
         assert (q.u_lists, q.w_lists) == (want_q.u_lists, want_q.w_lists)
         one_sided += any(
-            INFINITE in nearstable._defuse_costs(p, m, ua.index, wa.index)
+            INFINITE in defuse_costs(p, m, ua.index, wa.index)
             for ua, wa in blocking_pairs(p, m)
         )
     assert one_sided >= 10

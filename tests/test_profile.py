@@ -59,6 +59,16 @@ def test_validate_profile_collects_all_issues():
     with pytest.raises(ValidationError) as err:
         validate_profile([[-1]], [[0]])
     assert err.value.issues == ["unknown agent: u1 lists out-of-range index -1"]
+    # a faulty W list is named as one, with the W agent's own label
+    with pytest.raises(ValidationError) as err:
+        validate_profile([[0]], [[0, 3]])
+    assert err.value.issues == ["unknown agent: w1 lists out-of-range index 3"]
+    with pytest.raises(ValidationError) as err:
+        validate_profile([[0]], [[0, 0]])
+    assert err.value.issues == ["duplicate entry: index 0 repeats in w1's list"]
+    with pytest.raises(ValidationError) as err:
+        validate_profile([[0]], [[0]], ["a", "b"], ["x"])
+    assert err.value.issues == ["name count does not match list count"]
 
 
 def test_validate_profile_accepts_numpy_integers():
@@ -162,6 +172,18 @@ def test_rank_convention():
     q = validate_profile([[1]], [[], [0]])
     # unacceptable partner ranks as the list length
     assert rank(q, Agent.u(0), Agent.w(0)) == 1
+    assert rank(p, Agent.w(1), Agent.u(0)) == 0
+    assert rank(q, Agent.w(0), Agent.u(0)) == 0
+    for x, y in (
+        (Agent.u(1), Agent.w(0)),
+        (Agent.u(0), Agent.w(2)),
+        (Agent.w(2), Agent.u(0)),
+        (Agent.w(0), Agent.u(1)),
+    ):
+        with pytest.raises(UnknownAgent, match="out of range"):
+            rank(p, x, y)
+    with pytest.raises(InvalidInput, match="opposite sides"):
+        rank(p, Agent.u(0), Agent.u(0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,6 +367,11 @@ def test_matching_validation():
     p = validate_profile([[0], []], [[0]])
     with pytest.raises(InvalidMatching):
         Matching.from_pairs(2, 1, [(0, 0), (1, 0)])  # w shared
+    with pytest.raises(InvalidMatching, match="u index 0 matched twice"):
+        Matching.from_pairs(1, 2, [(0, 0), (0, 1)])
+    # a Matching built without from_pairs' checks is still range-checked
+    with pytest.raises(InvalidMatching, match=r"pair \(5, 0\) out of range"):
+        validate_matching(p, Matching(2, 1, frozenset({(5, 0)})))
     with pytest.raises(InvalidMatching):
         validate_matching(p, Matching.from_pairs(2, 1, [(1, 0)]))  # not acceptable
     with pytest.raises(InvalidMatching):

@@ -33,9 +33,12 @@ from swapstable.oracle import (
     brute_is_d_robust,
     brute_is_locally_d_stable,
     brute_solve_near,
+    brute_solve_robust,
+    enumerate_matchings,
     enumerate_stable_bf,
+    profiles_within,
 )
-from swapstable import classic, robustness
+from swapstable import TooLarge, classic, oracle, robustness
 from swapstable.robustness import _collect_constraints, _threats, _unshielded_pair
 from swapstable.rotations import ALWAYS, NEVER
 
@@ -209,6 +212,43 @@ def test_optimal_solver_matches_brute_optimum():
                 assert perfect is None
 
 
+def test_optimal_solver_matches_the_oracle_solver():
+    batch = []
+    for n_u, n_w, density, base in ((2, 2, 1.0, 3400), (3, 3, 0.8, 3420), (4, 4, 1.0, 3440),
+                                    (3, 4, 0.7, 3460), (4, 2, 1.0, 3480)):
+        batch += random_profiles(8, n_u, n_w, density, seed_base=base)
+    nones = perfect = 0
+    for p in batch + [gen_example3()]:
+        for d in (0, 1, 2):
+            want = brute_solve_robust(p, d, Objective.EGALITARIAN)
+            got = find_d_robust_optimal(p, d, Objective.EGALITARIAN)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert egalitarian_cost(p, got) == egalitarian_cost(p, want)
+            want = brute_solve_robust(p, d, Objective.PERFECT)
+            got = find_d_robust_optimal(p, d, Objective.PERFECT)
+            assert (got is None) == (want is None)
+            nones += want is None
+            perfect += want is not None
+    assert nones >= 20 and perfect >= 20
+
+
+def test_perfect_solve_builds_no_digraph_unless_u_optimal_is_perfect(monkeypatch):
+    # every stable matching matches the agents u_optimal matches, so a
+    # u_optimal that is not perfect answers None before the digraph
+    def refuse(p):
+        raise AssertionError("rotation digraph built")
+
+    batch = [gen_example3()] + random_profiles(10, 4, 3, 1.0, seed_base=3500)
+    batch += random_profiles(20, 5, 5, 0.4, seed_base=3520)
+    imperfect = [p for p in batch if not is_perfect(p, u_optimal(p))]
+    assert len(imperfect) >= 15
+    monkeypatch.setattr(robustness, "rotation_digraph", refuse)
+    for p in imperfect:
+        for d in range(4):
+            assert find_d_robust_optimal(p, d, Objective.PERFECT) is None
+
+
 def test_optimal_solver_rejects_any_objective():
     p = gen_random(3, 3, 1.0, seed=0)
     with pytest.raises(InvalidInput):
@@ -216,29 +256,21 @@ def test_optimal_solver_rejects_any_objective():
 
 
 def test_max_robustness_sits_on_the_boundary():
-    hit = 0
     for p in random_profiles(25, 3, 3, 1.0, seed_base=4500):
-        res = max_robustness(p, cap=10)
-        if res is None:
-            assert find_d_robust(p, 0) is None
-            continue
-        d, m = res
+        d, m = max_robustness(p)
         assert is_d_robust(p, m, d)[0]
         if d <= 2:
             assert brute_is_d_robust(p, m, d)
-        if d < 10:
-            assert find_d_robust(p, d + 1) is None
-        hit += 1
-    assert hit > 15
+        assert find_d_robust(p, d + 1) is None
 
 
-def _linear_max_robustness(p, cap):
-    """max_robustness as an upward scan of find_d_robust, one call per d."""
+def _linear_max_robustness(p):
+    """max_robustness as an upward scan of find_d_robust, one call per d,
+    up to the total-inversion bound, past which every profile in the ball
+    has already appeared."""
     lists = p.u_lists + p.w_lists
-    limit = min(cap, sum(len(l) * (len(l) - 1) // 2 for l in lists))
+    limit = sum(len(l) * (len(l) - 1) // 2 for l in lists)
     best = find_d_robust(p, 0)
-    if best is None:
-        return None
     d = 0
     while d < limit:
         nxt = find_d_robust(p, d + 1)
@@ -249,22 +281,50 @@ def _linear_max_robustness(p, cap):
 
 
 def test_max_robustness_bisection_matches_the_linear_scan():
-    # Latin squares reach every d up to their robustness, so every cap
-    # below it binds; seeded random profiles are mostly 0- or 1-robust
-    cases = [(gen_cyclic_latin(n), n) for n in range(4, 13)]
-    cases += [(gen_cyclic_latin(9), cap) for cap in range(9)]
-    cases += [(p, 6) for p in random_profiles(30, 4, 4, 0.8, seed_base=7100)]
-    cases += [(p, 12) for p in random_profiles(10, 6, 5, 1.0, seed_base=7200)]
-    cases += [(p, 4) for p in random_profiles(10, 5, 5, 0.25, seed_base=7300)]
+    # Latin squares reach every d up to their robustness, n - 1, so the
+    # bisection meets every d; seeded random profiles are mostly 0- or
+    # 1-robust
+    cases = [gen_cyclic_latin(n) for n in range(1, 13)]
+    cases += random_profiles(30, 4, 4, 0.8, seed_base=7100)
+    cases += random_profiles(10, 6, 5, 1.0, seed_base=7200)
+    cases += random_profiles(10, 5, 5, 0.25, seed_base=7300)
     # seeded profiles whose 1-robust witness is not the 0-robust one
     moved = [(3, 1.0, 101), (4, 1.0, 61), (5, 1.0, 206), (5, 1.0, 234), (5, 0.6, 66)]
-    cases += [(gen_random(n, n, density, seed), 8) for n, density, seed in moved]
-    for p, cap in cases:
-        assert max_robustness(p, cap=cap) == _linear_max_robustness(p, cap)
-    for p, _ in cases[-len(moved):]:
-        assert max_robustness(p, cap=8)[1] != find_d_robust(p, 0)
+    cases += [gen_random(n, n, density, seed) for n, density, seed in moved]
+    for p in cases:
+        assert max_robustness(p) == _linear_max_robustness(p)
+    for p in cases[-len(moved):]:
+        assert max_robustness(p)[1] != find_d_robust(p, 0)
     # Latin squares keep one stable matching, robust up to n - 1
     assert max_robustness(gen_cyclic_latin(12))[0] == 11
+
+
+def test_robustness_stays_below_the_smaller_side():
+    # when some list has two entries, some pair costs at most n_u swaps and
+    # some at most n_w (see max_robustness), so no d >= min(n_u, n_w) is
+    # feasible
+    checked = 0
+    for n_u, n_w in ((3, 3), (5, 5), (2, 5), (6, 3), (1, 4), (4, 1)):
+        for density, base in ((1.0, 7400), (0.6, 7500), (0.3, 7600)):
+            for p in random_profiles(10, n_u, n_w, density, seed_base=base + 10 * n_u + n_w):
+                if max(map(len, p.u_lists + p.w_lists), default=0) < 2:
+                    continue
+                bound = min(p.n_u, p.n_w) - 1
+                assert max_robustness(p)[0] <= bound
+                assert find_d_robust(p, bound + 1) is None
+                checked += 1
+    assert checked >= 120
+
+
+def test_oracle_caps_raise_too_large(monkeypatch):
+    p = gen_random(3, 3, 1.0, seed=2)
+    monkeypatch.setattr(oracle, "MATCHING_CAP", 2)
+    with pytest.raises(TooLarge, match="side size 2, got 3x3"):
+        next(enumerate_matchings(p))
+    monkeypatch.setattr(oracle, "PROFILE_CAP", 5)
+    for mode in ("global", "local"):
+        with pytest.raises(TooLarge, match="exceeds 5 profiles"):
+            list(profiles_within(p, 1, mode))
 
 
 def test_perfect_robust_solve_rejects_a_negative_budget():
@@ -285,8 +345,6 @@ def test_negative_budgets_rejected():
         find_d_robust(p, -1)
     with pytest.raises(InvalidInput):
         find_d_robust_optimal(p, -1, Objective.EGALITARIAN)
-    with pytest.raises(InvalidInput):
-        max_robustness(p, cap=-1)
     # the brute-force mirrors refuse a negative budget as the engines do,
     # rather than answering for the empty ball
     with pytest.raises(InvalidInput):
