@@ -8,8 +8,9 @@ partition is read off the U-optimal one.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from .profile import Agent, Matching
+from .profile import Matching
 
 
 def _propose(n_u, n_w, u_lists, rank_rows):
@@ -25,12 +26,10 @@ def _propose(n_u, n_w, u_lists, rank_rows):
             j = lst[nxt[i]]
             nxt[i] += 1
             cur = pw[j]
-            if cur < 0:
+            if cur < 0 or rank_rows[j][i] < rank_rows[j][cur]:
                 pw[j] = i
-                break
-            if rank_rows[j][i] < rank_rows[j][cur]:
-                pw[j] = i
-                free.append(cur)
+                if cur >= 0:
+                    free.append(cur)
                 break
     return [(i, j) for j, i in enumerate(pw) if i >= 0]
 
@@ -48,8 +47,6 @@ def u_optimal(p):
         Stable in p; no U-agent has a better partner in any other stable
         matching of p.
     """
-    # deferred acceptance never matches an agent twice, so the pairs need
-    # none of Matching.from_pairs' checks
     pairs = _propose(p.n_u, p.n_w, p.u_lists, p.rank_w)
     return Matching(p.n_u, p.n_w, frozenset(pairs))
 
@@ -76,13 +73,11 @@ def matched_partition(p):
     Every stable matching of a profile matches exactly the same agents,
     so the profile's one u_optimal (``p.u_opt``) determines the split.
     """
-    matched = set()
-    for i, j in p.u_opt.pairs:
-        matched.add(Agent.u(i))
-        matched.add(Agent.w(j))
-    unmatched = frozenset(a for a in p.agents() if a not in matched)
+    partners = chain(p.u_opt.pu, p.u_opt.pw)  # in p.agents() order
+    matched = frozenset(a for a, k in zip(p.agents(), partners) if k >= 0)
+    unmatched = frozenset(p.agents()) - matched
     return PartitionResult(
-        matched_agents=frozenset(matched),
+        matched_agents=matched,
         unmatched_agents=unmatched,
         n_matched=len(matched),
         n_unmatched=len(unmatched),

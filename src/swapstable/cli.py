@@ -20,7 +20,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .errors import Error, InvalidInput, ValidationError
+from .errors import Error, InvalidInput, ValidationError, check_budget
 from .fileformat import parse_matching, parse_profile, serialize_profile
 from .generators import gen_cyclic_latin, gen_example2, gen_example3, gen_random
 from .nearstable import (
@@ -163,8 +163,7 @@ def _attach_witness(report, args, p, q):
 
 
 def _cmd_check(args, brute):
-    if args.d < 0:
-        raise InvalidInput("--d must be nonnegative")
+    check_budget(args.d)
     p = parse_profile(_read(args.profile))
     m = parse_matching(_read(args.matching), p)
     report = {}

@@ -11,6 +11,12 @@ def verify(ok, what):
         raise Error("output check failed: %s" % what)
 
 
+def check_budget(d):
+    """Raise InvalidInput unless the swap budget d is nonnegative."""
+    if d < 0:
+        raise InvalidInput("swap budget must be nonnegative, got %r" % (d,))
+
+
 class ValidationError(Error):
     """A profile or raw input failed validation.
 

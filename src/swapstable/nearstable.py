@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._flow import FlowNetwork
-from .errors import InvalidInput, NotNearlyStable, TooLarge, verify
+from .errors import InvalidInput, NotNearlyStable, TooLarge, check_budget, verify
 from .profile import (
     INFINITE,
     Matching,
@@ -104,7 +104,7 @@ def local_instability(p, m) -> Cost:
 
 def is_locally_d_nearly_stable(p, m, d_l) -> bool:
     """Does some profile within d_l swaps per list make m stable?"""
-    _check_budget(d_l)
+    check_budget(d_l)
     return local_instability(p, m) <= d_l
 
 
@@ -118,7 +118,7 @@ def witness_profile_local(p, m, d_l) -> Profile:
     Raises NotNearlyStable when d_l is below local_instability, which the
     same scan computes, or when that is INFINITE, whatever d_l is.
     """
-    _check_budget(d_l)
+    check_budget(d_l)
     worst = 0
     u_steps = {}
     w_steps = {}
@@ -255,18 +255,13 @@ def near_stability_report(p, m) -> NearStabilityReport:
     )
 
 
-def _check_budget(d):
-    if d < 0:
-        raise InvalidInput("budget must be nonnegative, got %r" % d)
-
-
 def _check_query(objective, eta, d):
     objective = Objective(objective)
     if objective not in (Objective.PERFECT, Objective.EGALITARIAN):
         raise InvalidInput("objective must be perfect or egalitarian")
     if objective == Objective.EGALITARIAN and eta is None:
         raise InvalidInput("egalitarian objective needs an eta bound")
-    _check_budget(d)
+    check_budget(d)
     return objective
 
 

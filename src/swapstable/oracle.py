@@ -11,8 +11,9 @@ never silent truncation.
 """
 
 import itertools
+import math
 
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput, TooLarge, check_budget
 from .profile import (
     Matching,
     Objective,
@@ -94,6 +95,13 @@ def _list_ball(lst, d):
     return out
 
 
+def _cap_product(balls):
+    """Raise TooLarge when choosing one entry per ball makes more than
+    PROFILE_CAP profiles."""
+    if math.prod(map(len, balls)) > PROFILE_CAP:
+        raise TooLarge("profile ball exceeds %d profiles" % PROFILE_CAP)
+
+
 def profiles_within(p, d, mode):
     """Every profile within swap distance d of p, each exactly once.
 
@@ -102,8 +110,7 @@ def profiles_within(p, d, mode):
     within d (cartesian product of per-list balls).  Raises TooLarge when
     the ball exceeds PROFILE_CAP.
     """
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
+    check_budget(d)
     if mode not in ("global", "local"):
         raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
     if mode == "global":
@@ -134,11 +141,7 @@ def profiles_within(p, d, mode):
         return
     u_balls = [_list_ball(lst, d) for lst in p.u_lists]
     w_balls = [_list_ball(lst, d) for lst in p.w_lists]
-    total = 1
-    for ball in itertools.chain(u_balls, w_balls):
-        total *= len(ball)
-        if total > PROFILE_CAP:
-            raise TooLarge("profile ball exceeds %d profiles" % PROFILE_CAP)
+    _cap_product(u_balls + w_balls)
     for u_combo in itertools.product(*u_balls):
         for w_combo in itertools.product(*w_balls):
             yield Profile(tuple(u_combo), tuple(w_combo), p.u_names, p.w_names)
@@ -242,9 +245,11 @@ def brute_is_locally_d_stable(p, m, d):
 
     Exhaustive over the product of per-list balls, organized so each W
     agent's choice is checked independently once the U side is fixed.
+    Raises TooLarge when the U agents' balls, which the odometer walks,
+    give more than PROFILE_CAP choices.
     """
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
+    check_budget(d)
+    _cap_product([_list_ball(lst, d) for lst in p.u_lists])
     ru = _variant_rank_rows(p.u_lists, p.n_w, d)
     rw = _variant_rank_rows(p.w_lists, p.n_u, d)
     len_u = [len(lst) for lst in p.u_lists]
@@ -270,8 +275,7 @@ def brute_solve_near(p, budget, mode, objective, eta=None):
     Returns (matching, witness profile) for mode "global", the matching
     alone for mode "local", None when there is none.
     """
-    if budget < 0:
-        raise InvalidInput("budget must be nonnegative")
+    check_budget(budget)
     objective = Objective(objective)
     candidates = [
         m

@@ -13,7 +13,7 @@ Distances between profiles count adjacent-transposition swaps per list
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -85,8 +85,11 @@ class Profile:
 
     ``rank_u``/``rank_w`` are the one rank table per side.  Ingest
     (``validate_profile``, ``parse_profile``) hands them over built; a
-    profile made in memory builds them on first use.  Every engine reads
-    single ranks from them, and the scans in ``_kernels`` walk them.
+    profile made in memory builds them on first use, and raises
+    ValidationError there for a list with a non-index, a negative or
+    out-of-range index or one index twice.  Only ingest checks that
+    acceptability is mutual.  Every engine reads single ranks from the
+    tables, and the scans in ``_kernels`` walk them.
     """
 
     u_lists: tuple
@@ -108,11 +111,11 @@ class Profile:
 
         Lists of the shared ints 0..n_w, so 8 bytes an entry.
         """
-        return _rank_table(self.u_lists, self.n_w, [])
+        return _checked_table(self.u_lists, self.n_w, "u")
 
     @cached_property
     def rank_w(self) -> list:
-        return _rank_table(self.w_lists, self.n_u, [])
+        return _checked_table(self.w_lists, self.n_u, "w")
 
     @cached_property
     def u_opt(self) -> "Matching":
@@ -166,46 +169,44 @@ class Profile:
 
 @dataclass(frozen=True)
 class Matching:
-    """Set of disjoint (u index, w index) pairs over fixed side sizes."""
+    """Set of disjoint (u index, w index) pairs over fixed side sizes.
+
+    The constructor is the one place a matching is checked and indexed: one
+    loop fills the partner vectors ``pu``/``pw`` (-1 when unmatched) and
+    raises InvalidMatching on a negative, out-of-range or non-index entry
+    or an agent matched twice; only a failing pair pays for its message.
+    """
 
     n_u: int
     n_w: int
     pairs: frozenset
+    pu: tuple = field(init=False, compare=False, repr=False)
+    pw: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pu, pw = [-1] * self.n_u, [-1] * self.n_w
+        try:
+            for i, j in self.pairs:
+                if i < 0 or j < 0 or pu[i] >= 0 or pw[j] >= 0:
+                    raise IndexError
+                pu[i] = j
+                pw[j] = i
+        except (IndexError, TypeError, ValueError):
+            raise InvalidMatching(_pair_fault(self.n_u, self.n_w, self.pairs)) from None
+        object.__setattr__(self, "pu", tuple(pu))
+        object.__setattr__(self, "pw", tuple(pw))
 
     @classmethod
     def from_pairs(cls, n_u: int, n_w: int, pairs: Iterable) -> "Matching":
-        seen_u, seen_w = set(), set()
-        norm = set()
-        for i, j in pairs:
-            if not (0 <= i < n_u and 0 <= j < n_w):
-                raise InvalidMatching("pair (%d, %d) out of range" % (i, j))
-            if i in seen_u:
-                raise InvalidMatching("u index %d matched twice" % i)
-            if j in seen_w:
-                raise InvalidMatching("w index %d matched twice" % j)
-            seen_u.add(i)
-            seen_w.add(j)
-            norm.add((int(i), int(j)))
-        return cls(n_u=n_u, n_w=n_w, pairs=frozenset(norm))
+        pairs = list(map(tuple, pairs))
+        m = cls(n_u, n_w, frozenset(pairs))
+        if len(m.pairs) < len(pairs):  # a pair listed twice
+            raise InvalidMatching(_pair_fault(n_u, n_w, pairs))
+        return m
 
     @classmethod
     def empty(cls, n_u: int, n_w: int) -> "Matching":
         return cls(n_u=n_u, n_w=n_w, pairs=frozenset())
-
-    @cached_property
-    def pu(self) -> tuple:
-        """Partner index per U agent, -1 when unmatched."""
-        out = [-1] * self.n_u
-        for i, j in self.pairs:
-            out[i] = j
-        return tuple(out)
-
-    @cached_property
-    def pw(self) -> tuple:
-        out = [-1] * self.n_w
-        for i, j in self.pairs:
-            out[j] = i
-        return tuple(out)
 
     def partner_of(self, agent: Agent) -> Optional[Agent]:
         partners = self.pu if agent.side == Side.U else self.pw
@@ -218,6 +219,24 @@ class Matching:
 
     def sorted_pairs(self) -> list:
         return sorted(self.pairs)
+
+
+def _pair_fault(n_u, n_w, pairs):
+    """InvalidMatching's message: the first pair that is not two indices in
+    range, or that matches an agent an earlier pair matched."""
+    seen = set()
+    for pair in pairs:
+        try:
+            i, j = map(operator.index, pair)
+        except (TypeError, ValueError):
+            i = j = -1
+        if not (0 <= i < n_u and 0 <= j < n_w):
+            return "pair %r out of range" % (pair,)
+        for agent in (("u", i), ("w", j)):
+            if agent in seen:
+                return "%s index %d matched twice" % agent
+            seen.add(agent)
+    return "pairs %r are not a matching" % (pairs,)
 
 
 def _rank_table(lists, n_other, faults):
@@ -245,6 +264,21 @@ def _rank_table(lists, n_other, faults):
             faults.append(i)
             row = []
         table.append(row)
+    return table
+
+
+def _checked_table(lists, n_other, label):
+    """_rank_table, or ValidationError naming each list it faults or that
+    holds a negative index, which it would write from the end of a row."""
+    faults = []
+    table = _rank_table(lists, n_other, faults)
+    faults += [i for i, row in enumerate(table) if row and min(lists[i], default=0) < 0]
+    if faults:
+        raise ValidationError(
+            "%s%d's list %r holds a non-index, an index out of range or a repeat"
+            % (label, i + 1, lists[i])
+            for i in sorted(faults)
+        )
     return table
 
 
@@ -379,8 +413,6 @@ def validate_matching(p: Profile, m: Matching) -> None:
             % (m.n_u, m.n_w, p.n_u, p.n_w)
         )
     for i, j in m.pairs:
-        if not 0 <= i < p.n_u or not 0 <= j < p.n_w:
-            raise InvalidMatching("pair (%d, %d) out of range" % (i, j))
         # one read of the W table, which deferred acceptance builds anyway
         if p.rank_w[j][i] == len(p.w_lists[j]):
             raise InvalidMatching(
@@ -393,13 +425,10 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
     """Number of agents x prefers to y; |x's list| when y is unacceptable."""
     if x.side == y.side:
         raise InvalidInput("rank needs agents from opposite sides")
-    if x.side == Side.U:
-        if not (0 <= x.index < p.n_u and 0 <= y.index < p.n_w):
-            raise UnknownAgent("agent out of range")
-        return p.rank_u[x.index][y.index]
-    if not (0 <= x.index < p.n_w and 0 <= y.index < p.n_u):
+    table, n_other = (p.rank_u, p.n_w) if x.side == Side.U else (p.rank_w, p.n_u)
+    if not (0 <= x.index < len(table) and 0 <= y.index < n_other):
         raise UnknownAgent("agent out of range")
-    return p.rank_w[x.index][y.index]
+    return table[x.index][y.index]
 
 
 def _promote(lists, owner, member, steps):

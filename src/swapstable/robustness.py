@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import replace
 
 from ._kernels import partner_ranks
-from .errors import InvalidInput
+from .errors import InvalidInput, check_budget
 from .profile import Agent, Objective, _promote, blocking_pairs, is_perfect
 from .rotations import (
     ALWAYS,
@@ -75,8 +75,7 @@ def is_d_robust(p, m, d):
     rank(partner) swaps on each matched side (nothing on an unmatched
     side), and m is d-robust iff every such pair costs more than d.
     """
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
+    check_budget(d)
     bp = blocking_pairs(p, m)
     if bp:
         return False, (p, bp[0])
@@ -193,8 +192,7 @@ def _robust_closure(p, dg, d, weights):
 
 def _solve(p, d, objective):
     """find_d_robust's matching (objective None) or the objective's."""
-    if d < 0:
-        raise InvalidInput("d must be nonnegative")
+    check_budget(d)
     if objective == Objective.PERFECT and not is_perfect(p, p.u_opt):
         return None
     if d > 0 and _unshielded_pair(p, d) is not None:

@@ -151,7 +151,7 @@ class RotationDigraph:
         the direct arcs means closed under all ancestors."""
         subset = set(subset)
         for i in subset:
-            if not 0 <= i < self.n:
+            if i not in range(self.n):
                 raise InvalidInput("rotation index %r out of range" % (i,))
         return all(a in subset for i in subset for a in self.preds[i])
 

@@ -411,6 +411,7 @@ def test_oracle_caps_exit_2(capsys, monkeypatch, tmp_path):
     # cap, so that walk looks for a matching of negative cost instead
     for argv in (
         ["check", "robust", "--profile", str(prof), "--matching", str(match), "--d", "1"],
+        ["check", "local", "--profile", str(prof), "--matching", str(match), "--d", "1"],
         ["solve", "global-near", "--profile", str(prof), "--d", "1",
          "--objective", "egalitarian", "--eta", "-1"],
         ["solve", "local-near", "--profile", str(prof), "--d", "1", "--objective", "perfect"],

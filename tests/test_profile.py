@@ -1,5 +1,6 @@
 """Core profile, matching, swap and blocking-pair behavior."""
 
+import re
 import sys
 import tracemalloc
 
@@ -163,6 +164,9 @@ def test_default_names():
     assert p.name_of(Agent.w(0)) == "w1"
     with pytest.raises(UnknownAgent):
         p.agent_named("nobody")
+    for agent in (Agent.u(2), Agent.u(-1), Agent.w(1)):
+        with pytest.raises(UnknownAgent, match="no agent"):
+            p.name_of(agent)
 
 
 def test_rank_convention():
@@ -263,6 +267,9 @@ def test_apply_swap_and_adjacency():
         apply_swap(p, SwapOp(Agent.u(0), Agent.w(0), Agent.w(2)))
     with pytest.raises(InvalidInput):
         apply_swap(p, SwapOp(Agent.u(0), Agent.u(0), Agent.w(1)))
+    # w0 lists only u0, so the pair {u0, u1} is not in its list
+    with pytest.raises(UnknownAgent, match="swap pair not in w1's list"):
+        apply_swap(p, SwapOp(Agent.w(0), Agent.u(0), Agent.u(1)))
 
 
 def test_swap_distance_infinite_on_different_acceptable_sets():
@@ -369,7 +376,7 @@ def test_matching_validation():
         Matching.from_pairs(2, 1, [(0, 0), (1, 0)])  # w shared
     with pytest.raises(InvalidMatching, match="u index 0 matched twice"):
         Matching.from_pairs(1, 2, [(0, 0), (0, 1)])
-    # a Matching built without from_pairs' checks is still range-checked
+    # the bare constructor checks the pairs as from_pairs does
     with pytest.raises(InvalidMatching, match=r"pair \(5, 0\) out of range"):
         validate_matching(p, Matching(2, 1, frozenset({(5, 0)})))
     with pytest.raises(InvalidMatching):
@@ -387,6 +394,72 @@ def test_matching_validation():
     for agent in (Agent.u(-1), Agent.u(2), Agent.w(-1), Agent.w(1)):
         with pytest.raises(UnknownAgent):
             m.partner_of(agent)
+
+
+def test_the_constructor_refuses_every_non_matching():
+    # u0 matched twice was a "perfect" matching of a 1x2 profile before the
+    # constructor checked its pairs; floats were truncated to indices
+    with pytest.raises(InvalidMatching, match="u index 0 matched twice"):
+        Matching(1, 2, frozenset({(0, 0), (0, 1)}))
+    with pytest.raises(InvalidMatching, match=r"pair \(0\.\d, \d\) out of range"):
+        Matching.from_pairs(2, 2, [(0.9, 0), (0.1, 1)])
+    with pytest.raises(InvalidMatching, match="w index 1 matched twice"):
+        Matching(2, 2, frozenset({(0, 1), (1, 1)}))
+    with pytest.raises(InvalidMatching, match="u index 1 matched twice"):
+        Matching.from_pairs(2, 2, [(1, 0), (1, 0)])  # one pair listed twice
+    # a negative index would be written from the end of a partner vector
+    bad = [(-1, 0), (0, -1), (-2, 1), (1, -2), (2, 0), (0, 2), (0, 1.0), (0,), (0, 1, 1), 5]
+    for pair in bad:
+        with pytest.raises(InvalidMatching, match="out of range"):
+            Matching(2, 2, frozenset({pair}))
+
+    class Unordered:  # an index that cannot be compared with 0
+        __index__ = lambda self: 0
+        __lt__ = None
+
+    with pytest.raises(InvalidMatching, match="are not a matching"):
+        Matching(1, 1, frozenset({(Unordered(), 0)}))
+
+
+def test_partner_vectors_match_their_definition():
+    rng = make_rng(2401)
+    checked = 0
+    for n_u, n_w, density in ((0, 3, 1.0), (4, 4, 1.0), (5, 3, 0.6), (3, 6, 0.4), (7, 7, 0.3)):
+        for k in range(20):
+            p = gen_random(n_u, n_w, density, seed=2400 + k)
+            m = random_matching(p, rng)
+            pu, pw = [-1] * n_u, [-1] * n_w
+            for i, j in m.pairs:
+                pu[i], pw[j] = j, i
+            assert m.pu == tuple(pu) and m.pw == tuple(pw)
+            assert Matching(n_u, n_w, m.pairs) == m
+            assert Matching.from_pairs(n_u, n_w, map(list, m.pairs)) == m
+            checked += 1
+    assert checked == 100
+
+
+def test_a_profile_made_in_memory_refuses_faulty_lists():
+    w_lists, names = ((0,), (1,)), (("a", "b"), ("x", "y"))
+    faulty = {
+        "u1's list (0, 0)": ((0, 0), (1,)),  # a ranked x second
+        "u1's list (0, 5)": ((0, 5), (1,)),  # left an empty row
+        "u2's list (-1,)": ((0,), (-1,)),  # written from the end of the row
+        "u1's list (0.5,)": ((0.5,), (1,)),
+    }
+    for what, u_lists in faulty.items():
+        p = Profile(u_lists, w_lists, *names)
+        with pytest.raises(ValidationError, match=r"^%s holds" % re.escape(what)):
+            p.rank_u
+        with pytest.raises(ValidationError):
+            p.w_opt  # W-proposing deferred acceptance reads rank_u
+        assert p.rank_w == [[0, 1], [1, 0]]
+    p = Profile(((-1,), (0, 0)), ((0,), (1,)), *names)
+    with pytest.raises(ValidationError) as err:
+        p.rank_u
+    assert [issue[:9] for issue in err.value.issues] == ["u1's list", "u2's list"]
+    q = Profile(((0,), (1,)), ((0,), (1, 1)), *names)
+    with pytest.raises(ValidationError, match=r"^w2's list \(1, 1\) holds"):
+        q.u_opt
 
 
 def test_is_perfect():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 
 from swapstable import (
     InvalidInput,
+    Matching,
     Objective,
     blocking_pairs,
     closed_subsets,
@@ -325,6 +327,28 @@ def test_oracle_caps_raise_too_large(monkeypatch):
     for mode in ("global", "local"):
         with pytest.raises(TooLarge, match="exceeds 5 profiles"):
             list(profiles_within(p, 1, mode))
+
+
+def test_oracle_local_check_refuses_a_large_u_product_at_once():
+    # 20^6 = 64M choices of U lists; the uncapped odometer ran past 60 s
+    p = gen_random(6, 6, 1.0, seed=5)
+    m = Matching.from_pairs(6, 6, [(i, (i + 1) % 6) for i in range(6)])
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="exceeds %d profiles" % oracle.PROFILE_CAP):
+        brute_is_locally_d_stable(p, m, 2)
+    assert time.perf_counter() - start < 5
+
+
+def test_oracle_refuses_bad_modes_and_objectives():
+    p = gen_random(2, 2, 1.0, seed=3)
+    with pytest.raises(InvalidInput, match="mode must be"):
+        list(profiles_within(p, 1, "sideways"))
+    with pytest.raises(InvalidInput, match="mode must be"):
+        brute_solve_near(p, 1, "sideways", Objective.PERFECT)
+    with pytest.raises(InvalidInput, match="needs an eta bound"):
+        brute_solve_near(p, 1, "global", Objective.EGALITARIAN)
+    with pytest.raises(InvalidInput, match="perfect or egalitarian"):
+        brute_solve_near(p, 1, "local", Objective.ANY)
 
 
 def test_perfect_robust_solve_rejects_a_negative_budget():

@@ -165,6 +165,14 @@ def test_matching_of_rejects_open_subsets():
             break
 
 
+def test_is_closed_rejects_out_of_range_indices():
+    dg = rotation_digraph(gen_random(5, 5, 1.0, seed=903))
+    assert dg.n >= 1 and dg.is_closed(()) and dg.is_closed(range(dg.n))
+    for bad in (dg.n, -1, "first"):
+        with pytest.raises(InvalidInput, match="out of range"):
+            dg.is_closed({0, bad})
+
+
 @settings(max_examples=60, deadline=None)
 @given(profiles(max_side=5))
 def test_measured_weights_reproduce_egalitarian_deltas(p):
