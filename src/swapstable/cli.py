@@ -41,6 +41,7 @@ from .oracle import (
 from .profile import (
     INFINITE,
     Objective,
+    _changed_window,
     blocking_indices,
     egalitarian_cost,
     is_stable,
@@ -131,15 +132,14 @@ def _swap_sequence(p, q):
         for k, (cur, new) in enumerate(zip(cur_lists, new_lists)):
             if cur == new:
                 continue
-            if set(cur) != set(new):
+            window = _changed_window(cur, new)
+            if window is None:
                 raise InvalidInput(
                     "no swap path: %s's acceptable set differs between the profiles"
                     % owners[k]
                 )
-            a = next(t for t, (x, y) in enumerate(zip(cur, new)) if x != y)
-            b = len(cur) - next(t for t, (x, y) in enumerate(zip(cur[::-1], new[::-1])) if x != y)
-            pos = {names[x]: r for r, x in enumerate(new[a:b])}
-            lst = [names[x] for x in cur[a:b]]
+            pos = {names[x]: r for r, x in enumerate(window[1])}
+            lst = [names[x] for x in window[0]]
             lo, hi = 0, len(lst) - 1
             while lo < hi:
                 swapped = []

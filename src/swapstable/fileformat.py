@@ -225,7 +225,8 @@ def parse_matching(text: str, p: Profile) -> Matching:
             continue
         taken[u] = lineno
         taken[w] = lineno
-        if w.index not in p.u_lists[u.index]:
+        # one rank read: an unlisted partner ranks at the list's length
+        if p.rank_u[u.index][w.index] == len(p.u_lists[u.index]):
             issues.append(
                 "line %d: %s and %s are not mutually acceptable"
                 % (lineno, tokens[0], tokens[1])

@@ -41,6 +41,7 @@ from .profile import (
     Profile,
     Side,
     SwapOp,
+    _derive,
     _promote,
     apply_swap,
     blocking_indices,
@@ -139,13 +140,13 @@ def witness_profile_local(p, m, d_l) -> Profile:
 
 def _witness(p, m, u_steps, w_steps):
     """p with u_i (w_j) promoting its partner in m by u_steps[i]
-    (w_steps[j]) places."""
+    (w_steps[j]) places; every other list, and its rank row, is p's own."""
     u_lists, w_lists = p.u_lists, p.w_lists
     for i, k in u_steps.items():
         u_lists = _promote(u_lists, i, m.pu[i], k)
     for j, k in w_steps.items():
         w_lists = _promote(w_lists, j, m.pw[j], k)
-    return Profile(u_lists, w_lists, p.u_names, p.w_names)
+    return _derive(p, u_lists, w_lists)
 
 
 def _stabilization_cut(p, m):
@@ -170,10 +171,7 @@ def _stabilization_cut(p, m):
     for i, j, cu, cw in _defuse_costs(p, m):
         if cu is INFINITE and cw is INFINITE:
             return (INFINITE, None, None)
-        # an unmatched endpoint's node is its side's terminal
-        a = "s" if cu is INFINITE else ("u", i, cu)
-        b = "t" if cw is INFINITE else ("w", j, cw)
-        needs.append((a, b))
+        needs.append((i, j, cu, cw))
         if cu is not INFINITE:
             u_levels.setdefault(i, set()).add(cu)
         if cw is not INFINITE:
@@ -184,37 +182,50 @@ def _stabilization_cut(p, m):
     w_levels = {j: sorted(cs) for j, cs in w_levels.items()}
     inf_cap = 1 + sum(cs[-1] for cs in [*u_levels.values(), *w_levels.values()])
     net = FlowNetwork()
-    # A U node on the sink side means the promotion up to its threshold
-    # is performed; a W node on the source side likewise.  Infinite arcs
-    # keep each chain a prefix and forbid leaving a pair uncovered on both
-    # sides.
+    # Chain nodes are ints, numbered as they are made; u_ids[i] (w_ids[j])
+    # maps each of the agent's thresholds to its node.  A U node on the
+    # sink side means the promotion up to its threshold is performed; a W
+    # node on the source side likewise.  Infinite arcs keep each chain a
+    # prefix and forbid leaving a pair uncovered on both sides.
+    u_ids = {}
+    w_ids = {}
+    node = 0
     for i, cs in u_levels.items():
+        ids = u_ids[i] = {}
         below = 0
         for c in cs:
-            net.add_edge("s", ("u", i, c), c - below)
+            ids[c] = node
+            net.add_edge("s", node, c - below)
             if below:
-                net.add_edge(("u", i, below), ("u", i, c), inf_cap)
+                net.add_edge(node - 1, node, inf_cap)
             below = c
+            node += 1
     for j, cs in w_levels.items():
+        ids = w_ids[j] = {}
         below = 0
         for c in cs:
-            net.add_edge(("w", j, c), "t", c - below)
+            ids[c] = node
+            net.add_edge(node, "t", c - below)
             if below:
-                net.add_edge(("w", j, c), ("w", j, below), inf_cap)
+                net.add_edge(node, node - 1, inf_cap)
             below = c
-    for a, b in needs:
+            node += 1
+    # an unmatched endpoint's node is its side's terminal
+    for i, j, cu, cw in needs:
+        a = "s" if cu is INFINITE else u_ids[i][cu]
+        b = "t" if cw is INFINITE else w_ids[j][cw]
         net.add_edge(a, b, inf_cap)
     cost = net.max_flow("s", "t")
     # Min cuts form a lattice; taking the one nearest the sink resolves
     # ties toward W-side promotions, which keeps the witness deterministic.
     sink = net.sink_side("t")
     u_steps = {
-        i: max((c for c in cs if ("u", i, c) in sink), default=0)
-        for i, cs in u_levels.items()
+        i: max((c for c, k in ids.items() if k in sink), default=0)
+        for i, ids in u_ids.items()
     }
     w_steps = {
-        j: max((c for c in cs if ("w", j, c) not in sink), default=0)
-        for j, cs in w_levels.items()
+        j: max((c for c, k in ids.items() if k not in sink), default=0)
+        for j, ids in w_ids.items()
     }
     total = sum(u_steps.values()) + sum(w_steps.values())
     verify(total == cost, "cut sides add up to the flow value")

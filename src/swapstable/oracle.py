@@ -95,10 +95,26 @@ def _list_ball(lst, d):
     return out
 
 
-def _cap_product(balls):
-    """Raise TooLarge when choosing one entry per ball makes more than
-    PROFILE_CAP profiles."""
-    if math.prod(map(len, balls)) > PROFILE_CAP:
+def _ball_size(length, d):
+    """len(_list_ball(lst, d)) for a list of that length, without building
+    it: the orderings with at most d inversions, summed Mahonian numbers.
+
+    counts[k] is how many orderings of the first n entries have k
+    inversions; the n-th entry adds 0..n-1 more, so each step is a sliding
+    sum over the previous counts, kept only up to d.
+    """
+    d = min(d, length * (length - 1) // 2)
+    counts = [1] + [0] * d
+    for n in range(2, length + 1):
+        sums = [0, *itertools.accumulate(counts)]
+        counts = [sums[k + 1] - sums[max(k + 1 - n, 0)] for k in range(d + 1)]
+    return sum(counts)
+
+
+def _cap_product(sizes):
+    """Raise TooLarge when choosing one of sizes[k] entries per ball makes
+    more than PROFILE_CAP profiles."""
+    if math.prod(sizes) > PROFILE_CAP:
         raise TooLarge("profile ball exceeds %d profiles" % PROFILE_CAP)
 
 
@@ -108,7 +124,8 @@ def profiles_within(p, d, mode):
     mode "global": total distance over all lists ≤ d (BFS by layers, so
     closer profiles come first).  mode "local": every agent's own list
     within d (cartesian product of per-list balls).  Raises TooLarge when
-    the ball exceeds PROFILE_CAP.
+    the ball exceeds PROFILE_CAP; in local mode that is counted before any
+    list's ball is built.
     """
     check_budget(d)
     if mode not in ("global", "local"):
@@ -139,9 +156,9 @@ def profiles_within(p, d, mode):
                 yield Profile(u_lists, w_lists, p.u_names, p.w_names)
             frontier = nxt
         return
+    _cap_product([_ball_size(len(lst), d) for lst in p.u_lists + p.w_lists])
     u_balls = [_list_ball(lst, d) for lst in p.u_lists]
     w_balls = [_list_ball(lst, d) for lst in p.w_lists]
-    _cap_product(u_balls + w_balls)
     for u_combo in itertools.product(*u_balls):
         for w_combo in itertools.product(*w_balls):
             yield Profile(tuple(u_combo), tuple(w_combo), p.u_names, p.w_names)
@@ -245,11 +262,11 @@ def brute_is_locally_d_stable(p, m, d):
 
     Exhaustive over the product of per-list balls, organized so each W
     agent's choice is checked independently once the U side is fixed.
-    Raises TooLarge when the U agents' balls, which the odometer walks,
-    give more than PROFILE_CAP choices.
+    Raises TooLarge, before any ball is built, when the U agents' balls,
+    which the odometer walks, give more than PROFILE_CAP choices.
     """
     check_budget(d)
-    _cap_product([_list_ball(lst, d) for lst in p.u_lists])
+    _cap_product([_ball_size(len(lst), d) for lst in p.u_lists])
     ru = _variant_rank_rows(p.u_lists, p.n_w, d)
     rw = _variant_rank_rows(p.w_lists, p.n_u, d)
     len_u = [len(lst) for lst in p.u_lists]

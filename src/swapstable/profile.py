@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -84,8 +84,9 @@ class Profile:
     """Immutable preference profile; lists hold opposite-side indices.
 
     ``rank_u``/``rank_w`` are the one rank table per side.  Ingest
-    (``validate_profile``, ``parse_profile``) hands them over built; a
-    profile made in memory builds them on first use, and raises
+    (``validate_profile``, ``parse_profile``) hands them over built, and a
+    profile derived from another (``_derive``) inherits them row by row.
+    Any other profile made in memory builds them on first use, and raises
     ValidationError there for a list with a non-index, a negative or
     out-of-range index or one index twice.  Only ingest checks that
     acceptability is mutual.  Every engine reads single ranks from the
@@ -111,11 +112,11 @@ class Profile:
 
         Lists of the shared ints 0..n_w, so 8 bytes an entry.
         """
-        return _checked_table(self.u_lists, self.n_w, "u")
+        return _checked_table(self.u_lists, self.n_w, "u", range(self.n_u))
 
     @cached_property
     def rank_w(self) -> list:
-        return _checked_table(self.w_lists, self.n_u, "w")
+        return _checked_table(self.w_lists, self.n_u, "w", range(self.n_w))
 
     @cached_property
     def u_opt(self) -> "Matching":
@@ -267,19 +268,48 @@ def _rank_table(lists, n_other, faults):
     return table
 
 
-def _checked_table(lists, n_other, label):
-    """_rank_table, or ValidationError naming each list it faults or that
-    holds a negative index, which it would write from the end of a row."""
+def _checked_table(lists, n_other, label, which):
+    """_rank_table's rows for lists[i], i in which, or ValidationError
+    naming each of those lists it faults or that holds a negative index,
+    which it would write from the end of a row."""
+    chosen = [lists[i] for i in which]
     faults = []
-    table = _rank_table(lists, n_other, faults)
-    faults += [i for i, row in enumerate(table) if row and min(lists[i], default=0) < 0]
+    table = _rank_table(chosen, n_other, faults)
+    faults += [k for k, row in enumerate(table) if row and min(chosen[k], default=0) < 0]
     if faults:
         raise ValidationError(
             "%s%d's list %r holds a non-index, an index out of range or a repeat"
-            % (label, i + 1, lists[i])
-            for i in sorted(faults)
+            % (label, which[k] + 1, chosen[k])
+            for k in sorted(faults)
         )
     return table
+
+
+def _derive(p, u_lists, w_lists):
+    """p with its lists replaced by u_lists and w_lists, which hold p's own
+    list object wherever they keep a list.
+
+    The one way to make a profile from another.  A rank table p has built
+    passes on by row: the new table holds p's row object for every kept
+    list and a row built and checked as ``_checked_table`` does for each
+    other one, so a faulty list raises ValidationError here.  A table p
+    has not built stays unbuilt, and deriving costs O(n_u + n_w).  Rows
+    can be shared because nothing writes into a rank row once it is built.
+    """
+    q = Profile(u_lists, w_lists, p.u_names, p.w_names)
+    built = vars(p)
+    sides = (
+        ("rank_u", p.u_lists, u_lists, p.n_w, "u"),
+        ("rank_w", p.w_lists, w_lists, p.n_u, "w"),
+    )
+    for key, old, new, n_other, label in sides:
+        if key in built:
+            table = list(built[key])
+            changed = list(compress(range(len(new)), map(operator.is_not, old, new)))
+            for i, row in zip(changed, _checked_table(new, n_other, label, changed)):
+                table[i] = row
+            vars(q)[key] = table
+    return q
 
 
 def _one_sided(lists, back, back_lists):
@@ -432,7 +462,9 @@ def rank(p: Profile, x: Agent, y: Agent) -> int:
 
 
 def _promote(lists, owner, member, steps):
-    """Move member up by steps positions in owner's list."""
+    """Move member up by steps positions in owner's list; every other list,
+    and all of them when steps <= 0, stays the same object, which is how
+    ``_derive`` tells the lists it keeps."""
     if steps <= 0:
         return lists
     lst = list(lists[owner])
@@ -449,7 +481,7 @@ def apply_swap(p: Profile, s: SwapOp) -> Profile:
     output is exactly 1.
     """
     owner, x, y = s.owner, s.x, s.y
-    lst = list(p.list_of(owner))
+    lst = p.list_of(owner)
     if x.side == owner.side or y.side == owner.side:
         raise InvalidInput("swapped agents must be on the opposite side")
     try:
@@ -463,23 +495,41 @@ def apply_swap(p: Profile, s: SwapOp) -> Profile:
             "%s and %s are not adjacent in %s's list"
             % (p.name_of(x), p.name_of(y), p.name_of(owner))
         )
-    lst[ix], lst[iy] = lst[iy], lst[ix]
+    # the later of the two moves up one place
+    later = lst[max(ix, iy)]
     if owner.side == Side.U:
-        u_lists = list(p.u_lists)
-        u_lists[owner.index] = tuple(lst)
-        return Profile(tuple(u_lists), p.w_lists, p.u_names, p.w_names)
-    w_lists = list(p.w_lists)
-    w_lists[owner.index] = tuple(lst)
-    return Profile(p.u_lists, tuple(w_lists), p.u_names, p.w_names)
+        return _derive(p, _promote(p.u_lists, owner.index, later, 1), p.w_lists)
+    return _derive(p, p.u_lists, _promote(p.w_lists, owner.index, later, 1))
+
+
+def _changed_window(l1, l2):
+    """(l1[a:b], l2[a:b]) for the first difference a and the last b - 1,
+    outside which the lists agree place by place; two empty tuples when
+    they are equal.  None when their sets differ, which for lists without
+    repeats the windows alone decide."""
+    if l1 == l2:
+        return (), ()
+    if len(l1) != len(l2):
+        return None
+    ne = list(map(operator.ne, l1, l2))
+    if True not in ne:  # a list and a tuple with the same entries
+        return (), ()
+    a = ne.index(True)
+    b = len(ne) - ne[::-1].index(True)
+    w1, w2 = l1[a:b], l2[a:b]
+    return (w1, w2) if set(w1) == set(w2) else None
 
 
 def _list_distance(l1: tuple, l2: tuple) -> Distance:
-    if l1 == l2:
-        return 0
-    if set(l1) != set(l2):
+    """Kendall tau between two lists, counted on their changed window only:
+    the entries around it are in place in both, so no inversion involves
+    them."""
+    window = _changed_window(l1, l2)
+    if window is None:
         return INFINITE
-    pos = {y: k for k, y in enumerate(l1)}
-    return _kernels.count_inversions([pos[y] for y in l2])
+    w1, w2 = window
+    pos = {y: k for k, y in enumerate(w1)}
+    return _kernels.count_inversions([pos[y] for y in w2])
 
 
 def swap_distance_per_agent(p1: Profile, p2: Profile) -> dict:
@@ -499,8 +549,8 @@ def swap_distance(p1: Profile, p2: Profile) -> Distance:
 
     Equals the minimum number of single swaps turning p1 into p2, summed
     over all lists; INFINITE when any agent's acceptable set differs.  A
-    list the two profiles share as one object (a witness keeps every row it
-    does not promote) adds nothing and is not compared.
+    list the two profiles share as one object (a derived profile keeps
+    every list it does not reorder) adds nothing and is not compared.
     """
     if p1.n_u != p2.n_u or p1.n_w != p2.n_w:
         raise UnknownAgent("profiles are over different agent sets")

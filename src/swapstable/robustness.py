@@ -22,11 +22,10 @@ and costs at most d against each (``_unshielded_pair``, exact at d = 1);
 """
 
 from bisect import bisect_left
-from dataclasses import replace
 
 from ._kernels import partner_ranks
 from .errors import InvalidInput, check_budget
-from .profile import Agent, Objective, _promote, blocking_pairs, is_perfect
+from .profile import Agent, Objective, _derive, _promote, blocking_pairs, is_perfect
 from .rotations import (
     ALWAYS,
     NEVER,
@@ -63,7 +62,7 @@ def _gap_witness(p, m, ui, wj):
         u_lists = _promote(u_lists, ui, wj, ru[ui][wj] - ru[ui][pi])
     if pj >= 0:
         w_lists = _promote(w_lists, wj, ui, rw[wj][ui] - rw[wj][pj])
-    return replace(p, u_lists=u_lists, w_lists=w_lists)
+    return _derive(p, u_lists, w_lists)
 
 
 def is_d_robust(p, m, d):

@@ -8,6 +8,7 @@ from swapstable import (
     Matching,
     ValidationError,
     gen_example3,
+    gen_random,
     parse_matching,
     parse_profile,
     serialize_matching,
@@ -316,6 +317,18 @@ def test_matching_parse_and_errors():
     assert "'b1' is not on side U" in blob and "'a2' is not on side W" in blob
     assert "line 2: b1 already matched on line 1" in match_issues("a1 b1\na2 b1\n", p)
     assert "not mutually acceptable" in match_issues("a1 b2\n", p)
+
+
+def test_matching_acceptability_is_read_from_the_rank_table():
+    p = gen_random(6, 6, 0.5, seed=11)
+    i, j = next((i, j) for i in range(6) for j in range(6) if j not in p.u_lists[i])
+    k = next(k for k in range(6) if k != i and p.u_lists[k] and p.u_lists[k][0] != j)
+    text = "# header\n%s %s\n%s %s\n" % (
+        p.u_names[k], p.w_names[p.u_lists[k][0]], p.u_names[i], p.w_names[j]
+    )
+    assert match_issues(text, p) == "line 3: %s and %s are not mutually acceptable" % (
+        p.u_names[i], p.w_names[j]
+    )
 
 
 def test_serializer_rejects_unwritable_names():

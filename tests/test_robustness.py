@@ -339,6 +339,29 @@ def test_oracle_local_check_refuses_a_large_u_product_at_once():
     assert time.perf_counter() - start < 5
 
 
+def test_ball_size_counts_the_list_ball():
+    for length in range(7):
+        for d in range(17):
+            assert oracle._ball_size(length, d) == len(oracle._list_ball(tuple(range(length)), d))
+
+
+def test_oracle_local_balls_are_counted_before_they_are_built(monkeypatch):
+    # one U agent listing 9 W agents: at d = 36 its ball holds all 9!
+    # orderings, which took 1.67 s and 76 MB to build before the cap refused
+    p = gen_random(1, 9, 1.0, seed=6)
+    m = Matching.empty(1, 9)
+
+    def no_ball(*args):
+        raise AssertionError("list ball built past the cap")
+
+    monkeypatch.setattr(oracle, "PROFILE_CAP", 1000)
+    monkeypatch.setattr(oracle, "_list_ball", no_ball)
+    with pytest.raises(TooLarge, match="exceeds 1000 profiles"):
+        brute_is_locally_d_stable(p, m, 36)
+    with pytest.raises(TooLarge, match="exceeds 1000 profiles"):
+        next(profiles_within(p, 36, "local"))
+
+
 def test_oracle_refuses_bad_modes_and_objectives():
     p = gen_random(2, 2, 1.0, seed=3)
     with pytest.raises(InvalidInput, match="mode must be"):

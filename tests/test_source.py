@@ -193,3 +193,38 @@ def test_no_indented_json_dumps_in_the_package():
             and any(k.arg == "indent" for k in node.keywords)
         ]
     assert found == []
+
+
+def test_profiles_are_derived_in_one_place():
+    # A profile made from another goes through profile._derive, which
+    # passes the input's rank rows on; a Profile(...) or
+    # dataclasses.replace elsewhere would build both tables again.  The
+    # oracle builds its ball members itself, so it stays independent of
+    # the engines it checks.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("profile.py", "oracle.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == "Profile") or (
+                    isinstance(f, ast.Attribute)
+                    and (
+                        f.attr == "Profile"
+                        or (
+                            f.attr == "replace"
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id == "dataclasses"
+                        )
+                    )
+                ):
+                    found.append("%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found += [
+                    "%s:%d import replace" % (path.name, node.lineno)
+                    for alias in node.names
+                    if alias.name == "replace"
+                ]
+    assert found == []
