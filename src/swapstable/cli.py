@@ -6,7 +6,10 @@ report to stdout, and exits 0 when the answer is positive (stable, found),
 ``result``, ``matching``, ``cost``, ``bound``, ``witness_swaps``,
 ``blocking_pairs``; witness profiles come back as replayable sequences of
 adjacent swaps applied to the input profile, plus the full profile text
-under --verbose.
+under --verbose.  Each report is byte for byte json.dumps(report,
+indent=2) plus a newline: the fixed-shape lists (witness swaps, blocking
+pairs, matching pairs) are rendered from one template per item, and
+_encode writes every other value.
 
 ``oracle check ...`` and ``oracle solve ...`` rerun the same questions on
 the brute-force engines, which enumerate whole profile balls and matching
@@ -24,12 +27,13 @@ from .errors import Error, InvalidInput, ValidationError, check_budget
 from .fileformat import parse_matching, parse_profile, serialize_profile
 from .generators import gen_cyclic_latin, gen_example2, gen_example3, gen_random
 from .nearstable import (
-    global_stabilization_cost,
+    _global_stabilization_cost,
+    _local_instability,
+    _witness_local,
     local_instability,
     solve_global_near,
     solve_local_near,
     tradeoff_curve,
-    witness_profile_local,
 )
 from .oracle import (
     brute_global_cost,
@@ -55,6 +59,15 @@ def _read(path):
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+class _Encoded:
+    """JSON text that _encode copies as it stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
 
 
 def _encode(value, indent, out):
@@ -87,6 +100,8 @@ def _encode(value, indent, out):
             _encode(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(value, _Encoded):
+        out.append(value.text)
     else:
         # numbers, booleans and None; anything else raises TypeError
         out.append(json.dumps(value))
@@ -103,17 +118,27 @@ def _cost_json(value):
     return "inf" if value == INFINITE else value
 
 
-def _pairs_json(p, m):
-    return [[p.u_names[i], p.w_names[j]] for i, j in m.sorted_pairs()]
+# The fixed-shape lists a report holds under its top-level keys, laid out
+# as json.dumps(indent=2) lays them out there: items at 4 spaces, their
+# members at 6, a swap's two pair members at 8.  Names go in encoded.
+_PAIR = "[\n      %s,\n      %s\n    ]"
+_SWAP = '{\n      "agent": %s,\n      "pair": [\n        %s,\n        %s\n      ]\n    }'
 
 
-def _bps_json(p, m):
-    return [[p.u_names[i], p.w_names[j]] for i, j in blocking_indices(p, m)]
+def _listed(items):
+    """A top-level report value: the list of the rendered items."""
+    return _Encoded("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
+
+
+def _pairs_json(p, pairs):
+    """(u index, w index) pairs as a list of [u name, w name]."""
+    enc, u_names, w_names = encode_basestring_ascii, p.u_names, p.w_names
+    return _listed([_PAIR % (enc(u_names[i]), enc(w_names[j])) for i, j in pairs])
 
 
 def _swap_sequence(p, q):
-    """Minimal adjacent-swap replay turning p into q, list by list, as the
-    report's swap objects: {"agent": owner name, "pair": [name, name]}.
+    """Minimal adjacent-swap replay turning p into q, list by list, as
+    (owner name, name, name) triples: the owner swaps the two neighbours.
 
     Bubble sort against the target order emits exactly swap_distance(p, q)
     operations; applying them to p in file order reproduces q.  Only the span
@@ -138,6 +163,7 @@ def _swap_sequence(p, q):
                     "no swap path: %s's acceptable set differs between the profiles"
                     % owners[k]
                 )
+            owner = owners[k]
             pos = {names[x]: r for r, x in enumerate(window[1])}
             lst = [names[x] for x in window[0]]
             lo, hi = 0, len(lst) - 1
@@ -146,7 +172,7 @@ def _swap_sequence(p, q):
                 for t in range(lo, hi):
                     x, y = lst[t], lst[t + 1]
                     if pos[x] > pos[y]:
-                        yield {"agent": owners[k], "pair": [x, y]}
+                        yield owner, x, y
                         lst[t], lst[t + 1] = y, x
                         swapped.append(t)
                 if not swapped:
@@ -157,7 +183,10 @@ def _swap_sequence(p, q):
 def _attach_witness(report, args, p, q):
     if q is None:
         return
-    report["witness_swaps"] = list(_swap_sequence(p, q))
+    enc = encode_basestring_ascii
+    report["witness_swaps"] = _listed(
+        [_SWAP % (enc(owner), enc(x), enc(y)) for owner, x, y in _swap_sequence(p, q)]
+    )
     if args.verbose:
         report["witness_profile"] = serialize_profile(q)
 
@@ -167,6 +196,7 @@ def _cmd_check(args, brute):
     p = parse_profile(_read(args.profile))
     m = parse_matching(_read(args.matching), p)
     report = {}
+    bps = None  # the report's blocking pairs, when a branch already has them
     if args.what == "stable":
         report["result"] = is_stable(p, m)
     elif args.what == "robust":
@@ -181,16 +211,17 @@ def _cmd_check(args, brute):
             if witness is not None:
                 q, (u, w) = witness
                 _attach_witness(report, args, p, q)
-                report["blocking_pairs"] = [[p.name_of(u), p.name_of(w)]]
+                bps = [(u.index, w.index)]
     elif args.what == "local":
         if brute:
             report["result"] = brute_is_locally_d_stable(p, m, args.d)
         else:
-            bound = local_instability(p, m)
+            bps = blocking_indices(p, m)
+            bound = _local_instability(p, m, bps)
             report["result"] = bound <= args.d
             report["bound"] = _cost_json(bound)
             if report["result"]:
-                _attach_witness(report, args, p, witness_profile_local(p, m, args.d))
+                _attach_witness(report, args, p, _witness_local(p, m, args.d, bps))
     else:
         if brute:
             found = brute_global_cost(p, m, max_d=args.d)
@@ -199,12 +230,12 @@ def _cmd_check(args, brute):
             if found is not None:
                 _attach_witness(report, args, p, found[1])
         else:
-            cost, q = global_stabilization_cost(p, m)
+            bps = blocking_indices(p, m)
+            cost, q = _global_stabilization_cost(p, m, bps)
             report["result"] = cost <= args.d
             report["cost"] = _cost_json(cost)
             _attach_witness(report, args, p, q)
-    if "blocking_pairs" not in report:
-        report["blocking_pairs"] = _bps_json(p, m)
+    report["blocking_pairs"] = _pairs_json(p, blocking_indices(p, m) if bps is None else bps)
     _emit(report)
     return 0 if report["result"] else 1
 
@@ -236,7 +267,7 @@ def _cmd_solve(args, brute):
             found, witness = res if mode == "global" else (res, None)
     report = {"result": "found" if found is not None else "none"}
     if found is not None:
-        report["matching"] = _pairs_json(p, found)
+        report["matching"] = _pairs_json(p, found.sorted_pairs())
         report["cost"] = egalitarian_cost(p, found)
         if args.what == "local-near":
             report["bound"] = _cost_json(local_instability(p, found))

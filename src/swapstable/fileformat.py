@@ -25,10 +25,12 @@ ValidationError whose messages are prefixed with 1-based line numbers.
 serialize/parse round-trip exactly on canonical output.
 """
 
-from .errors import InvalidInput, UnknownAgent, ValidationError
+from .errors import InvalidInput, ValidationError
 from .profile import Matching, Profile, Side, _ingest, validate_matching
 
 HEADER = "profile v1"
+# what parse_matching reads as (side, index) for a name no agent has
+_UNKNOWN = (None, -1)
 
 
 def _significant_lines(text):
@@ -190,7 +192,11 @@ def parse_matching(text: str, p: Profile) -> Matching:
     """Parse one 'u-name w-name' pair per line against profile p."""
     issues = []
     pairs = []
-    taken = {}
+    by_name = p._by_name
+    ru, u_lists = p.rank_u, p.u_lists
+    # the line that took each index, one dict per side
+    taken_u = {}
+    taken_w = {}
     for lineno, line in _significant_lines(text):
         tokens = line.split()
         if len(tokens) != 2:
@@ -198,41 +204,28 @@ def parse_matching(text: str, p: Profile) -> Matching:
                 "line %d: expected 'u-name w-name', got %d token(s)" % (lineno, len(tokens))
             )
             continue
-        agents = []
-        for tok, side in zip(tokens, (Side.U, Side.W)):
-            try:
-                agent = p.agent_named(tok)
-            except UnknownAgent:
-                issues.append("line %d: unknown agent %r" % (lineno, tok))
-                continue
-            if agent.side != side:
-                issues.append(
-                    "line %d: %r is not on side %s" % (lineno, tok, side.value)
-                )
-            else:
-                agents.append(agent)
-        if len(agents) != 2:
+        a, b = tokens
+        side_a, i = by_name.get(a, _UNKNOWN)
+        side_b, j = by_name.get(b, _UNKNOWN)
+        if side_a is not Side.U or side_b is not Side.W:
+            for tok, got, side in ((a, side_a, Side.U), (b, side_b, Side.W)):
+                if got is None:
+                    issues.append("line %d: unknown agent %r" % (lineno, tok))
+                elif got is not side:
+                    issues.append("line %d: %r is not on side %s" % (lineno, tok, side.value))
             continue
-        u, w = agents
-        clean = True
-        for agent, tok in zip(agents, tokens):
-            if agent in taken:
-                issues.append(
-                    "line %d: %s already matched on line %d" % (lineno, tok, taken[agent])
-                )
-                clean = False
-        if not clean:
+        first_u, first_w = taken_u.get(i), taken_w.get(j)
+        if first_u is not None or first_w is not None:
+            for tok, first in ((a, first_u), (b, first_w)):
+                if first is not None:
+                    issues.append("line %d: %s already matched on line %d" % (lineno, tok, first))
             continue
-        taken[u] = lineno
-        taken[w] = lineno
+        taken_u[i] = taken_w[j] = lineno
         # one rank read: an unlisted partner ranks at the list's length
-        if p.rank_u[u.index][w.index] == len(p.u_lists[u.index]):
-            issues.append(
-                "line %d: %s and %s are not mutually acceptable"
-                % (lineno, tokens[0], tokens[1])
-            )
+        if ru[i][j] == len(u_lists[i]):
+            issues.append("line %d: %s and %s are not mutually acceptable" % (lineno, a, b))
             continue
-        pairs.append((u.index, w.index))
+        pairs.append((i, j))
     if issues:
         raise ValidationError(issues)
     return Matching.from_pairs(p.n_u, p.n_w, pairs)

@@ -73,15 +73,15 @@ class NearStabilityReport:
     witness_global: Optional[Profile]
 
 
-def _defuse_costs(p, m):
-    """Yield (i, j, cu, cw) for each blocking pair (u_i, w_j) of m, in
-    blocking_indices order: the swaps each endpoint needs to defuse it.
+def _defuse_costs(p, m, bps):
+    """Yield (i, j, cu, cw) for each blocking pair (u_i, w_j) of m in bps,
+    its blocking_indices list: the swaps each endpoint needs to defuse it.
 
     The cost at an endpoint is the forward shift of its current partner
     past the blocker; INFINITE when the endpoint is unmatched.
     """
     ru, rw, pu, pw = p.rank_u, p.rank_w, m.pu, m.pw
-    for i, j in blocking_indices(p, m):
+    for i, j in bps:
         pi, pj = pu[i], pw[j]
         cu = INFINITE if pi < 0 else ru[i][pi] - ru[i][j]
         cw = INFINITE if pj < 0 else rw[j][pj] - rw[j][i]
@@ -97,8 +97,13 @@ def local_instability(p, m) -> Cost:
     past its best-ranked blocker fixes everything at once, and no single
     list can settle a blocking pair for less than the rank gap.
     """
+    return _local_instability(p, m, blocking_indices(p, m))
+
+
+def _local_instability(p, m, bps):
+    """local_instability from m's blocking pairs bps."""
     worst = 0
-    for _, _, cu, cw in _defuse_costs(p, m):
+    for _, _, cu, cw in _defuse_costs(p, m, bps):
         worst = max(worst, min(cu, cw))
     return worst
 
@@ -120,10 +125,15 @@ def witness_profile_local(p, m, d_l) -> Profile:
     same scan computes, or when that is INFINITE, whatever d_l is.
     """
     check_budget(d_l)
+    return _witness_local(p, m, d_l, blocking_indices(p, m))
+
+
+def _witness_local(p, m, d_l, bps):
+    """witness_profile_local from m's blocking pairs bps; d_l is checked."""
     worst = 0
     u_steps = {}
     w_steps = {}
-    for i, j, cu, cw in _defuse_costs(p, m):
+    for i, j, cu, cw in _defuse_costs(p, m, bps):
         worst = max(worst, min(cu, cw))
         if cw <= cu:
             w_steps[j] = max(w_steps.get(j, 0), cw)
@@ -149,10 +159,11 @@ def _witness(p, m, u_steps, w_steps):
     return _derive(p, u_lists, w_lists)
 
 
-def _stabilization_cut(p, m):
-    """Smallest total swap distance to a profile where m is stable, with
-    the promotion that reaches it: (cost, u_steps, w_steps), where
-    u_steps[i] (w_steps[j]) is how far u_i (w_j) moves its partner up.
+def _stabilization_cut(p, m, bps):
+    """Smallest total swap distance to a profile where m is stable, from
+    m's blocking pairs bps, with the promotion that reaches it: (cost,
+    u_steps, w_steps), where u_steps[i] (w_steps[j]) is how far u_i (w_j)
+    moves its partner up.
 
     Covering blocking pair (u, w) at an endpoint costs that endpoint's
     rank gap, and one promotion past the best-ranked covered blocker pays
@@ -168,7 +179,7 @@ def _stabilization_cut(p, m):
     needs = []
     u_levels = {}
     w_levels = {}
-    for i, j, cu, cw in _defuse_costs(p, m):
+    for i, j, cu, cw in _defuse_costs(p, m, bps):
         if cu is INFINITE and cw is INFINITE:
             return (INFINITE, None, None)
         needs.append((i, j, cu, cw))
@@ -240,7 +251,12 @@ def global_stabilization_cost(p, m):
     only matched partners, which never creates new blocking pairs, so the
     cut value is exact, not just an upper bound.
     """
-    cost, u_steps, w_steps = _stabilization_cut(p, m)
+    return _global_stabilization_cost(p, m, blocking_indices(p, m))
+
+
+def _global_stabilization_cost(p, m, bps):
+    """global_stabilization_cost from m's blocking pairs bps."""
+    cost, u_steps, w_steps = _stabilization_cut(p, m, bps)
     if cost is INFINITE:
         return (INFINITE, None)
     if not cost:
@@ -253,11 +269,12 @@ def global_stabilization_cost(p, m):
 
 def near_stability_report(p, m) -> NearStabilityReport:
     """Both minimal budgets for m, with witness profiles where finite."""
-    local = local_instability(p, m)
-    global_cost, witness_global = global_stabilization_cost(p, m)
+    bps = blocking_indices(p, m)
+    local = _local_instability(p, m, bps)
+    global_cost, witness_global = _global_stabilization_cost(p, m, bps)
     witness_local = None
     if local is not INFINITE:
-        witness_local = witness_profile_local(p, m, local)
+        witness_local = _witness_local(p, m, local, bps)
     return NearStabilityReport(
         local_bound=local,
         global_cost=global_cost,
@@ -434,7 +451,10 @@ def _search(p, d, objective, eta, mode, least=None):
             if bounded and acc > eta:
                 level = INFINITE
             else:
-                level = _stabilization_cut(p, m)[0] if additive else local_instability(p, m)
+                level = (
+                    _stabilization_cut(p, m, blocking_indices(p, m))[0] if additive
+                    else local_instability(p, m)
+                )
             if level <= d:
                 if least is None or (least == "instability" and level == 0):
                     return m

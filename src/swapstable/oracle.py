@@ -263,10 +263,16 @@ def brute_is_locally_d_stable(p, m, d):
     Exhaustive over the product of per-list balls, organized so each W
     agent's choice is checked independently once the U side is fixed.
     Raises TooLarge, before any ball is built, when the U agents' balls,
-    which the odometer walks, give more than PROFILE_CAP choices.
+    which the odometer walks, give more than PROFILE_CAP choices, or when
+    the rank rows of every ball member, one entry per agent of the other
+    side, would hold more than PROFILE_CAP entries on both sides together.
     """
     check_budget(d)
-    _cap_product([_ball_size(len(lst), d) for lst in p.u_lists])
+    u_sizes = [_ball_size(len(lst), d) for lst in p.u_lists]
+    _cap_product(u_sizes)
+    w_size = sum(_ball_size(len(lst), d) for lst in p.w_lists)
+    if sum(u_sizes) * p.n_w + w_size * p.n_u > PROFILE_CAP:
+        raise TooLarge("local balls' rank rows exceed %d entries" % PROFILE_CAP)
     ru = _variant_rank_rows(p.u_lists, p.n_w, d)
     rw = _variant_rank_rows(p.w_lists, p.n_u, d)
     len_u = [len(lst) for lst in p.u_lists]

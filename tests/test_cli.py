@@ -7,9 +7,11 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swapstable
@@ -37,9 +39,10 @@ from swapstable import (
     u_optimal,
     validate_profile,
 )
+from swapstable import _kernels, cli
 from swapstable.cli import _build_parser, _emit, _swap_sequence, main
 
-from helpers import broken_profile_texts
+from helpers import broken_profile_texts, make_rng, profiles, random_matching
 
 
 def run(capsys, *argv):
@@ -135,6 +138,34 @@ def test_check_local_and_global_budgets(capsys, crown):
         capsys, "check", "global", "--profile", prof, "--matching", rotated
     )
     assert code == 1 and report["cost"] == 1
+
+
+def test_check_global_and_local_scan_for_blocking_pairs_once(capsys, crown, monkeypatch):
+    # The engine's defusing costs and the report's blocking_pairs read one
+    # blocking_mask scan; a witness's is_stable verify is the one
+    # first_blocking scan, and runs whenever a witness is reported.
+    _, prof, _, rotated = crown
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(_kernels, name)
+
+        def counted(p, m):
+            calls[name] += 1
+            return original(p, m)
+
+        return counted
+
+    for name in ("blocking_mask", "first_blocking"):
+        monkeypatch.setattr(_kernels, name, counting(name))
+    cases = (("global", 1, True), ("global", 0, True), ("local", 1, True), ("local", 0, False))
+    for what, d, witness in cases:
+        calls.clear()
+        code, report = run_json(
+            capsys, "check", what, "--profile", prof, "--matching", rotated, "--d", str(d)
+        )
+        assert report["blocking_pairs"] and ("witness_swaps" in report) == witness
+        assert calls == Counter({"blocking_mask": 1, "first_blocking": int(witness)})
 
 
 def test_solve_robust_finds_the_diagonal(capsys, tmp_path):
@@ -548,7 +579,7 @@ def test_swap_sequence_sorts_only_the_changed_window(lists, w_side):
     else:
         p, q = validate_profile([cur], others), validate_profile([new], others)
     ops = [
-        SwapOp(*map(p.agent_named, [s["agent"], *s["pair"]])) for s in _swap_sequence(p, q)
+        SwapOp(*map(p.agent_named, [owner, x, y])) for owner, x, y in _swap_sequence(p, q)
     ]
     assert ops == _full_bubble_replay(p, q)
     replayed = p
@@ -616,3 +647,57 @@ def test_every_command_prints_json_dumps_indent_2_bytes(capsys, tmp_path):
         assert out == json.dumps(report, indent=2) + "\n"
         swaps += len(report.get("witness_swaps", []))
     assert swaps > 0
+
+
+@st.composite
+def _named_cases(draw):
+    """An in-memory profile whose names hold JSON escapes, a matching of
+    it and a budget."""
+    p = draw(profiles(max_side=4, min_side=1))
+    k = p.n_u + p.n_w
+    names = draw(st.lists(_json_text, min_size=k, max_size=k, unique=True))
+    p = validate_profile(p.u_lists, p.w_lists, names[:p.n_u], names[p.n_u:])
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    return p, random_matching(p, rng), draw(st.integers(0, 2))
+
+
+_CROWN = gen_example2(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_cases())
+@example((
+    validate_profile(
+        _CROWN.u_lists, _CROWN.w_lists,
+        ['"\\\x00\x1f%s' % name for name in _CROWN.u_names],
+        ["\ud800é☃\n\U0001f600%s" % name for name in _CROWN.w_names],
+    ),
+    example2_rotated_matching(3),
+    1,
+))
+def test_templated_lists_print_json_dumps_indent_2_bytes(case):
+    # witness_swaps, blocking_pairs and matching are rendered from fixed
+    # templates; every report that carries them is still the bytes
+    # json.dumps(report, indent=2) writes, whatever the names hold
+    p, m, d = case
+    d = str(d)
+    commands = [
+        ["check", "global", "--d", d, "--matching", "in.matching"],
+        ["check", "local", "--d", d, "--matching", "in.matching"],
+        ["check", "robust", "--d", d, "--matching", "in.matching"],
+        ["solve", "robust", "--d", d],
+        ["solve", "global-near", "--d", d, "--objective", "egalitarian", "--eta", "99"],
+        ["solve", "local-near", "--d", d, "--objective", "egalitarian", "--eta", "99"],
+    ]
+    with (
+        mock.patch.object(cli, "_read", lambda path: ""),
+        mock.patch.object(cli, "parse_profile", lambda text: p),
+        mock.patch.object(cli, "parse_matching", lambda text, q: m),
+    ):
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--profile", "in.profile"])
+            assert code in (0, 1) and err.getvalue() == "", (argv, err.getvalue())
+            text = out.getvalue()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -319,6 +319,97 @@ def test_matching_parse_and_errors():
     assert "not mutually acceptable" in match_issues("a1 b2\n", p)
 
 
+MATCHING_PROFILE = """profile v1
+side U: u1 u2 u3
+side W: w1 w2 w3
+u1: w1 w2
+u2: w2 w1 w3
+u3: w3
+w1: u2 u1
+w2: u1 u2
+w3: u2 u3
+"""
+
+# Matching files with several faults each, and every issue parse_matching
+# reports for them, verbatim and in order.  A pair refused as unacceptable
+# still takes both agents, so later lines naming them are duplicates.
+MATCHING_CORPUS = {
+    "token counts": (
+        "u1\n# comment\nu1 w1 w2\n\n  \nu2 w2\nu3\n",
+        [
+            "line 1: expected 'u-name w-name', got 1 token(s)",
+            "line 3: expected 'u-name w-name', got 3 token(s)",
+            "line 7: expected 'u-name w-name', got 1 token(s)",
+        ],
+    ),
+    "unknown names": (
+        "zz w1\nu1 yy\nxx vv\nu2 w2\n",
+        [
+            "line 1: unknown agent 'zz'",
+            "line 2: unknown agent 'yy'",
+            "line 3: unknown agent 'xx'",
+            "line 3: unknown agent 'vv'",
+        ],
+    ),
+    "wrong sides": (
+        "w1 u1\nu2 u3\nw2 w3\nzz u1\nw1 zz\nu3 w3\n",
+        [
+            "line 1: 'w1' is not on side U",
+            "line 1: 'u1' is not on side W",
+            "line 2: 'u3' is not on side W",
+            "line 3: 'w2' is not on side U",
+            "line 4: unknown agent 'zz'",
+            "line 4: 'u1' is not on side W",
+            "line 5: 'w1' is not on side U",
+            "line 5: unknown agent 'zz'",
+        ],
+    ),
+    "duplicates": (
+        "u1 w1\nu1 w2\nu2 w1\nu1 w1\nu2 w2\nu3 w2\n",
+        [
+            "line 2: u1 already matched on line 1",
+            "line 3: w1 already matched on line 1",
+            "line 4: u1 already matched on line 1",
+            "line 4: w1 already matched on line 1",
+            "line 6: w2 already matched on line 5",
+        ],
+    ),
+    "unacceptable": (
+        "u1 w3\nu3 w1\nu2 w3\nu1 w2\nu3 w3\nu2 w1 w2\n",
+        [
+            "line 1: u1 and w3 are not mutually acceptable",
+            "line 2: u3 and w1 are not mutually acceptable",
+            "line 3: w3 already matched on line 1",
+            "line 4: u1 already matched on line 1",
+            "line 5: u3 already matched on line 2",
+            "line 5: w3 already matched on line 1",
+            "line 6: expected 'u-name w-name', got 3 token(s)",
+        ],
+    ),
+    "mixed": (
+        "u1 w1\n\nu1\nw2 u2\nu1 w1\nu3 w1\nu2 zz\nu2 w2\nu3 w3\n",
+        [
+            "line 3: expected 'u-name w-name', got 1 token(s)",
+            "line 4: 'w2' is not on side U",
+            "line 4: 'u2' is not on side W",
+            "line 5: u1 already matched on line 1",
+            "line 5: w1 already matched on line 1",
+            "line 6: w1 already matched on line 1",
+            "line 7: unknown agent 'zz'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MATCHING_CORPUS))
+def test_matching_corpus_issues_are_pinned(name):
+    p = parse_profile(MATCHING_PROFILE)
+    text, issues = MATCHING_CORPUS[name]
+    with pytest.raises(ValidationError) as err:
+        parse_matching(text, p)
+    assert err.value.issues == issues
+
+
 def test_matching_acceptability_is_read_from_the_rank_table():
     p = gen_random(6, 6, 0.5, seed=11)
     i, j = next((i, j) for i in range(6) for j in range(6) if j not in p.u_lists[i])

@@ -18,6 +18,7 @@ from swapstable import (
     SwapOp,
     TooLarge,
     apply_swap,
+    blocking_indices,
     blocking_pairs,
     egalitarian_cost,
     gen_cyclic_latin,
@@ -409,7 +410,7 @@ def test_search_bounds_are_admissible():
             pu = m.pu
             leaves.append((pu, egalitarian_cost(p, m), {
                 False: local_instability(p, m),
-                True: nearstable._stabilization_cut(p, m)[0],
+                True: nearstable._stabilization_cut(p, m, blocking_indices(p, m))[0],
             }))
         for depth in range(p.n_u + 1):
             prefixes = {}

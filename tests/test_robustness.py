@@ -362,6 +362,20 @@ def test_oracle_local_balls_are_counted_before_they_are_built(monkeypatch):
         next(profiles_within(p, 36, "local"))
 
 
+def test_oracle_local_rank_rows_are_counted_before_balls_are_built(monkeypatch):
+    # one W agent listing 9 U agents: the U product is 1, but at d = 36
+    # the W agent's ball holds all 9! orderings, 9! * 9 rank-row entries,
+    # which took 2.1 s and 127 MB to build before this count refused
+    p = gen_random(9, 1, 1.0, seed=6)
+
+    def no_ball(*args):
+        raise AssertionError("list ball built past the cap")
+
+    monkeypatch.setattr(oracle, "_list_ball", no_ball)
+    with pytest.raises(TooLarge, match="rank rows exceed %d entries" % oracle.PROFILE_CAP):
+        brute_is_locally_d_stable(p, Matching.empty(9, 1), 36)
+
+
 def test_oracle_refuses_bad_modes_and_objectives():
     p = gen_random(2, 2, 1.0, seed=3)
     with pytest.raises(InvalidInput, match="mode must be"):
