@@ -1,16 +1,18 @@
-"""Dinic max-flow over int arrays, with both sides of the minimum cut.
+"""Dinic max-flow over int arrays, both sides of the minimum cut, and the
+one minimum-weight closure network (``_closure_cut``), which the optimal
+robust solvers and the stabilization cost share.
 
-Shared by the minimum-weight closure optimizer and the stabilization-cost
-cut model.  Nodes are arbitrary hashables, interned to ints; capacities are
-integers.  Arcs live in flat lists in pairs: arc ``e`` and its reverse
-``e ^ 1``.  ``max_flow`` alternates a BFS that labels each node with its
-residual distance to t (backwards from t over ``cap[e ^ 1]``, stopping once
-s is labelled) with a blocking flow found by an iterative DFS from s that
-steps only to nodes one closer to t (an explicit path stack and current-arc
-pointers, so no recursion and no depth limit).  Levelling from the sink
-keeps the DFS out of nodes that cannot reach t: in the stabilization-cost
-networks most nodes hang off the source and never reach the sink, and an
-s-levelled search entered each of them, to a dead end, in every phase.
+``FlowNetwork`` numbers its nodes 0..n-1; capacities are integers.  Arcs
+live in flat lists in pairs: arc ``e`` and its reverse ``e ^ 1``.
+Parallel arcs stay apart, which changes no cut's capacity.  ``max_flow``
+alternates a BFS that labels each node with its residual distance to t
+(backwards from t over ``cap[e ^ 1]``, stopping once s is labelled) with a
+blocking flow found by an iterative DFS from s that steps only to nodes
+one closer to t (an explicit path stack and current-arc pointers, so no
+recursion and no depth limit).  Levelling from the sink keeps the DFS out
+of nodes that cannot reach t: in the stabilization-cost networks most
+nodes hang off the source and never reach the sink, and an s-levelled
+search entered each of them, to a dead end, in every phase.
 
 Both sides of the min cut are recoverable afterwards: the source side
 (residual reachability from s) and the sink side (reverse residual
@@ -20,48 +22,35 @@ two differ exactly on tie regions, which callers use to pick a canonical
 optimum.
 """
 
+# Closure arc ends that are not items: ALWAYS is in every closed set and
+# NEVER in none.  They are the sink and the source of the closure network.
+ALWAYS, NEVER = "always", "never"
+
 
 class FlowNetwork:
-    def __init__(self):
-        self._index = {}  # node -> int
-        self._nodes = []  # int -> node
-        self.adj = {}  # node -> ids of the arcs leaving it (one per arc end)
-        self._out = []  # int -> the same lists as adj
+    """A flow network over the nodes 0..n-1."""
+
+    def __init__(self, n):
+        self._out = [[] for _ in range(n)]  # node -> ids of arcs leaving it
         self._to = []  # arc -> head node
         self._cap = []  # arc -> residual capacity
-        self._arc = {}  # (a, b) -> forward arc id
 
-    def _node(self, x):
-        k = self._index[x] = len(self._nodes)
-        self._nodes.append(x)
-        self._out.append([])
-        self.adj[x] = self._out[k]
-        return k
+    @property
+    def adj(self):
+        """Node -> ids of its arc ends, built when read; the benchmark's
+        tracer counts nodes and arcs from it."""
+        return dict(enumerate(self._out))
 
     def add_edge(self, a, b, capacity):
-        """Add capacity on a->b; parallel calls accumulate."""
-        e = self._arc.get((a, b))
-        if e is not None:
-            self._cap[e] += capacity
-            return
-        ia = self._index.get(a)
-        if ia is None:
-            ia = self._node(a)
-        ib = self._index.get(b)
-        if ib is None:
-            ib = self._node(b)
-        e = self._arc[(a, b)] = len(self._to)
-        self._to += (ib, ia)
+        """Add an arc a->b; parallel arcs add up."""
+        e = len(self._to)
+        self._to += (b, a)
         self._cap += (capacity, 0)
-        self._out[ia].append(e)
-        self._out[ib].append(e ^ 1)
+        self._out[a].append(e)
+        self._out[b].append(e ^ 1)
 
     def max_flow(self, s, t):
         """Total flow; the arc capacities become the residual graph."""
-        if s not in self._index or t not in self._index:
-            return 0
-        s = self._index[s]
-        t = self._index[t]
         to, cap, out = self._to, self._cap, self._out
         n = len(out)
         total = 0
@@ -127,17 +116,43 @@ class FlowNetwork:
     def _reach(self, start, flip):
         # flip=0 follows arcs with residual capacity, flip=1 follows them
         # backwards (the reverse of each out-arc is the arc coming in).
-        k = self._index.get(start)
-        if k is None:
-            return {start}
         to, cap, out = self._to, self._cap, self._out
         seen = [False] * len(out)
-        seen[k] = True
-        queue = [k]
+        seen[start] = True
+        queue = [start]
         for x in queue:
             for e in out[x]:
                 y = to[e]
                 if not seen[y] and cap[e ^ flip]:
                     seen[y] = True
                     queue.append(y)
-        return {self._nodes[x] for x in queue}
+        return set(queue)
+
+
+def _closure_cut(weights, arcs):
+    """Solve the minimum-weight closure of items 0..n-1, n = len(weights).
+
+    Each arc (a, b) asks for a to be chosen when b is; either end may be
+    ALWAYS or NEVER.  The network runs from NEVER, node n, to ALWAYS, node
+    n + 1.  An item of weight w > 0 hangs from the source with capacity w,
+    one of weight w < 0 runs into the sink with -w, and each arc gets
+    inf = 1 + sum(|w|).  A cut that crosses no such arc chooses its sink
+    side and costs the chosen weight less the negative weights, so the
+    items off the minimal source side are the union of all minimum-weight
+    closed sets and those on the minimal sink side their intersection.
+    Returns (flow value, solved network), or None when the flow reaches
+    inf: exactly when a path of arcs leads from NEVER to ALWAYS.
+    """
+    n = len(weights)
+    inf = 1 + sum(map(abs, weights))
+    node = {NEVER: n, ALWAYS: n + 1}
+    net = FlowNetwork(n + 2)
+    for i, w in enumerate(weights):
+        if w > 0:
+            net.add_edge(n, i, w)
+        elif w < 0:
+            net.add_edge(i, n + 1, -w)
+    for a, b in arcs:
+        net.add_edge(node.get(a, a), node.get(b, b), inf)
+    flow = net.max_flow(n, n + 1)
+    return None if flow >= inf else (flow, net)

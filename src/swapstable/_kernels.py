@@ -3,8 +3,7 @@ egalitarian_cost (``partner_ranks``, which the rotation and robustness
 engines share), and the inversion count behind swap distances.
 
 The module and its names stay because the benchmark reports its
-``kernels.*`` per-layer metrics from them, as it reports
-``profile.rank_matrices`` from the builds of ``Profile.rank_u``/``rank_w``.
+``kernels.*`` per-layer metrics from them.
 """
 
 from bisect import bisect_right, insort

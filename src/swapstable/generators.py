@@ -12,7 +12,7 @@ stable matchings form the lattice of the paper's first example.
 import random
 
 from .errors import InvalidInput
-from .profile import Matching, validate_profile
+from .profile import Matching, _check_pair_count, validate_profile
 
 
 def gen_example2(n):
@@ -24,6 +24,7 @@ def gen_example2(n):
     """
     if n < 2:
         raise InvalidInput("gen_example2 needs n >= 2")
+    _check_pair_count(2 * n, 2 * n)
     u_names = ["a%d" % i for i in range(n)] + ["x%d" % i for i in range(1, n + 1)]
     w_names = ["b%d" % j for j in range(n)] + ["y%d" % i for i in range(1, n + 1)]
     u_lists = []
@@ -71,6 +72,7 @@ def gen_cyclic_latin(n):
     """
     if n < 1:
         raise InvalidInput("gen_cyclic_latin needs n >= 1")
+    _check_pair_count(n, n)
     u_lists = [[(i + k) % n for k in range(n)] for i in range(n)]
     w_lists = [[(j + k) % n for k in range(n)] for j in range(n)]
     return validate_profile(u_lists, w_lists)
@@ -87,6 +89,7 @@ def gen_random(n_u, n_w, density, seed):
         raise InvalidInput("density must be within [0, 1], got %r" % (density,))
     if n_u < 0 or n_w < 0:
         raise InvalidInput("side sizes must be nonnegative")
+    _check_pair_count(n_u, n_w)
     rng = random.Random(seed)
     u_lists = [[] for _ in range(n_u)]
     w_lists = [[] for _ in range(n_w)]

@@ -4,7 +4,8 @@ A matching that is not stable may still be d-nearly stable: some profile
 within swap distance d (total over all lists for the global notion, per
 list for the local one) renders it stable.  The local notion collapses to
 a per-blocking-pair rank-gap formula; the global one is solved exactly as
-a minimum cut over per-agent shift thresholds.  The optimization problems
+a minimum-weight closure over per-agent shift thresholds, on the same
+closure network as the optimal robust solvers.  The optimization problems
 (find a nearly stable matching that is perfect or cheap) share one
 exponential-time exact search, a branch-and-bound over matchings whose
 leaves are priced by the rank-gap formula or the min-cut; that is as good
@@ -32,7 +33,7 @@ report INFINITE in that case.
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ._flow import FlowNetwork
+from ._flow import ALWAYS, NEVER, _closure_cut
 from .errors import InvalidInput, NotNearlyStable, TooLarge, check_budget, verify
 from .profile import (
     INFINITE,
@@ -170,11 +171,15 @@ def _stabilization_cut(p, m, bps):
     for all cheaper ones, so each agent's options form a chain of its
     distinct defuse thresholds, each step priced at the gap to the one
     below.  Every pair needs one side covered; the cheapest choice is a
-    minimum s-t cut with U-chains oriented from the source and W-chains
-    toward the sink.  The chain of unit steps gives the same cuts: each of
-    its min cuts ends every chain at a threshold, since stopping at the
-    threshold below saves units and crosses no infinite arc.  The cost is
-    INFINITE, with no steps, when two unmatched agents block each other.
+    minimum-weight closure (_flow._closure_cut) whose items are the steps:
+    a U step weighs +price and is chosen when performed, a W step weighs
+    -price and is chosen when not, so the flow is the cost.  Closure arcs
+    keep each chain a prefix and cover each pair; an unmatched endpoint is
+    NEVER on the U side and ALWAYS on the W side.  The chain of unit steps
+    gives the same cuts: each of its min cuts ends every chain at a
+    threshold, since stopping at the threshold below saves units and
+    crosses no closure arc.  The cost is INFINITE, with no steps, when two
+    unmatched agents block each other.
     """
     needs = []
     u_levels = {}
@@ -189,47 +194,29 @@ def _stabilization_cut(p, m, bps):
             w_levels.setdefault(j, set()).add(cw)
     if not needs:
         return (0, {}, {})
-    u_levels = {i: sorted(cs) for i, cs in u_levels.items()}
-    w_levels = {j: sorted(cs) for j, cs in w_levels.items()}
-    inf_cap = 1 + sum(cs[-1] for cs in [*u_levels.values(), *w_levels.values()])
-    net = FlowNetwork()
-    # Chain nodes are ints, numbered as they are made; u_ids[i] (w_ids[j])
-    # maps each of the agent's thresholds to its node.  A U node on the
-    # sink side means the promotion up to its threshold is performed; a W
-    # node on the source side likewise.  Infinite arcs keep each chain a
-    # prefix and forbid leaving a pair uncovered on both sides.
+    # u_ids[i] (w_ids[j]) maps each of the agent's thresholds to its item
+    weights = []
+    arcs = []
     u_ids = {}
     w_ids = {}
-    node = 0
-    for i, cs in u_levels.items():
-        ids = u_ids[i] = {}
-        below = 0
-        for c in cs:
-            ids[c] = node
-            net.add_edge("s", node, c - below)
-            if below:
-                net.add_edge(node - 1, node, inf_cap)
-            below = c
-            node += 1
-    for j, cs in w_levels.items():
-        ids = w_ids[j] = {}
-        below = 0
-        for c in cs:
-            ids[c] = node
-            net.add_edge(node, "t", c - below)
-            if below:
-                net.add_edge(node, node - 1, inf_cap)
-            below = c
-            node += 1
-    # an unmatched endpoint's node is its side's terminal
+    for ids, levels, sign in ((u_ids, u_levels, 1), (w_ids, w_levels, -1)):
+        for i, cs in levels.items():
+            ids[i] = {}
+            below = 0
+            for c in sorted(cs):
+                k = ids[i][c] = len(weights)
+                weights.append(sign * (c - below))
+                if below:
+                    arcs.append((k - 1, k) if sign > 0 else (k, k - 1))
+                below = c
     for i, j, cu, cw in needs:
-        a = "s" if cu is INFINITE else u_ids[i][cu]
-        b = "t" if cw is INFINITE else w_ids[j][cw]
-        net.add_edge(a, b, inf_cap)
-    cost = net.max_flow("s", "t")
-    # Min cuts form a lattice; taking the one nearest the sink resolves
-    # ties toward W-side promotions, which keeps the witness deterministic.
-    sink = net.sink_side("t")
+        a = NEVER if cu is INFINITE else u_ids[i][cu]
+        b = ALWAYS if cw is INFINITE else w_ids[j][cw]
+        arcs.append((a, b))
+    cost, net = _closure_cut(weights, arcs)
+    # Min cuts form a lattice; the minimal sink side resolves ties toward
+    # W-side promotions, which keeps the witness deterministic.
+    sink = net.sink_side(len(weights) + 1)
     u_steps = {
         i: max((c for c, k in ids.items() if k in sink), default=0)
         for i, ids in u_ids.items()
@@ -504,10 +491,11 @@ def _perfect_ruled_out(p, d):
     within d swaps in all.
 
     Every stable matching matches the same agents, the k pairs of
-    u_optimal(p) (the Rural Hospitals theorem), which gives three rules: the sides differ in size; the n_u - k agents per side that no
-    stable matching matches outnumber the k that every one does (stable in
-    any reordering, such a matching pairs a never-matched agent only with
-    an always-matched one, or the two would block); or d < n_u - k, since
+    u_optimal(p) (the Rural Hospitals theorem), which gives three rules:
+    the sides differ in size; the n_u - k agents per side that no stable
+    matching matches outnumber the k that every one does (stable in any
+    reordering, such a matching pairs a never-matched agent only with an
+    always-matched one, or the two would block); or d < n_u - k, since
     the number of matched agents moves by at most two per swap and
     2 * (n_u - k) are unmatched.
     """

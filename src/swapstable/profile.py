@@ -322,6 +322,16 @@ def _one_sided(lists, back, back_lists):
                 yield owner, other
 
 
+def _check_pair_count(n_u, n_w):
+    """Raise TooLarge when an n_u x n_w profile has more than TABLE_CAP
+    agent pairs; ingest and the generators check before building lists."""
+    if n_u * n_w > TABLE_CAP:
+        raise TooLarge(
+            "profile has %d x %d agent pairs; rank tables hold at most %d (TABLE_CAP)"
+            % (n_u, n_w, TABLE_CAP)
+        )
+
+
 def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
     """The Profile of the lists, with both rank tables, or ValidationError.
 
@@ -337,11 +347,7 @@ def _ingest(u_lists, w_lists, u_names, w_names, issues, row_issues, where):
     ``where(side, owner)``.  A profile with more than
     TABLE_CAP agent pairs raises TooLarge before either table is built.
     """
-    if len(u_lists) * len(w_lists) > TABLE_CAP:
-        raise TooLarge(
-            "profile has %d x %d agent pairs; rank tables hold at most %d (TABLE_CAP)"
-            % (len(u_lists), len(w_lists), TABLE_CAP)
-        )
+    _check_pair_count(len(u_lists), len(w_lists))
     faults = ([], [])
     rank_u = _rank_table(u_lists, len(w_lists), faults[0])
     rank_w = _rank_table(w_lists, len(u_lists), faults[1])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from ._flow import FlowNetwork
+from ._flow import ALWAYS, NEVER, _closure_cut
 from ._kernels import partner_ranks
 from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify
 from .profile import Agent, Matching, Side, is_stable
@@ -100,12 +100,6 @@ def eliminate(m, rho):
     return Matching(n_u=m.n_u, n_w=m.n_w, pairs=frozenset(pairs))
 
 
-# Events at the two ends of an agent's runs (see RotationDigraph): what
-# already holds at u_optimal, and what holds in no stable matching; the
-# sink and the source of min_weight_closure.
-ALWAYS, NEVER = "always", "never"
-
-
 @dataclass(frozen=True)
 class RotationDigraph:
     """All rotations of a profile, precedence arcs, and each agent's runs.
@@ -123,10 +117,11 @@ class RotationDigraph:
     the event by which a's partner ranks r or worse.  ``w_runs[b]`` holds
     b's bounds in ascending order, from its w_optimal partner to its
     u_optimal one, and ``events[bisect_left(bounds, r)]`` is the event by
-    which b's partner ranks better than r.  An event is a rotation, or
-    ALWAYS or NEVER at the two ends of ``events``.  An agent unmatched at
-    u_optimal is unmatched in every stable matching; its one bound is its
-    list length.  The stable pairs are exactly the pairs at the bounds.
+    which b's partner ranks better than r.  An event is a rotation, or at
+    the two ends of ``events`` ALWAYS (so already at u_optimal) or NEVER
+    (so in no stable matching).  An agent unmatched at u_optimal is
+    unmatched in every stable matching; its one bound is its list length.
+    The stable pairs are exactly the pairs at the bounds.
     """
 
     rotations: tuple
@@ -333,31 +328,21 @@ def min_weight_closure(dg, weights, arcs=frozenset()):
     ``weights`` holds one weight per rotation.  Each of ``arcs``, on top of
     the digraph's own, is an arc (a, b): b may only be chosen together with
     a.  Either end may be a sentinel, ALWAYS (in every subset) or NEVER (in
-    none), so (a, ALWAYS) forces a and (NEVER, b) forbids b.  Solved as one
-    max-flow project selection (Picard 1976) from NEVER, the source, to
-    ALWAYS, the sink: chosen rotations form the sink side, weights are arcs
-    from the source (positive) or to the sink (negative), and every arc is
-    an infinite one.  The flow reaches the infinite capacity, and no subset
-    is feasible, exactly when a path of arcs leads from NEVER to ALWAYS.
-    The minimal source side over all minimum cuts makes the answer the
-    union of all minimum-weight feasible subsets.
+    none), so (a, ALWAYS) forces a and (NEVER, b) forbids b.  Solved by
+    the package's one closure network (Picard 1976), ``_flow._closure_cut``;
+    no subset is feasible exactly when a path of arcs leads from NEVER to
+    ALWAYS.  The minimal source side over all minimum cuts makes the answer
+    the union of all minimum-weight feasible subsets.
     """
     if len(weights) != dg.n:
         raise InvalidInput("%d weights for %d rotations" % (len(weights), dg.n))
     rotations = range(dg.n)
+    arcs = dg.arcs.union(arcs)
     for i in chain(*arcs):
         if i not in (ALWAYS, NEVER) and i not in rotations:
             raise InvalidInput("rotation index %r out of range" % (i,))
-    inf = 1 + sum(abs(w) for w in weights)
-    net = FlowNetwork()
-    for i, w in enumerate(weights):
-        if w > 0:
-            net.add_edge(NEVER, i, w)
-        elif w < 0:
-            net.add_edge(i, ALWAYS, -w)
-    for a, b in chain(dg.arcs, arcs):
-        net.add_edge(a, b, inf)
-    if net.max_flow(NEVER, ALWAYS) >= inf:
+    solved = _closure_cut(weights, arcs)
+    if solved is None:
         return None
-    dropped = net.source_side(NEVER)
+    dropped = solved[1].source_side(dg.n)
     return frozenset(i for i in rotations if i not in dropped)

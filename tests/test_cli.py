@@ -429,6 +429,18 @@ def test_table_cap_exits_2(capsys, monkeypatch, tmp_path):
     assert code == 0 and report["result"] == "found"
 
 
+def test_gen_refuses_a_huge_n_before_building_lists(capsys):
+    # the generators check TABLE_CAP before they build any list, so a
+    # huge n exits 2 at once instead of running out of memory
+    for family, side in (("random", 10**6), ("cyclic", 10**6), ("example2", 2 * 10**6)):
+        code, out, err = run(capsys, "gen", "--family", family, "--n", str(10**6))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: profile has %d x %d agent pairs; rank tables hold at most %d (TABLE_CAP)\n"
+            % (side, side, 10**8)
+        )
+
+
 def test_oracle_caps_exit_2(capsys, monkeypatch, tmp_path):
     # the brute-force mirrors refuse a profile too large to enumerate with a
     # message, tested on caps rather than a real blow-up

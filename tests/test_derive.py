@@ -26,7 +26,7 @@ from swapstable import (
     u_optimal,
     witness_profile_local,
 )
-from swapstable import nearstable, profile as profile_module
+from swapstable import _flow, profile as profile_module
 from swapstable.profile import INFINITE, _changed_window, _checked_table, _derive, _list_distance
 
 from helpers import random_matching
@@ -190,14 +190,16 @@ def test_global_witness_builds_rows_only_for_promoted_lists(monkeypatch):
 
 
 def test_witness_cut_network_size_is_pinned(monkeypatch):
-    monkeypatch.setattr(nearstable, "FlowNetwork", RecordingNetwork)
+    monkeypatch.setattr(_flow, "FlowNetwork", RecordingNetwork)
     monkeypatch.setattr(RecordingNetwork, "made", [])
     p = gen_random(40, 40, 0.7, seed=3100)
     m = random_matching(p, random.Random(3101), skip_chance=0.0)
     global_stabilization_cost(p, m)
-    (arcs,) = RecordingNetwork.made
+    ((n, arcs),) = RecordingNetwork.made
     nodes = {x for a, b, _ in arcs for x in (a, b)}
     # one add_edge call per arc: 40 matched pairs, 1191 arcs
-    assert (len(nodes), len(arcs), len({(a, b) for a, b, _ in arcs})) == (506, 1191, 1191)
-    # chain nodes are the ints 0, 1, ... in the order they are made
-    assert nodes - {"s", "t"} == set(range(len(nodes) - 2))
+    assert (n, len(nodes), len(arcs), len({(a, b) for a, b, _ in arcs})) == (506, 506, 1191, 1191)
+    # every node is used: the items are the ints 0, 1, ..., and the source
+    # NEVER and the sink ALWAYS are the last two
+    assert nodes == set(range(n))
+    assert all(a != n - 1 and b != n - 2 for a, b, _ in arcs)

@@ -4,6 +4,7 @@ import pytest
 
 from swapstable import (
     InvalidInput,
+    TooLarge,
     egalitarian_cost,
     example2_rotated_matching,
     example2_stable_matching,
@@ -19,6 +20,7 @@ from swapstable import (
     u_optimal,
     w_optimal,
 )
+from swapstable import generators, profile
 from swapstable.oracle import enumerate_stable_bf
 
 
@@ -86,6 +88,27 @@ def test_random_generator_is_seeded_and_validated():
         gen_random(3, 3, 1.5, seed=0)
     with pytest.raises(InvalidInput):
         gen_random(-1, 3, 0.5, seed=0)
+
+
+def test_generators_check_table_cap_before_building_lists(monkeypatch):
+    # each generator below makes a 4 x 4 profile, 16 agent pairs; the cap
+    # is read at call time, and over it no list reaches validation
+    made = (
+        lambda: gen_random(4, 4, 0.5, seed=0),
+        lambda: gen_cyclic_latin(4),
+        lambda: gen_example2(2),
+    )
+    monkeypatch.setattr(profile, "TABLE_CAP", 16)
+    assert [p.n_u * p.n_w for p in (make() for make in made)] == [16, 16, 16]
+
+    def no_lists(*args):
+        raise AssertionError("lists built past the cap")
+
+    monkeypatch.setattr(profile, "TABLE_CAP", 15)
+    monkeypatch.setattr(generators, "validate_profile", no_lists)
+    for make in made:
+        with pytest.raises(TooLarge, match=r"4 x 4 agent pairs; .* at most 15 \(TABLE_CAP\)"):
+            make()
 
 
 def test_lattice_fixture_search_succeeds():

@@ -184,26 +184,35 @@ def unit_chain_cost(p, m):
         if cw is not INFINITE:
             max_w[j] = max(max_w.get(j, 0), cw)
     inf_cap = 1 + sum(max_u.values()) + sum(max_w.values())
-    net = FlowNetwork()
+    arcs = []
     for i, top in max_u.items():
         for k in range(1, top + 1):
-            net.add_edge("s", ("u", i, k), 1)
+            arcs.append(("s", ("u", i, k), 1))
             if k > 1:
-                net.add_edge(("u", i, k - 1), ("u", i, k), inf_cap)
+                arcs.append((("u", i, k - 1), ("u", i, k), inf_cap))
     for j, top in max_w.items():
         for k in range(1, top + 1):
-            net.add_edge(("w", j, k), "t", 1)
+            arcs.append((("w", j, k), "t", 1))
             if k > 1:
-                net.add_edge(("w", j, k), ("w", j, k - 1), inf_cap)
+                arcs.append((("w", j, k), ("w", j, k - 1), inf_cap))
     for i, j, cu, cw in needs:
         if cu is INFINITE:
-            net.add_edge("s", ("w", j, cw), inf_cap)
+            arcs.append(("s", ("w", j, cw), inf_cap))
         elif cw is INFINITE:
-            net.add_edge(("u", i, cu), "t", inf_cap)
+            arcs.append((("u", i, cu), "t", inf_cap))
         else:
-            net.add_edge(("u", i, cu), ("w", j, cw), inf_cap)
-    cost = net.max_flow("s", "t")
-    sink = net.sink_side("t")
+            arcs.append((("u", i, cu), ("w", j, cw), inf_cap))
+    # number the tuple nodes for the int-numbered network
+    ids = {"s": 0, "t": 1}
+    for a, b, _ in arcs:
+        ids.setdefault(a, len(ids))
+        ids.setdefault(b, len(ids))
+    net = FlowNetwork(len(ids))
+    for a, b, c in arcs:
+        net.add_edge(ids[a], ids[b], c)
+    cost = net.max_flow(ids["s"], ids["t"])
+    sink_ids = net.sink_side(ids["t"])
+    sink = {x for x, k in ids.items() if k in sink_ids}
     u_lists = p.u_lists
     w_lists = p.w_lists
     for i, top in max_u.items():

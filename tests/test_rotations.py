@@ -274,10 +274,13 @@ def sentinel_arcs(forced, forbidden, extra):
     return extra | {(a, ALWAYS) for a in forced} | {(NEVER, b) for b in forbidden}
 
 
-def closure_draws(dg, rng):
+def closure_draws(dg, delta, rng):
     """Arc draws: loose random ones, then a cycle of arcs through a forced
     rotation and one through a forbidden rotation, with the other kind
-    drawn from all rotations (the cycle's included)."""
+    drawn from all rotations (the cycle's included), then every digraph arc
+    again with sentinel arcs on weighted rotations: each forbids a rotation
+    of positive weight or forces one of negative weight, an arc parallel to
+    that rotation's weight arc in the flow network."""
     nodes = list(range(dg.n))
     forced = frozenset(rng.sample(nodes, k=rng.randint(0, min(2, dg.n))))
     rest = [i for i in nodes if i not in forced]
@@ -293,22 +296,32 @@ def closure_draws(dg, rng):
         other = frozenset(rng.sample(nodes, k=rng.randint(0, 1)))
         forced, forbidden = (pinned, other) if pin_forced else (other, pinned)
         yield sentinel_arcs(forced, forbidden, extra)
+    weighted = [i for i in nodes if delta[i]]
+    picked = rng.sample(weighted, k=rng.randint(0, min(2, len(weighted))))
+    yield sentinel_arcs(
+        [i for i in picked if delta[i] < 0], [i for i in picked if delta[i] > 0], dg.arcs
+    )
 
 
 def test_min_weight_closure_agrees_with_enumeration():
     # The answer is the union of all lightest feasible subsets: the
     # optimal robust solvers return its matching, so the tie rule is part
-    # of their answers.
+    # of their answers.  The last draw of each profile repeats the
+    # digraph's arcs and lays sentinel arcs beside weight arcs: neither
+    # may change an answer.
     rng = random.Random(7)
-    checked = infeasible = cycles = 0
+    checked = infeasible = cycles = parallel = 0
     for p in random_profiles(120, 5, 5, 1.0, seed_base=900):
         dg = rotation_digraph(p)
         if dg.n == 0:
             continue
         delta = [rng.randint(-5, 5) for _ in range(dg.n)]
-        for k, arcs in enumerate(closure_draws(dg, rng)):
-            cycles += k > 0 and sum(ALWAYS not in arc and NEVER not in arc for arc in arcs) > 1
+        for k, arcs in enumerate(closure_draws(dg, delta, rng)):
+            cycles += k in (1, 2) and sum(ALWAYS not in arc and NEVER not in arc for arc in arcs) > 1
+            parallel += k == 3 and len(arcs) > len(dg.arcs)
             got = min_weight_closure(dg, delta, arcs)
+            # arcs given once, as an iterator, are read as the same set
+            assert min_weight_closure(dg, delta, iter(arcs)) == got
             want = brute_closure(dg, delta, arcs)
             if want is None:
                 assert got is None
@@ -322,6 +335,7 @@ def test_min_weight_closure_agrees_with_enumeration():
     assert checked > 40
     assert infeasible >= 10
     assert cycles >= 10
+    assert parallel >= 10
 
 
 def test_min_weight_closure_rejects_out_of_range_indices():

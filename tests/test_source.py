@@ -228,3 +228,25 @@ def test_profiles_are_derived_in_one_place():
                     if alias.name == "replace"
                 ]
     assert found == []
+
+
+def test_flow_networks_are_built_in_one_place():
+    # Both min-cut engines, the optimal robust solvers' rotation closure
+    # and the stabilization cut, are minimum-weight closures: one builder
+    # makes the network for both, so a second FlowNetwork(...) would be a
+    # second network model to keep in step with it.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stack = [(tree, "<module>")]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            elif isinstance(node, ast.Call) and "FlowNetwork" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                found.append("%s:%s" % (path.name, where))
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    assert found == ["_flow.py:_closure_cut"]
