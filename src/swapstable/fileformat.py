@@ -167,7 +167,8 @@ def parse_profile(text: str) -> Profile:
 
 
 def _writable_name(name):
-    if not name or ":" in name or name.startswith("#") or any(c.isspace() for c in name):
+    # split() == [name]: non-empty and free of whitespace
+    if name.split() != [name] or ":" in name or name.startswith("#"):
         raise InvalidInput("agent name %r cannot be written in the v1 format" % name)
     return name
 
@@ -176,15 +177,14 @@ def serialize_profile(p: Profile) -> str:
     """Canonical v1 text for p; parse_profile inverts it exactly."""
     for name in p.u_names + p.w_names:
         _writable_name(name)
+    u_name, w_name = p.u_names.__getitem__, p.w_names.__getitem__
     lines = [HEADER]
     lines.append(("side U: " + " ".join(p.u_names)).rstrip())
     lines.append(("side W: " + " ".join(p.w_names)).rstrip())
-    for i, lst in enumerate(p.u_lists):
-        row = " ".join(p.w_names[j] for j in lst)
-        lines.append(("%s: %s" % (p.u_names[i], row)).rstrip())
-    for j, lst in enumerate(p.w_lists):
-        row = " ".join(p.u_names[i] for i in lst)
-        lines.append(("%s: %s" % (p.w_names[j], row)).rstrip())
+    for name, lst in zip(p.u_names, p.u_lists):
+        lines.append(("%s: %s" % (name, " ".join(map(w_name, lst)))).rstrip())
+    for name, lst in zip(p.w_names, p.w_lists):
+        lines.append(("%s: %s" % (name, " ".join(map(u_name, lst)))).rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -9,10 +9,19 @@ square is the extremal family for robustness (its diagonal matching is
 stable matchings form the lattice of the paper's first example.
 """
 
+import operator
 import random
 
 from .errors import InvalidInput
 from .profile import Matching, _check_pair_count, validate_profile
+
+
+def _integer(n, what):
+    """n as an int; InvalidInput when it is not an integer (2.5, "3")."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise InvalidInput("%s must be an integer, got %r" % (what, n)) from None
 
 
 def gen_example2(n):
@@ -22,6 +31,7 @@ def gen_example2(n):
     b_0 ranks a_0 over a_{n-1}; b_i (i ≥ 1) ranks a_{i-1} first, then every
     x, then a_i; y_i only accepts x_i.  Needs n ≥ 2.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise InvalidInput("gen_example2 needs n >= 2")
     _check_pair_count(2 * n, 2 * n)
@@ -70,6 +80,7 @@ def gen_cyclic_latin(n):
     which makes the diagonal top-choice matching (n−1)-robust and the
     profile position-wise distinct.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidInput("gen_cyclic_latin needs n >= 1")
     _check_pair_count(n, n)
@@ -78,30 +89,57 @@ def gen_cyclic_latin(n):
     return validate_profile(u_lists, w_lists)
 
 
+def _shuffle(lst, getrandbits):
+    """Shuffle lst in place exactly as random.Random.shuffle does.
+
+    CPython's shuffle is Durstenfeld's Fisher-Yates loop (CACM Algorithm
+    235, 1964): for i from len - 1 down to 1 it swaps lst[i] with lst[r],
+    where r < i + 1 comes from drawing (i + 1).bit_length() bits and
+    redrawing while r > i.  Running that loop here skips the Python-level
+    _randbelow call that shuffle makes per element; the draws, taken from
+    getrandbits in the same order, give the same list.
+    """
+    for i in range(len(lst) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        r = getrandbits(k)
+        while r > i:
+            r = getrandbits(k)
+        lst[i], lst[r] = lst[r], lst[i]
+
+
 def gen_random(n_u, n_w, density, seed):
     """Seeded random profile; each cross pair acceptable with prob density.
 
-    Acceptability is drawn pair by pair (mutual by construction), then each
-    agent's list is an independent shuffle of its acceptable set.  The same
-    seed always gives the same profile.
+    Draws from random.Random(seed), in this order: one random() per pair
+    (u_i, w_j), i outer and j inner, the pair acceptable when it is below
+    density (so acceptability is mutual by construction); then a shuffle
+    of each U agent's acceptable set, u_0 first; then one of each W
+    agent's, w_0 first, whose set starts in index order.  Each shuffle is
+    random.Random.shuffle's loop (see _shuffle).  The same arguments
+    always give the same profile.
     """
-    if not 0 <= density <= 1:
-        raise InvalidInput("density must be within [0, 1], got %r" % (density,))
+    try:
+        ok = 0 <= density <= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidInput("density must be a number within [0, 1], got %r" % (density,))
+    n_u, n_w = _integer(n_u, "n_u"), _integer(n_w, "n_w")
     if n_u < 0 or n_w < 0:
         raise InvalidInput("side sizes must be nonnegative")
     _check_pair_count(n_u, n_w)
     rng = random.Random(seed)
-    u_lists = [[] for _ in range(n_u)]
-    w_lists = [[] for _ in range(n_w)]
-    for i in range(n_u):
-        for j in range(n_w):
-            if rng.random() < density:
-                u_lists[i].append(j)
-                w_lists[j].append(i)
+    rand, getrandbits = rng.random, rng.getrandbits
+    cols = range(n_w)
+    u_lists = [[j for j in cols if rand() < density] for _ in range(n_u)]
+    w_lists = [[] for _ in cols]
+    for i, lst in enumerate(u_lists):
+        for j in lst:
+            w_lists[j].append(i)
     for lst in u_lists:
-        rng.shuffle(lst)
+        _shuffle(lst, getrandbits)
     for lst in w_lists:
-        rng.shuffle(lst)
+        _shuffle(lst, getrandbits)
     return validate_profile(u_lists, w_lists)
 
 

@@ -56,6 +56,11 @@ Cost = Union[int, float]
 
 # Partners the near-stability search may try before raising TooLarge.
 SEARCH_CAP = 1_000_000
+# Rows (budgets 0..d_max) a tradeoff curve may hold.  Swaps only reorder
+# lists, so no two profiles on the same acceptable pairs are more than
+# sum L(L-1)/2 swaps apart (7,600 at complete n = 20), and past that every
+# budget answers alike.
+CURVE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -622,14 +627,23 @@ def tradeoff_curve(p, mode, d_max, objective):
     only improve as d grows, because a d-nearly stable matching is also
     (d+1)-nearly stable, so each later budget runs the one search with eta
     at the previous value; that matching keeps a leaf feasible.  The mode
-    picks the solver and the instability _search tests at the leaves.
+    picks the solver and the instability _search tests at the leaves.  A
+    perfect matching found at some d stays within every larger budget, so
+    the perfect curve calls the solver only until its first True.  Raises
+    TooLarge, before any solver call, when d_max + 1 exceeds CURVE_CAP.
     """
     objective = _check_query(objective, INFINITE, d_max)
     solver = {"global": solve_global_near, "local": solve_local_near}.get(mode)
     if solver is None:
         raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
+    if d_max + 1 > CURVE_CAP:
+        raise TooLarge(
+            "a curve over budgets 0..%d has more than %d rows (CURVE_CAP)" % (d_max, CURVE_CAP)
+        )
     if objective == Objective.PERFECT:
-        return [(d, solver(p, d, objective) is not None) for d in range(d_max + 1)]
+        budgets = range(d_max + 1)
+        first = next((d for d in budgets if solver(p, d, objective) is not None), d_max + 1)
+        return [(d, d >= first) for d in budgets]
     value = egalitarian_cost(p, find_d_robust_optimal(p, 0, objective))
     out = [(0, value)]
     for d in range(1, d_max + 1):

@@ -253,6 +253,22 @@ def test_tradeoff_curve_and_csv(capsys, crown, tmp_path):
     assert csv_path.read_text() == "d,value\n0,true\n"
 
 
+def test_tradeoff_past_the_row_cap_exits_2_before_solving(capsys, tmp_path, monkeypatch):
+    # at 10^8 budgets the curve would hang and grow without bound
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver called past the row cap")
+
+    monkeypatch.setattr(swapstable.nearstable, "solve_global_near", no_solver)
+    prof = tmp_path / "one.profile"
+    prof.write_text(serialize_profile(gen_random(1, 1, 1.0, seed=0)))
+    code, out, err = run(
+        capsys, "tradeoff", "--profile", str(prof), "--mode", "global",
+        "--max-d", "100000000", "--objective", "perfect",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: a curve over budgets 0..100000000 has more than 10000 rows (CURVE_CAP)\n"
+
+
 def test_gen_families_match_the_library(capsys):
     cases = [
         (["gen", "--family", "example3"], gen_example3()),

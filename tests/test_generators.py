@@ -1,5 +1,8 @@
 """Instance generators: pinned structures and determinism."""
 
+import hashlib
+import random
+
 import pytest
 
 from swapstable import (
@@ -17,6 +20,7 @@ from swapstable import (
     is_stable,
     local_instability,
     rotation_digraph,
+    serialize_profile,
     u_optimal,
     w_optimal,
 )
@@ -90,6 +94,69 @@ def test_random_generator_is_seeded_and_validated():
         gen_random(-1, 3, 0.5, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_random(3.5, 3, 1.0, 0),
+        lambda: gen_random(3, 3.0, 1.0, 0),
+        lambda: gen_random(3, 3, "0.5", 0),
+        lambda: gen_random(3, 3, None, 0),
+        lambda: gen_random("3", 3, 0.5, 0),
+        lambda: gen_cyclic_latin(2.5),
+        lambda: gen_cyclic_latin("4"),
+        lambda: gen_example2(2.5),
+    ],
+)
+def test_generators_refuse_non_integer_sizes_and_non_number_densities(make):
+    with pytest.raises(InvalidInput):
+        make()
+
+
+def test_generators_build_from_the_converted_size():
+    # a size with __index__ but no arithmetic is used as the int it names
+    class Size:
+        def __init__(self, n):
+            self.n = n
+
+        def __index__(self):
+            return self.n
+
+    assert gen_example2(Size(3)) == gen_example2(3)
+    assert gen_cyclic_latin(Size(3)) == gen_cyclic_latin(3)
+    assert gen_random(Size(3), Size(2), 0.5, 1) == gen_random(3, 2, 0.5, 1)
+
+
+# sha256 over serialize_profile of every profile of the grid below,
+# recorded while gen_random still called random.Random.shuffle; the grid
+# covers empty and one-agent sides, rectangles both ways and densities 0, 1
+GRID_SHA256 = "4d3dc5793245430aa63b50ee4e728736192ab2d669d84116cd08d63641ae819d"
+
+
+def test_random_profiles_are_a_fixed_function_of_the_seed():
+    h = hashlib.sha256()
+    count = 0
+    for n in (0, 1, 2, 5, 20, 60):
+        for n_u, n_w in ((n, n), (n, n // 2 + 1), (n // 3 + 2, n)):
+            for density in (0, 0.1, 0.5, 1.0):
+                for seed in (0, 1, 29, 2**31 - 1):
+                    h.update(serialize_profile(gen_random(n_u, n_w, density, seed)).encode())
+                    count += 1
+    assert count == 288
+    assert h.hexdigest() == GRID_SHA256
+
+
+def test_shuffle_draws_as_random_shuffle_does():
+    # the same list, and the generator left where shuffle leaves it
+    for seed in (0, 1, 7, 29, 2**31 - 1):
+        for length in range(71):
+            ref, rng = random.Random(seed), random.Random(seed)
+            want, got = list(range(length)), list(range(length))
+            ref.shuffle(want)
+            generators._shuffle(got, rng.getrandbits)
+            assert got == want, (seed, length)
+            assert rng.getstate() == ref.getstate()
+
+
 def test_generators_check_table_cap_before_building_lists(monkeypatch):
     # each generator below makes a 4 x 4 profile, 16 agent pairs; the cap
     # is read at call time, and over it no list reaches validation
@@ -106,6 +173,8 @@ def test_generators_check_table_cap_before_building_lists(monkeypatch):
 
     monkeypatch.setattr(profile, "TABLE_CAP", 15)
     monkeypatch.setattr(generators, "validate_profile", no_lists)
+    # gen_random shuffles its lists through _shuffle before validating them
+    monkeypatch.setattr(generators, "_shuffle", no_lists)
     for make in made:
         with pytest.raises(TooLarge, match=r"4 x 4 agent pairs; .* at most 15 \(TABLE_CAP\)"):
             make()

@@ -639,3 +639,41 @@ def test_tradeoff_input_validation():
         tradeoff_curve(p, "global", 2, Objective.ANY)
     with pytest.raises(InvalidInput):
         tradeoff_curve(p, "global", -1, Objective.PERFECT)
+
+
+def test_tradeoff_refuses_more_rows_than_the_cap_before_solving(monkeypatch):
+    # each row calls a solver and is kept, so a huge max-d would hang and
+    # grow without bound; the cap is read at call time
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver called past the row cap")
+
+    p = gen_random(1, 1, 1.0, seed=0)
+    for name in ("solve_global_near", "solve_local_near", "find_d_robust_optimal"):
+        monkeypatch.setattr(nearstable, name, no_solver)
+    for mode in ("global", "local"):
+        for objective in (Objective.PERFECT, Objective.EGALITARIAN):
+            with pytest.raises(TooLarge, match=r"0\.\.100000000 .* 10000 rows \(CURVE_CAP\)"):
+                tradeoff_curve(p, mode, 10**8, objective)
+    monkeypatch.undo()
+    monkeypatch.setattr(nearstable, "CURVE_CAP", 3)
+    assert tradeoff_curve(p, "global", 2, Objective.PERFECT) == [(0, True), (1, True), (2, True)]
+    with pytest.raises(TooLarge, match=r"more than 3 rows"):
+        tradeoff_curve(p, "global", 3, Objective.PERFECT)
+
+
+def test_perfect_tradeoff_stops_solving_at_the_first_true(monkeypatch):
+    # gen_example3's one stable matching leaves a1 single, and one swap
+    # makes the perfect matching stable: False at d=0, True from d=1 on
+    p = gen_example3()
+    for mode, name in (("global", "solve_global_near"), ("local", "solve_local_near")):
+        solver = getattr(nearstable, name)
+        budgets = []
+
+        def counted(q, d, objective, solver=solver, budgets=budgets):
+            budgets.append(d)
+            return solver(q, d, objective)
+
+        monkeypatch.setattr(nearstable, name, counted)
+        curve = tradeoff_curve(p, mode, 6, Objective.PERFECT)
+        assert curve == [(0, False)] + [(d, True) for d in range(1, 7)]
+        assert budgets == [0, 1]

@@ -250,3 +250,25 @@ def test_flow_networks_are_built_in_one_place():
                 found.append("%s:%s" % (path.name, where))
             stack += [(child, where) for child in ast.iter_child_nodes(node)]
     assert found == ["_flow.py:_closure_cut"]
+
+
+def test_no_seeded_draw_goes_through_a_random_helper():
+    # A seeded profile must not depend on how the standard library spells
+    # a helper: every draw is spelled out in the package from random() and
+    # getrandbits (generators._shuffle is random.Random.shuffle's loop).
+    # The rule bans these method names on any receiver, on purpose: a
+    # Random reached through an alias or a bound method would slip past a
+    # receiver check, and no package code needs the names for anything else.
+    helpers = {"shuffle", "sample", "choice", "choices", "randrange", "randint"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = [node.func.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, n) for n in names if n in helpers]
+    assert found == []
