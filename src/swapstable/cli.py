@@ -192,6 +192,9 @@ def _attach_witness(report, args, p, q):
 
 
 def _cmd_check(args, brute):
+    if args.profile == "-" and args.matching == "-":
+        # the second read would find stdin empty and answer about nothing
+        raise InvalidInput("--profile and --matching cannot both read stdin")
     check_budget(args.d)
     p = parse_profile(_read(args.profile))
     m = parse_matching(_read(args.matching), p)
@@ -416,11 +419,29 @@ def _build_parser():
     osub = orc.add_subparsers(dest="oracle_command", required=True, metavar="command")
     _add_check(osub, brute=True)
     _add_solve(osub, brute=True)
+    # command name -> its parser, for main to parse a command's arguments
+    top.commands = sub.choices
     return top
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    A command's arguments go straight to its own parser, which answers
+    exactly as the top-level parser would through it, in about half the
+    time.  The top-level parser takes everything else: no command, an
+    unknown one, options before it.  Leftovers go to the top-level
+    parser's error, as its parse_args would send them.
+    """
+    top = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = top.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = top.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            top.error("unrecognized arguments: %s" % " ".join(extras))
     try:
         return args.func(args)
     except ValidationError as exc:

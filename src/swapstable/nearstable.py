@@ -311,24 +311,36 @@ def _cheap_partners(p):
     return out
 
 
-def _undecided_floor(pw, start, cheap):
-    """Least egalitarian cost u_start, u_start+1, ... can still add.
+def _frame_floor(pw, start, cheap):
+    """(floor, rises): the least egalitarian cost u_start, u_start+1, ...
+    can still add, and for each W agent j how much more they add once j is
+    taken.
 
     Each of them adds the cheaper of staying unmatched (its list length)
     and its cheapest rank_u + rank_w over W agents still free in pw.
     Admissible: the search charges each pair to its U endpoint, so each
     undecided U agent adds one such amount, a taken W agent is out of its
-    reach, and W agents left unmatched only add more.
+    reach, and W agents left unmatched only add more.  Taking j moves only
+    the agents whose cheapest free partner is j, each to its next free
+    option, so rises[j] sums their gaps to it, and the floor with j taken
+    is exactly floor + rises.get(j, 0).
     """
-    total = 0
+    floor = 0
+    rises = {}
     for stay, partners in cheap[start:]:
+        first = -1
         for cost, j in partners:
             if pw[j] < 0:
-                break
+                if first >= 0:
+                    stay = cost  # the next free option, below the list length
+                    break
+                first, cheapest = j, cost
+        if first < 0:
+            floor += stay
         else:
-            cost = stay
-        total += cost
-    return total
+            floor += cheapest
+            rises[first] = rises.get(first, 0) + stay - cheapest
+    return floor, rises
 
 
 def _prefix_conflict(p, pu, pw, depth, d, prospects, additive):
@@ -382,7 +394,7 @@ def _prefix_conflict(p, pu, pw, depth, d, prospects, additive):
     return False
 
 
-def _search(p, d, objective, eta, mode, least=None):
+def _search(p, d, objective, eta, mode, least=None, prices=None):
     """Branch-and-bound over matchings whose mode instability is <= d.
 
     The one exact search for near stability.  mode "local" prices each
@@ -397,8 +409,10 @@ def _search(p, d, objective, eta, mode, least=None):
     dies once its sealed pairs cannot be defused within d or, for the
     egalitarian objective, once a lower bound on its cost passes eta: the
     decided U agents' pair costs, plus the list length of each W agent
-    nobody took and no undecided U agent lists, plus _undecided_floor.  At
-    a leaf every agent is decided and that sum is the egalitarian cost.
+    nobody took and no undecided U agent lists, plus the undecided U
+    agents' floor, which _frame_floor computes once per frame with what
+    each option adds to it.  At a leaf every agent is decided and that sum
+    is the egalitarian cost.
 
     least picks the answer.  None: the first feasible leaf.  "cost": eta,
     or "instability": d, drops below each feasible leaf's value, and a
@@ -409,6 +423,10 @@ def _search(p, d, objective, eta, mode, least=None):
     feasible.  Raises TooLarge after SEARCH_CAP tried partners.  The stack
     holds one frame per decided U agent, so depth is not bounded by the
     interpreter's recursion limit.
+
+    prices maps each leaf matching priced in global mode to its cut cost;
+    the searches of one global curve share it, since their budgets reach
+    many of the same leaves.  Local mode neither reads nor fills it.
     """
     prospects = _prospects(p)
     additive = mode == "global"
@@ -421,17 +439,22 @@ def _search(p, d, objective, eta, mode, least=None):
             [(j, len(p.w_lists[j])) for j in lst if prospects[i + 1][j] is INFINITE]
             for i, lst in enumerate(p.u_lists)
         ]
+    if prices is None:
+        prices = {}
     pu = [-1] * p.n_u
     pw = [-1] * p.n_w
     best = None
     nodes = 0
-    # frames[i] is [options of u_i, index of its next option, cost of u_0..u_{i-1}]
+    # frames[i] is [options of u_i, index of its next option, cost of
+    # u_0..u_{i-1}, and the floor and rises of u_{i+1}, ... (_frame_floor)]
     frames = []
     acc = 0
     while True:
         if len(frames) < p.n_u:
-            options = [j for j in p.u_lists[len(frames)] if pw[j] < 0]
-            frames.append([options + tail, 0, acc])
+            i = len(frames)
+            options = [j for j in p.u_lists[i] if pw[j] < 0]
+            floor, rises = _frame_floor(pw, i + 1, cheap) if bounded else (0, None)
+            frames.append([options + tail, 0, acc, floor, rises])
         else:
             m = Matching.from_pairs(
                 p.n_u, p.n_w, [(k, pu[k]) for k in range(p.n_u) if pu[k] >= 0]
@@ -442,11 +465,12 @@ def _search(p, d, objective, eta, mode, least=None):
             # search for a perfect matching only when n_u == n_w.
             if bounded and acc > eta:
                 level = INFINITE
+            elif additive:
+                level = prices.get(m)
+                if level is None:
+                    level = prices[m] = _stabilization_cut(p, m, blocking_indices(p, m))[0]
             else:
-                level = (
-                    _stabilization_cut(p, m, blocking_indices(p, m))[0] if additive
-                    else local_instability(p, m)
-                )
+                level = local_instability(p, m)
             if level <= d:
                 if least is None or (least == "instability" and level == 0):
                     return m
@@ -460,7 +484,7 @@ def _search(p, d, objective, eta, mode, least=None):
         while frames:
             i = len(frames) - 1
             frame = frames[i]
-            options, k, base = frame
+            options, k, base, floor, rises = frame
             if pu[i] >= 0:
                 pw[pu[i]] = -1
                 pu[i] = -1
@@ -482,7 +506,8 @@ def _search(p, d, objective, eta, mode, least=None):
                 for w, lost in settles[i]:
                     if pw[w] < 0:
                         step += lost
-                if base + step + _undecided_floor(pw, i + 1, cheap) > eta:
+                # the unmatched option -1 is never a key of rises
+                if base + step + floor + rises.get(j, 0) > eta:
                     continue
             if not _prefix_conflict(p, pu, pw, i + 1, d, prospects, additive):
                 acc = base + step
@@ -627,7 +652,9 @@ def tradeoff_curve(p, mode, d_max, objective):
     only improve as d grows, because a d-nearly stable matching is also
     (d+1)-nearly stable, so each later budget runs the one search with eta
     at the previous value; that matching keeps a leaf feasible.  The mode
-    picks the solver and the instability _search tests at the leaves.  A
+    picks the solver and the instability _search tests at the leaves; a
+    global curve prices each leaf matching once, for all its budgets (a
+    local leaf's scan costs less than keeping its price).  A
     perfect matching found at some d stays within every larger budget, so
     the perfect curve calls the solver only until its first True.  Raises
     TooLarge, before any solver call, when d_max + 1 exceeds CURVE_CAP.
@@ -646,8 +673,9 @@ def tradeoff_curve(p, mode, d_max, objective):
         return [(d, d >= first) for d in budgets]
     value = egalitarian_cost(p, find_d_robust_optimal(p, 0, objective))
     out = [(0, value)]
+    prices = {}
     for d in range(1, d_max + 1):
-        best = _search(p, d, objective, value, mode, least="cost")
+        best = _search(p, d, objective, value, mode, least="cost", prices=prices)
         value = egalitarian_cost(p, best)
         out.append((d, value))
     return out

@@ -536,6 +536,77 @@ def test_profile_from_stdin(capsys, monkeypatch, crown):
     assert code == 0 and report["result"] is True
 
 
+
+def test_profile_and_matching_cannot_both_read_stdin(capsys, monkeypatch, crown):
+    # the second read of stdin would be empty, and the answer would be
+    # about the empty matching; refused before anything is read
+    p, _, _, _ = crown
+    stdin = io.StringIO(serialize_profile(p))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    for engine in ([], ["oracle"]):
+        for what in ("stable", "robust", "local", "global"):
+            code, out, err = run(capsys, *engine, "check", what, "--profile", "-", "--matching", "-")
+            assert code == 2 and out == ""
+            assert err == "error: --profile and --matching cannot both read stdin\n"
+    assert stdin.tell() == 0
+
+
+def test_commands_parse_as_the_top_level_parser_would(capsys, monkeypatch, tmp_path, crown):
+    # main hands a command's arguments straight to that command's parser;
+    # with an empty command map it hands everything to the top-level
+    # parser, the nested path.  Both must answer every argv alike.
+    _, prof, stable, rotated = crown
+    out = str(tmp_path / "out")
+    corpus = [
+        ["check", "stable", "--profile", prof, "--matching", stable],
+        ["check", "robust", "--profile", prof, "--matching", stable, "--d", "1"],
+        ["check", "local", "--profile", prof, "--matching", rotated, "--d=3", "--verbose"],
+        ["check", "global", "--prof", prof, "--matching", rotated],
+        ["check", "global", "--profile", str(tmp_path / "nope"), "--matching", stable],
+        ["solve", "robust", "--profile", prof, "--d", "1"],
+        ["solve", "global-near", "--profile", prof, "--d", "1", "--objective", "perfect"],
+        ["solve", "local-near", "--profile", prof, "--d", "1", "--objective", "egalitarian", "--eta", "5"],
+        ["rotations", "--profile", prof, "--dot", out],
+        ["tradeoff", "--profile", prof, "--mode", "global", "--max-d", "1",
+         "--objective", "egalitarian", "--csv", out],
+        ["gen", "--family", "cyclic", "--n", "3"],
+        ["oracle", "check", "global", "--profile", prof, "--matching", rotated, "--d", "1"],
+        ["oracle", "solve", "robust", "--profile", prof, "--d", "0"],
+        ["--help"],
+        ["-h", "check"],
+        ["check", "--help"],
+        ["solve", "robust", "-h"],
+        ["oracle", "--help"],
+        ["oracle", "solve", "--help"],
+        ["check", "global", "--profile", prof],
+        ["tradeoff", "--profile", prof],
+        ["oracle", "check"],
+        ["gen", "--family", "random", "--bogus"],
+        ["oracle", "check", "stable", "--profile", prof, "--matching", stable, "--nope", "x"],
+        ["gen", "--family", "example3", "extra", "--"],
+        ["solve", "robust", "--profile", prof, "--d", "one"],
+        ["frobnicate"],
+        ["oracle", "frobnicate"],
+        ["--prof", prof, "check"],
+        [],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    direct = [outcome(argv) for argv in corpus]
+    monkeypatch.setattr(_build_parser(), "commands", {})
+    nested = [outcome(argv) for argv in corpus]
+    for argv, got, want in zip(corpus, direct, nested):
+        assert got == want, argv
+    assert {code for code, _, _ in direct} == {0, 1, 2}
+    assert sum(o.startswith("usage: ") for _, o, _ in direct) == 6
+    assert sum("unrecognized arguments" in e for _, _, e in direct) == 3
+
 def test_module_entry_point_runs():
     # pytest's pythonpath setting does not reach a child process, so the
     # child's PYTHONPATH leads with the directory this suite imported

@@ -443,7 +443,7 @@ def test_search_bounds_are_admissible():
                     for j in range(p.n_w)
                     if pw[j] < 0 and not any(j in p.u_lists[i] for i in range(depth, p.n_u))
                 )
-                assert decided + lost + nearstable._undecided_floor(pw, depth, cheap) <= egal
+                assert decided + lost + nearstable._frame_floor(pw, depth, cheap)[0] <= egal
                 for additive in (False, True):
                     least = level[additive]
                     if least is INFINITE:
@@ -459,6 +459,102 @@ def test_search_bounds_are_admissible():
     # below the local optimum, and the disjoint-pair sum drops some that the
     # single-pair test keeps one below the global optimum
     assert bites[False] > 0 and bites[True] > 0
+
+
+def floor_by_definition(p, pw, start):
+    """Each U agent from u_start on adds the cheaper of staying unmatched
+    (its list length) and its least rank_u + rank_w over W agents free in pw."""
+    return sum(
+        min([len(lst)] + [p.rank_u[i][j] + p.rank_w[j][i] for j in lst if pw[j] < 0])
+        for i, lst in enumerate(p.u_lists)
+        if i >= start
+    )
+
+
+def test_frame_floor_is_exact():
+    # The frame for u_i floors u_{i+1}, ... once, with u_0..u_{i-1}
+    # decided; each option j of u_i must then read the floor with j taken.
+    rose = 0
+    for p in bound_cases():
+        cheap = nearstable._cheap_partners(p)
+        prefixes = {tuple(m.pu[:i]) for m in search_order(p) for i in range(p.n_u)}
+        for prefix in prefixes:
+            i = len(prefix)
+            pw = [-1] * p.n_w
+            for k, j in enumerate(prefix):
+                if j >= 0:
+                    pw[j] = k
+            floor, rises = nearstable._frame_floor(pw, i + 1, cheap)
+            assert floor == floor_by_definition(p, pw, i + 1)
+            assert all(pw[j] < 0 for j in rises)
+            for j in range(p.n_w):
+                if pw[j] < 0:
+                    pw[j] = i
+                    assert floor + rises.get(j, 0) == floor_by_definition(p, pw, i + 1)
+                    pw[j] = -1
+            rose += sum(r > 0 for r in rises.values())
+    assert rose > 0
+
+
+def pinned_searches():
+    """(profile, mode, search nodes per budget 1, 2 of its egalitarian
+    curve at max-d 2), counted before the floor was kept per frame."""
+    return [
+        (gen_random(12, 12, 1.0, 1), "global", [4905, 7626]),
+        (gen_random(12, 12, 1.0, 1), "local", [5979, 9050]),
+        (gen_random(14, 14, 0.5, 2), "global", [2995, 1544]),
+        (gen_random(14, 14, 0.5, 2), "local", [2342, 209]),
+    ]
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # Each search completes with SEARCH_CAP at its recorded node count and
+    # raises TooLarge at one less, so neither the bounds nor the order of
+    # the search can change unnoticed.
+    for p, mode, counts in pinned_searches():
+        monkeypatch.undo()  # the curve's own searches run under the real cap
+        curve = [v for _, v in tradeoff_curve(p, mode, 2, Objective.EGALITARIAN)]
+        for d, nodes in enumerate(counts, start=1):
+            monkeypatch.setattr(nearstable, "SEARCH_CAP", nodes)
+            best = nearstable._search(p, d, Objective.EGALITARIAN, curve[d - 1], mode, least="cost")
+            assert egalitarian_cost(p, best) == curve[d]
+            monkeypatch.setattr(nearstable, "SEARCH_CAP", nodes - 1)
+            with pytest.raises(TooLarge):
+                nearstable._search(p, d, Objective.EGALITARIAN, curve[d - 1], mode, least="cost")
+    for p, nodes in ((gen_example2(6), 12), (gen_cyclic_latin(8), 8)):
+        monkeypatch.setattr(nearstable, "SEARCH_CAP", nodes)
+        assert is_perfect(p, solve_local_near(p, 1, Objective.PERFECT))
+        monkeypatch.setattr(nearstable, "SEARCH_CAP", nodes - 1)
+        with pytest.raises(TooLarge):
+            solve_local_near(p, 1, Objective.PERFECT)
+
+
+def test_global_curve_prices_each_leaf_once(monkeypatch):
+    # The budgets of one global curve share their leaf prices: each leaf
+    # matching gets one min-cut, where the same searches run on their own
+    # cut some leaves once per budget.
+    cut = nearstable._stabilization_cut
+    priced = []
+
+    def counted(p, m, bps):
+        priced.append(m)
+        return cut(p, m, bps)
+
+    monkeypatch.setattr(nearstable, "_stabilization_cut", counted)
+    saved = 0
+    for n, density in ((6, 1.0), (7, 0.8), (8, 1.0)):
+        for seed in range(4):
+            p = gen_random(n, n, density, seed)
+            priced.clear()
+            curve = tradeoff_curve(p, "global", 3, Objective.EGALITARIAN)
+            shared = list(priced)
+            assert len(shared) == len(set(shared))
+            priced.clear()
+            for d in range(1, 4):
+                nearstable._search(p, d, Objective.EGALITARIAN, curve[d - 1][1], "global", least="cost")
+            assert set(priced) == set(shared)
+            saved += len(priced) - len(shared)
+    assert saved > 0
 
 
 def test_solvers_equal_an_unpruned_search():
