@@ -27,13 +27,12 @@ from .errors import Error, InvalidInput, ValidationError, check_budget
 from .fileformat import parse_matching, parse_profile, serialize_profile
 from .generators import gen_cyclic_latin, gen_example2, gen_example3, gen_random
 from .nearstable import (
-    _global_stabilization_cost,
-    _local_instability,
-    _witness_local,
+    global_stabilization_cost,
     local_instability,
     solve_global_near,
     solve_local_near,
     tradeoff_curve,
+    witness_profile_local,
 )
 from .oracle import (
     brute_global_cost,
@@ -55,10 +54,21 @@ from .rotations import rotation_digraph
 
 
 def _read(path):
+    """The text of file path, or of stdin for "-"; InvalidInput naming the
+    source and the byte offset where the bytes are not UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        if not hasattr(sys.stdin, "buffer"):  # a text stream with no bytes under it
+            return sys.stdin.read()
+        source, data = "stdin", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            source, data = path, fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(
+            "%s is not UTF-8: byte 0x%02x at offset %d" % (source, data[exc.start], exc.start)
+        ) from None
 
 
 class _Encoded:
@@ -199,33 +209,33 @@ def _cmd_check(args, brute):
     p = parse_profile(_read(args.profile))
     m = parse_matching(_read(args.matching), p)
     report = {}
-    bps = None  # the report's blocking pairs, when a branch already has them
-    if args.what == "stable":
-        report["result"] = is_stable(p, m)
-    elif args.what == "robust":
+    # bps: the blocking pairs the report lists, from the answer's own scan.
+    # For robust that is the pair that blocks m in the witness, if any: a
+    # d-robust matching is stable.
+    if args.what == "robust":
         if brute:
             ball = profiles_within(p, args.d, "global")
             q = next((q for q in ball if not is_stable(q, m)), None)
-            report["result"] = q is None
-            _attach_witness(report, args, p, q)
+            bps = [] if q is None else blocking_indices(q, m)[:1]
         else:
-            ok, witness = is_d_robust(p, m, args.d)
-            report["result"] = ok
-            if witness is not None:
-                q, (u, w) = witness
-                _attach_witness(report, args, p, q)
-                bps = [(u.index, w.index)]
+            q, pair = is_d_robust(p, m, args.d)[1] or (None, None)
+            bps = [] if pair is None else [(pair[0].index, pair[1].index)]
+        report["result"] = q is None
+        _attach_witness(report, args, p, q)
+    else:
+        bps = blocking_indices(p, m)
+    if args.what == "stable":
+        report["result"] = not bps
     elif args.what == "local":
         if brute:
             report["result"] = brute_is_locally_d_stable(p, m, args.d)
         else:
-            bps = blocking_indices(p, m)
-            bound = _local_instability(p, m, bps)
+            bound = local_instability(p, m, bps=bps)
             report["result"] = bound <= args.d
             report["bound"] = _cost_json(bound)
             if report["result"]:
-                _attach_witness(report, args, p, _witness_local(p, m, args.d, bps))
-    else:
+                _attach_witness(report, args, p, witness_profile_local(p, m, args.d, bps=bps))
+    elif args.what == "global":
         if brute:
             found = brute_global_cost(p, m, max_d=args.d)
             report["result"] = found is not None
@@ -233,12 +243,11 @@ def _cmd_check(args, brute):
             if found is not None:
                 _attach_witness(report, args, p, found[1])
         else:
-            bps = blocking_indices(p, m)
-            cost, q = _global_stabilization_cost(p, m, bps)
+            cost, q = global_stabilization_cost(p, m, bps=bps)
             report["result"] = cost <= args.d
             report["cost"] = _cost_json(cost)
             _attach_witness(report, args, p, q)
-    report["blocking_pairs"] = _pairs_json(p, blocking_indices(p, m) if bps is None else bps)
+    report["blocking_pairs"] = _pairs_json(p, bps)
     _emit(report)
     return 0 if report["result"] else 1
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks
+that raise them."""
+
+import math
+import operator
 
 
 class Error(Exception):
@@ -11,9 +15,21 @@ def verify(ok, what):
         raise Error("output check failed: %s" % what)
 
 
-def check_budget(d):
-    """Raise InvalidInput unless the swap budget d is nonnegative."""
-    if d < 0:
+def check_integer(n, what):
+    """n as an int; InvalidInput when it is not an integer (2.5, "3", None)."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise InvalidInput("%s must be an integer, got %r" % (what, n)) from None
+
+
+def check_budget(d, *, finite=False):
+    """Raise InvalidInput unless the swap budget d is an int >= 0 or, unless
+    finite, INFINITE (math.inf), which no cost exceeds.  Entry points whose
+    budget bounds a slice or a range pass finite=True."""
+    if d == math.inf and not finite:
+        return
+    if check_integer(d, "swap budget") < 0:
         raise InvalidInput("swap budget must be nonnegative, got %r" % (d,))
 
 

@@ -9,19 +9,10 @@ square is the extremal family for robustness (its diagonal matching is
 stable matchings form the lattice of the paper's first example.
 """
 
-import operator
 import random
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer
 from .profile import Matching, _check_pair_count, validate_profile
-
-
-def _integer(n, what):
-    """n as an int; InvalidInput when it is not an integer (2.5, "3")."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise InvalidInput("%s must be an integer, got %r" % (what, n)) from None
 
 
 def gen_example2(n):
@@ -31,7 +22,7 @@ def gen_example2(n):
     b_0 ranks a_0 over a_{n-1}; b_i (i ≥ 1) ranks a_{i-1} first, then every
     x, then a_i; y_i only accepts x_i.  Needs n ≥ 2.
     """
-    n = _integer(n, "n")
+    n = check_integer(n, "n")
     if n < 2:
         raise InvalidInput("gen_example2 needs n >= 2")
     _check_pair_count(2 * n, 2 * n)
@@ -80,7 +71,7 @@ def gen_cyclic_latin(n):
     which makes the diagonal top-choice matching (n−1)-robust and the
     profile position-wise distinct.
     """
-    n = _integer(n, "n")
+    n = check_integer(n, "n")
     if n < 1:
         raise InvalidInput("gen_cyclic_latin needs n >= 1")
     _check_pair_count(n, n)
@@ -124,7 +115,7 @@ def gen_random(n_u, n_w, density, seed):
         ok = False
     if not ok:
         raise InvalidInput("density must be a number within [0, 1], got %r" % (density,))
-    n_u, n_w = _integer(n_u, "n_u"), _integer(n_w, "n_w")
+    n_u, n_w = check_integer(n_u, "n_u"), check_integer(n_w, "n_w")
     if n_u < 0 or n_w < 0:
         raise InvalidInput("side sizes must be nonnegative")
     _check_pair_count(n_u, n_w)

@@ -28,6 +28,13 @@ _defuse_costs, which the local checker, the local witness and the cut
 all read.  An unmatched agent has no partner to promote, so a blocking
 pair of two unmatched agents cannot be defused at any budget; checkers
 report INFINITE in that case.
+
+_defuse_costs is also the one place this module scans for blocking
+pairs.  local_instability, witness_profile_local and
+global_stabilization_cost take the caller's blocking_indices(p, m) list
+as the keyword bps in place of that scan, so a caller that has the list
+already (near_stability_report, the CLI's check) scans once for all of
+them.
 """
 
 from dataclasses import dataclass
@@ -80,12 +87,16 @@ class NearStabilityReport:
 
 
 def _defuse_costs(p, m, bps):
-    """Yield (i, j, cu, cw) for each blocking pair (u_i, w_j) of m in bps,
-    its blocking_indices list: the swaps each endpoint needs to defuse it.
+    """Yield (i, j, cu, cw) for each blocking pair (u_i, w_j) of m: the
+    swaps each endpoint needs to defuse it.
 
-    The cost at an endpoint is the forward shift of its current partner
-    past the blocker; INFINITE when the endpoint is unmatched.
+    The pairs are bps, blocking_indices(p, m), or when bps is None this
+    module's one blocking scan.  The cost at an endpoint is the forward
+    shift of its current partner past the blocker; INFINITE when the
+    endpoint is unmatched.
     """
+    if bps is None:
+        bps = blocking_indices(p, m)
     ru, rw, pu, pw = p.rank_u, p.rank_w, m.pu, m.pw
     for i, j in bps:
         pi, pj = pu[i], pw[j]
@@ -94,20 +105,16 @@ def _defuse_costs(p, m, bps):
         yield i, j, cu, cw
 
 
-def local_instability(p, m) -> Cost:
+def local_instability(p, m, *, bps=None) -> Cost:
     """Worst blocking pair's cheaper defusing cost; 0 when m is stable.
 
     This equals the smallest d for which some profile with every list
     within d swaps of p makes m stable: orienting each blocking pair
     toward its cheaper endpoint and promoting that endpoint's partner
     past its best-ranked blocker fixes everything at once, and no single
-    list can settle a blocking pair for less than the rank gap.
+    list can settle a blocking pair for less than the rank gap.  bps, if
+    given, is blocking_indices(p, m) (see _defuse_costs).
     """
-    return _local_instability(p, m, blocking_indices(p, m))
-
-
-def _local_instability(p, m, bps):
-    """local_instability from m's blocking pairs bps."""
     worst = 0
     for _, _, cu, cw in _defuse_costs(p, m, bps):
         worst = max(worst, min(cu, cw))
@@ -120,7 +127,7 @@ def is_locally_d_nearly_stable(p, m, d_l) -> bool:
     return local_instability(p, m) <= d_l
 
 
-def witness_profile_local(p, m, d_l) -> Profile:
+def witness_profile_local(p, m, d_l, *, bps=None) -> Profile:
     """A profile within d_l swaps per list in which m is stable.
 
     Each blocking pair is charged to its cheaper matched endpoint (ties
@@ -128,14 +135,10 @@ def witness_profile_local(p, m, d_l) -> Profile:
     best-ranked charged blocker, that is by its dearest charged defusing
     cost, which defuses all of them and introduces no new blocking pairs.
     Raises NotNearlyStable when d_l is below local_instability, which the
-    same scan computes, or when that is INFINITE, whatever d_l is.
+    same pass computes, or when that is INFINITE, whatever d_l is.  bps,
+    if given, is blocking_indices(p, m) (see _defuse_costs).
     """
     check_budget(d_l)
-    return _witness_local(p, m, d_l, blocking_indices(p, m))
-
-
-def _witness_local(p, m, d_l, bps):
-    """witness_profile_local from m's blocking pairs bps; d_l is checked."""
     worst = 0
     u_steps = {}
     w_steps = {}
@@ -166,10 +169,10 @@ def _witness(p, m, u_steps, w_steps):
 
 
 def _stabilization_cut(p, m, bps):
-    """Smallest total swap distance to a profile where m is stable, from
-    m's blocking pairs bps, with the promotion that reaches it: (cost,
-    u_steps, w_steps), where u_steps[i] (w_steps[j]) is how far u_i (w_j)
-    moves its partner up.
+    """Smallest total swap distance to a profile where m is stable, with
+    the promotion that reaches it: (cost, u_steps, w_steps), where
+    u_steps[i] (w_steps[j]) is how far u_i (w_j) moves its partner up;
+    bps as for _defuse_costs.
 
     Covering blocking pair (u, w) at an endpoint costs that endpoint's
     rank gap, and one promotion past the best-ranked covered blocker pays
@@ -235,19 +238,15 @@ def _stabilization_cut(p, m, bps):
     return (cost, u_steps, w_steps)
 
 
-def global_stabilization_cost(p, m):
+def global_stabilization_cost(p, m, *, bps=None):
     """Smallest total swap distance to a profile where m is stable.
 
     Returns (cost, witness profile) from _stabilization_cut, or (INFINITE,
     None) when two unmatched agents block each other.  The witness promotes
     only matched partners, which never creates new blocking pairs, so the
-    cut value is exact, not just an upper bound.
+    cut value is exact, not just an upper bound.  bps, if given, is
+    blocking_indices(p, m) (see _defuse_costs).
     """
-    return _global_stabilization_cost(p, m, blocking_indices(p, m))
-
-
-def _global_stabilization_cost(p, m, bps):
-    """global_stabilization_cost from m's blocking pairs bps."""
     cost, u_steps, w_steps = _stabilization_cut(p, m, bps)
     if cost is INFINITE:
         return (INFINITE, None)
@@ -262,11 +261,11 @@ def _global_stabilization_cost(p, m, bps):
 def near_stability_report(p, m) -> NearStabilityReport:
     """Both minimal budgets for m, with witness profiles where finite."""
     bps = blocking_indices(p, m)
-    local = _local_instability(p, m, bps)
-    global_cost, witness_global = _global_stabilization_cost(p, m, bps)
+    local = local_instability(p, m, bps=bps)
+    global_cost, witness_global = global_stabilization_cost(p, m, bps=bps)
     witness_local = None
     if local is not INFINITE:
-        witness_local = _witness_local(p, m, local, bps)
+        witness_local = witness_profile_local(p, m, local, bps=bps)
     return NearStabilityReport(
         local_bound=local,
         global_cost=global_cost,
@@ -468,7 +467,7 @@ def _search(p, d, objective, eta, mode, least=None, prices=None):
             elif additive:
                 level = prices.get(m)
                 if level is None:
-                    level = prices[m] = _stabilization_cut(p, m, blocking_indices(p, m))[0]
+                    level = prices[m] = _stabilization_cut(p, m, None)[0]
             else:
                 level = local_instability(p, m)
             if level <= d:
@@ -659,6 +658,7 @@ def tradeoff_curve(p, mode, d_max, objective):
     the perfect curve calls the solver only until its first True.  Raises
     TooLarge, before any solver call, when d_max + 1 exceeds CURVE_CAP.
     """
+    check_budget(d_max, finite=True)
     objective = _check_query(objective, INFINITE, d_max)
     solver = {"global": solve_global_near, "local": solve_local_near}.get(mode)
     if solver is None:

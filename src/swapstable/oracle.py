@@ -127,7 +127,7 @@ def profiles_within(p, d, mode):
     the ball exceeds PROFILE_CAP; in local mode that is counted before any
     list's ball is built.
     """
-    check_budget(d)
+    check_budget(d, finite=True)
     if mode not in ("global", "local"):
         raise InvalidInput("mode must be 'global' or 'local', got %r" % mode)
     if mode == "global":
@@ -267,7 +267,7 @@ def brute_is_locally_d_stable(p, m, d):
     the rank rows of every ball member, one entry per agent of the other
     side, would hold more than PROFILE_CAP entries on both sides together.
     """
-    check_budget(d)
+    check_budget(d, finite=True)
     u_sizes = [_ball_size(len(lst), d) for lst in p.u_lists]
     _cap_product(u_sizes)
     w_size = sum(_ball_size(len(lst), d) for lst in p.w_lists)
@@ -298,7 +298,7 @@ def brute_solve_near(p, budget, mode, objective, eta=None):
     Returns (matching, witness profile) for mode "global", the matching
     alone for mode "local", None when there is none.
     """
-    check_budget(budget)
+    check_budget(budget, finite=True)
     objective = Objective(objective)
     candidates = [
         m

@@ -74,7 +74,7 @@ def is_d_robust(p, m, d):
     rank(partner) swaps on each matched side (nothing on an unmatched
     side), and m is d-robust iff every such pair costs more than d.
     """
-    check_budget(d)
+    check_budget(d, finite=True)
     bp = blocking_pairs(p, m)
     if bp:
         return False, (p, bp[0])
@@ -191,7 +191,7 @@ def _robust_closure(p, dg, d, weights):
 
 def _solve(p, d, objective):
     """find_d_robust's matching (objective None) or the objective's."""
-    check_budget(d)
+    check_budget(d, finite=True)
     if objective == Objective.PERFECT and not is_perfect(p, p.u_opt):
         return None
     if d > 0 and _unshielded_pair(p, d) is not None:

@@ -141,9 +141,11 @@ def test_check_local_and_global_budgets(capsys, crown):
 
 
 def test_check_global_and_local_scan_for_blocking_pairs_once(capsys, crown, monkeypatch):
-    # The engine's defusing costs and the report's blocking_pairs read one
-    # blocking_mask scan; a witness's is_stable verify is the one
-    # first_blocking scan, and runs whenever a witness is reported.
+    # Every check question makes one blocking_mask scan, which the answer
+    # and the report's blocking_pairs share.  The one first_blocking scan
+    # is a near-stability witness's is_stable verify, and runs whenever
+    # such a witness is reported; the robust witness (here p itself, in
+    # which the rotated matching is unstable) has no verify.
     _, prof, _, rotated = crown
     calls = Counter()
 
@@ -158,14 +160,42 @@ def test_check_global_and_local_scan_for_blocking_pairs_once(capsys, crown, monk
 
     for name in ("blocking_mask", "first_blocking"):
         monkeypatch.setattr(_kernels, name, counting(name))
-    cases = (("global", 1, True), ("global", 0, True), ("local", 1, True), ("local", 0, False))
-    for what, d, witness in cases:
+    cases = (
+        ("global", 1, True, 1),
+        ("global", 0, True, 1),
+        ("local", 1, True, 1),
+        ("local", 0, False, 0),
+        ("stable", 0, False, 0),
+        ("robust", 0, True, 0),
+        ("robust", 1, True, 0),
+    )
+    for what, d, witness, verifies in cases:
         calls.clear()
         code, report = run_json(
             capsys, "check", what, "--profile", prof, "--matching", rotated, "--d", str(d)
         )
         assert report["blocking_pairs"] and ("witness_swaps" in report) == witness
-        assert calls == Counter({"blocking_mask": 1, "first_blocking": int(witness)})
+        assert calls == Counter({"blocking_mask": 1, "first_blocking": verifies})
+
+
+@pytest.mark.parametrize("engine", [[], ["oracle"]])
+def test_check_robust_reports_a_pair_that_blocks_in_the_witness(capsys, tmp_path, engine):
+    # example 2's unique stable matching is one swap from unstable; both
+    # engines name the pair that blocks it in their replayed witness
+    p = gen_example2(2)
+    m = example2_stable_matching(2)
+    prof, match = tmp_path / "ex2.profile", tmp_path / "ex2.matching"
+    prof.write_text(serialize_profile(p))
+    match.write_text(serialize_matching(p, m))
+    argv = ["check", "robust", "--profile", str(prof), "--matching", str(match)]
+    code, report = run_json(capsys, *engine, *argv)
+    assert code == 0 and report["blocking_pairs"] == []
+    code, report = run_json(capsys, *engine, *argv, "--d", "1")
+    assert code == 1 and report["result"] is False
+    q = replay(p, report["witness_swaps"])
+    assert swap_distance(p, q) == 1
+    [[nu, nw]] = report["blocking_pairs"]
+    assert (q.agent_named(nu), q.agent_named(nw)) in blocking_pairs(q, m)
 
 
 def test_solve_robust_finds_the_diagonal(capsys, tmp_path):
@@ -535,6 +565,34 @@ def test_profile_from_stdin(capsys, monkeypatch, crown):
     )
     assert code == 0 and report["result"] is True
 
+
+def test_input_that_is_not_utf8_exits_2_naming_source_and_offset(
+    capsys, monkeypatch, tmp_path, crown
+):
+    p, _, stable, _ = crown
+    text = serialize_profile(p).encode()
+    offset = text.index(b"a0") + 1
+    raw = text[:offset] + b"\xff" + text[offset + 1:]
+    path = tmp_path / "raw.profile"
+    path.write_bytes(raw)
+    # stdin as a host whose locale decodes it with surrogateescape sees it
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    for source, arg in ((str(path), str(path)), ("stdin", "-")):
+        code, out, err = run(capsys, "check", "stable", "--profile", arg, "--matching", stable)
+        assert code == 2 and out == ""
+        assert err == "error: %s is not UTF-8: byte 0xff at offset %d\n" % (source, offset)
+
+
+def test_crlf_files_read_as_lf_files(capsys, tmp_path, crown):
+    # files are decoded from bytes, without the text layer's newline
+    # translation; the parsers split lines on either ending
+    p, prof, stable, rotated = crown
+    crlf = tmp_path / "crlf.profile"
+    crlf.write_bytes(serialize_profile(p).replace("\n", "\r\n").encode())
+    for match in (stable, rotated):
+        want = run(capsys, "check", "local", "--profile", prof, "--matching", match)
+        assert run(capsys, "check", "local", "--profile", str(crlf), "--matching", match) == want
 
 
 def test_profile_and_matching_cannot_both_read_stdin(capsys, monkeypatch, crown):

@@ -21,11 +21,14 @@ from swapstable import (
     blocking_indices,
     blocking_pairs,
     egalitarian_cost,
+    find_d_robust,
+    find_d_robust_optimal,
     gen_cyclic_latin,
     gen_example2,
     gen_example3,
     gen_random,
     global_stabilization_cost,
+    is_d_robust,
     is_locally_d_nearly_stable,
     is_perfect,
     is_stable,
@@ -47,6 +50,7 @@ from swapstable.oracle import (
     brute_is_locally_d_stable,
     brute_solve_near,
     enumerate_stable_bf,
+    profiles_within,
 )
 
 from helpers import make_rng, profiles, random_matching, random_profiles, random_swap
@@ -266,6 +270,82 @@ def test_report_mirrors_both_engines():
             assert is_stable(report.witness_local, m)
         if report.global_cost is not INFINITE:
             assert swap_distance(p, report.witness_global) == report.global_cost
+
+
+def test_checkers_answer_alike_from_the_callers_blocking_list(monkeypatch):
+    # bps=blocking_indices(p, m) replaces the checkers' own scan and
+    # changes nothing else, on finite and infinite bounds alike
+    rng = make_rng(31)
+    cases = []
+    for n, density in ((4, 0.8), (6, 0.5), (8, 1.0), (12, 0.3)):
+        for p in random_profiles(15, n, n, density, seed_base=9100 + 100 * n):
+            # skip_chance 0 leaves no two unmatched agents that accept each other
+            cases += [(p, random_matching(p, rng, 0.0)), (p, random_matching(p, rng, 0.6))]
+    scans = []
+    original = nearstable.blocking_indices
+
+    def counted(p, m):
+        scans.append(m)
+        return original(p, m)
+
+    monkeypatch.setattr(nearstable, "blocking_indices", counted)
+    infinite = finite = 0
+    for p, m in cases:
+        bps = original(p, m)
+        local = local_instability(p, m)
+        assert local_instability(p, m, bps=bps) == local
+        assert global_stabilization_cost(p, m, bps=bps) == global_stabilization_cost(p, m)
+        if local is INFINITE:
+            infinite += 1
+            for kw in ({}, {"bps": bps}):
+                with pytest.raises(NotNearlyStable):
+                    witness_profile_local(p, m, INFINITE, **kw)
+        else:
+            finite += 1
+            want = witness_profile_local(p, m, local)
+            assert witness_profile_local(p, m, local, bps=bps) == want
+    assert infinite >= 10 and finite >= 50
+    # each call without bps scanned once, and no call with bps did
+    assert len(scans) == 3 * len(cases)
+
+
+BUDGET_ENTRY_POINTS = {
+    "find_d_robust": lambda p, m, d: find_d_robust(p, d),
+    "find_d_robust_optimal": lambda p, m, d: find_d_robust_optimal(p, d, Objective.PERFECT),
+    "is_d_robust": is_d_robust,
+    "tradeoff_curve": lambda p, m, d: tradeoff_curve(p, "local", d, Objective.PERFECT),
+    "profiles_within": lambda p, m, d: list(profiles_within(p, d, "global")),
+    "brute_is_locally_d_stable": brute_is_locally_d_stable,
+    "brute_solve_near": lambda p, m, d: brute_solve_near(p, d, "local", Objective.PERFECT),
+    "is_locally_d_nearly_stable": is_locally_d_nearly_stable,
+    "witness_profile_local": witness_profile_local,
+    "solve_local_near": lambda p, m, d: solve_local_near(p, d, Objective.PERFECT),
+    "solve_global_near": lambda p, m, d: solve_global_near(p, d, Objective.PERFECT),
+}
+# entry points whose budget bounds a slice or a range
+FINITE_BUDGETS = {
+    "find_d_robust", "find_d_robust_optimal", "is_d_robust", "tradeoff_curve",
+    "profiles_within", "brute_is_locally_d_stable", "brute_solve_near",
+}
+
+
+@pytest.mark.parametrize(
+    "name, budget",
+    [(name, budget) for name in BUDGET_ENTRY_POINTS for budget in (1.5, 0.5, 1.0, None, "1")]
+    + [(name, INFINITE) for name in sorted(FINITE_BUDGETS)],
+)
+def test_budgets_that_are_not_integers_are_refused(name, budget):
+    # a stable matching, so only the budget check can refuse the call
+    p = gen_example2(2)
+    with pytest.raises(InvalidInput):
+        BUDGET_ENTRY_POINTS[name](p, u_optimal(p), budget)
+
+
+def test_infinite_budgets_still_answer_where_no_range_reaches():
+    p = gen_example2(2)
+    m = u_optimal(p)
+    for name in set(BUDGET_ENTRY_POINTS) - FINITE_BUDGETS:
+        assert BUDGET_ENTRY_POINTS[name](p, m, INFINITE)
 
 
 def sparse_profiles(seed_base):
