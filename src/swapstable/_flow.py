@@ -42,7 +42,8 @@ class FlowNetwork:
         return dict(enumerate(self._out))
 
     def add_edge(self, a, b, capacity):
-        """Add an arc a->b; parallel arcs add up."""
+        """Add an arc a->b with its own reverse arc; a parallel arc stays a
+        separate pair, which changes no cut's capacity."""
         e = len(self._to)
         self._to += (b, a)
         self._cap += (capacity, 0)

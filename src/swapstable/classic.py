@@ -7,8 +7,8 @@ partition is read off the U-optimal one.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .profile import Matching
 
@@ -57,8 +57,7 @@ def w_optimal(p):
     return Matching(p.n_u, p.n_w, frozenset((i, j) for j, i in pairs))
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """Agents matched in every stable matching vs. matched in none."""
 
     matched_agents: frozenset

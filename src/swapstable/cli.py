@@ -15,6 +15,11 @@ _encode writes every other value.
 the brute-force engines, which enumerate whole profile balls and matching
 sets; they only scale to toy inputs but answer straight from the
 definitions.
+
+Each command imports the engine modules it runs, where it runs them, so
+a process that asks one question compiles and loads only those: ``check
+stable`` needs no engine past the blocking scan, and only ``oracle ...``
+loads the oracle.
 """
 
 import argparse
@@ -25,22 +30,6 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import Error, InvalidInput, ValidationError, check_budget
 from .fileformat import parse_matching, parse_profile, serialize_profile
-from .generators import gen_cyclic_latin, gen_example2, gen_example3, gen_random
-from .nearstable import (
-    global_stabilization_cost,
-    local_instability,
-    solve_global_near,
-    solve_local_near,
-    tradeoff_curve,
-    witness_profile_local,
-)
-from .oracle import (
-    brute_global_cost,
-    brute_is_locally_d_stable,
-    brute_solve_near,
-    brute_solve_robust,
-    profiles_within,
-)
 from .profile import (
     INFINITE,
     Objective,
@@ -49,8 +38,6 @@ from .profile import (
     egalitarian_cost,
     is_stable,
 )
-from .robustness import find_d_robust, find_d_robust_optimal, is_d_robust
-from .rotations import rotation_digraph
 
 
 def _read(path):
@@ -214,10 +201,14 @@ def _cmd_check(args, brute):
     # d-robust matching is stable.
     if args.what == "robust":
         if brute:
+            from .oracle import profiles_within
+
             ball = profiles_within(p, args.d, "global")
             q = next((q for q in ball if not is_stable(q, m)), None)
             bps = [] if q is None else blocking_indices(q, m)[:1]
         else:
+            from .robustness import is_d_robust
+
             q, pair = is_d_robust(p, m, args.d)[1] or (None, None)
             bps = [] if pair is None else [(pair[0].index, pair[1].index)]
         report["result"] = q is None
@@ -228,8 +219,12 @@ def _cmd_check(args, brute):
         report["result"] = not bps
     elif args.what == "local":
         if brute:
+            from .oracle import brute_is_locally_d_stable
+
             report["result"] = brute_is_locally_d_stable(p, m, args.d)
         else:
+            from .nearstable import local_instability, witness_profile_local
+
             bound = local_instability(p, m, bps=bps)
             report["result"] = bound <= args.d
             report["bound"] = _cost_json(bound)
@@ -237,12 +232,16 @@ def _cmd_check(args, brute):
                 _attach_witness(report, args, p, witness_profile_local(p, m, args.d, bps=bps))
     elif args.what == "global":
         if brute:
+            from .oracle import brute_global_cost
+
             found = brute_global_cost(p, m, max_d=args.d)
             report["result"] = found is not None
             report["cost"] = None if found is None else found[0]
             if found is not None:
                 _attach_witness(report, args, p, found[1])
         else:
+            from .nearstable import global_stabilization_cost
+
             cost, q = global_stabilization_cost(p, m, bps=bps)
             report["result"] = cost <= args.d
             report["cost"] = _cost_json(cost)
@@ -263,16 +262,25 @@ def _cmd_solve(args, brute):
     found = witness = None
     if args.what == "robust":
         if brute:
+            from .oracle import brute_solve_robust
+
             found = brute_solve_robust(p, args.d, objective)
-        elif objective == Objective.ANY:
-            found = find_d_robust(p, args.d)
         else:
-            found = find_d_robust_optimal(p, args.d, objective)
+            from .robustness import find_d_robust, find_d_robust_optimal
+
+            if objective == Objective.ANY:
+                found = find_d_robust(p, args.d)
+            else:
+                found = find_d_robust_optimal(p, args.d, objective)
     else:
         mode = "global" if args.what == "global-near" else "local"
         if brute:
+            from .oracle import brute_solve_near
+
             res = brute_solve_near(p, args.d, mode, objective, eta=args.eta)
         else:
+            from .nearstable import solve_global_near, solve_local_near
+
             solver = solve_global_near if mode == "global" else solve_local_near
             res = solver(p, args.d, objective, eta=args.eta)
         if res is not None:
@@ -282,6 +290,8 @@ def _cmd_solve(args, brute):
         report["matching"] = _pairs_json(p, found.sorted_pairs())
         report["cost"] = egalitarian_cost(p, found)
         if args.what == "local-near":
+            from .nearstable import local_instability
+
             report["bound"] = _cost_json(local_instability(p, found))
         _attach_witness(report, args, p, witness)
     _emit(report)
@@ -305,6 +315,8 @@ def _dot_text(p, dg):
 
 
 def _cmd_rotations(args):
+    from .rotations import rotation_digraph
+
     p = parse_profile(_read(args.profile))
     dg = rotation_digraph(p)
     dot = _dot_text(p, dg)
@@ -330,6 +342,8 @@ def _csv_value(value):
 
 
 def _cmd_tradeoff(args):
+    from .nearstable import tradeoff_curve
+
     p = parse_profile(_read(args.profile))
     curve = tradeoff_curve(p, args.mode, args.max_d, Objective(args.objective))
     if args.csv:
@@ -341,6 +355,8 @@ def _cmd_tradeoff(args):
 
 
 def _cmd_gen(args):
+    from .generators import gen_cyclic_latin, gen_example2, gen_example3, gen_random
+
     if args.family == "example2":
         prof = gen_example2(args.n)
     elif args.family == "example3":

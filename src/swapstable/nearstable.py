@@ -37,8 +37,7 @@ already (near_stability_report, the CLI's check) scans once for all of
 them.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ._flow import ALWAYS, NEVER, _closure_cut
 from .errors import InvalidInput, NotNearlyStable, TooLarge, check_budget, verify
@@ -70,8 +69,7 @@ SEARCH_CAP = 1_000_000
 CURVE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class NearStabilityReport:
+class NearStabilityReport(NamedTuple):
     """How far a matching is from stable, both ways, with witnesses.
 
     local_bound is the smallest per-list budget, global_cost the smallest
@@ -105,6 +103,13 @@ def _defuse_costs(p, m, bps):
         yield i, j, cu, cw
 
 
+def _within(level, d) -> bool:
+    """Is instability level within budget d?  An INFINITE level, a
+    blocking pair that no promotion defuses, is within none, INFINITE
+    included."""
+    return level <= d and level != INFINITE
+
+
 def local_instability(p, m, *, bps=None) -> Cost:
     """Worst blocking pair's cheaper defusing cost; 0 when m is stable.
 
@@ -124,7 +129,7 @@ def local_instability(p, m, *, bps=None) -> Cost:
 def is_locally_d_nearly_stable(p, m, d_l) -> bool:
     """Does some profile within d_l swaps per list make m stable?"""
     check_budget(d_l)
-    return local_instability(p, m) <= d_l
+    return _within(local_instability(p, m), d_l)
 
 
 def witness_profile_local(p, m, d_l, *, bps=None) -> Profile:
@@ -148,7 +153,7 @@ def witness_profile_local(p, m, d_l, *, bps=None) -> Profile:
             w_steps[j] = max(w_steps.get(j, 0), cw)
         else:
             u_steps[i] = max(u_steps.get(i, 0), cu)
-    if worst > d_l or worst == INFINITE:
+    if not _within(worst, d_l):
         raise NotNearlyStable(
             "matching has local instability %s, budget was %s" % (worst, d_l)
         )
@@ -470,7 +475,7 @@ def _search(p, d, objective, eta, mode, least=None, prices=None):
                     level = prices[m] = _stabilization_cut(p, m, None)[0]
             else:
                 level = local_instability(p, m)
-            if level <= d:
+            if _within(level, d):
                 if least is None or (least == "instability" and level == 0):
                     return m
                 best = m
@@ -568,11 +573,17 @@ def solve_local_near(p, d_l, objective, eta=None):
     leaf, stopping at the first feasible matching, which is returned;
     None when there is none.  A perfect answer may be ruled out without
     searching (see _perfect_ruled_out; no per-list budget bounds the
-    number of swaps).
+    number of swaps).  At d_l = 0 a perfect answer is u_optimal(p) or
+    nothing, without a search: the feasible leaves are then the stable
+    matchings, which all match the same agents, and u_optimal(p) is the
+    first of them in search order (see solve_global_near).
     """
     objective = _check_query(objective, eta, d_l)
-    if objective == Objective.PERFECT and _perfect_ruled_out(p, INFINITE):
-        return None
+    if objective == Objective.PERFECT:
+        if d_l == 0:
+            return None if _perfect_ruled_out(p, 0) else p.u_opt
+        if _perfect_ruled_out(p, INFINITE):
+            return None
     return _search(p, d_l, objective, eta, "local")
 
 

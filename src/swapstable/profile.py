@@ -13,7 +13,6 @@ Distances between profiles count adjacent-transposition swaps per list
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -67,6 +66,38 @@ class Objective(str, Enum):
     EGALITARIAN = "egalitarian"
 
 
+class _Record:
+    """Base of the package's immutable records.
+
+    ``==``, ``hash`` and ``repr`` read the tuple ``_values()``, whose
+    entries ``_fields`` names, as a frozen dataclass's would; assigning or
+    deleting an attribute raises AttributeError, so ``__init__`` writes the
+    instance dict directly, as ``cached_property`` does.  The package does
+    without ``dataclasses``, whose import loads ``inspect``, ``ast`` and
+    ``dis``.
+    """
+
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("%s=%r".__mod__, zip(self._fields, self._values())))
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 class SwapOp(NamedTuple):
     """One adjacent transposition in ``owner``'s list.
 
@@ -79,8 +110,7 @@ class SwapOp(NamedTuple):
     y: Agent
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """Immutable preference profile; lists hold opposite-side indices.
 
     ``rank_u``/``rank_w`` are the one rank table per side.  Ingest
@@ -93,10 +123,13 @@ class Profile:
     tables, and the scans in ``_kernels`` walk them.
     """
 
-    u_lists: tuple
-    w_lists: tuple
-    u_names: tuple
-    w_names: tuple
+    _fields = ("u_lists", "w_lists", "u_names", "w_names")
+
+    def __init__(self, u_lists: tuple, w_lists: tuple, u_names: tuple, w_names: tuple):
+        vars(self).update(u_lists=u_lists, w_lists=w_lists, u_names=u_names, w_names=w_names)
+
+    def _values(self):
+        return (self.u_lists, self.w_lists, self.u_names, self.w_names)
 
     @property
     def n_u(self) -> int:
@@ -168,8 +201,7 @@ class Profile:
             yield Agent.w(j)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record):
     """Set of disjoint (u index, w index) pairs over fixed side sizes.
 
     The constructor is the one place a matching is checked and indexed: one
@@ -178,24 +210,22 @@ class Matching:
     or an agent matched twice; only a failing pair pays for its message.
     """
 
-    n_u: int
-    n_w: int
-    pairs: frozenset
-    pu: tuple = field(init=False, compare=False, repr=False)
-    pw: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("n_u", "n_w", "pairs")
 
-    def __post_init__(self):
-        pu, pw = [-1] * self.n_u, [-1] * self.n_w
+    def __init__(self, n_u: int, n_w: int, pairs: frozenset):
+        pu, pw = [-1] * n_u, [-1] * n_w
         try:
-            for i, j in self.pairs:
+            for i, j in pairs:
                 if i < 0 or j < 0 or pu[i] >= 0 or pw[j] >= 0:
                     raise IndexError
                 pu[i] = j
                 pw[j] = i
         except (IndexError, TypeError, ValueError):
-            raise InvalidMatching(_pair_fault(self.n_u, self.n_w, self.pairs)) from None
-        object.__setattr__(self, "pu", tuple(pu))
-        object.__setattr__(self, "pw", tuple(pw))
+            raise InvalidMatching(_pair_fault(n_u, n_w, pairs)) from None
+        vars(self).update(n_u=n_u, n_w=n_w, pairs=pairs, pu=tuple(pu), pw=tuple(pw))
+
+    def _values(self):
+        return (self.n_u, self.n_w, self.pairs)
 
     @classmethod
     def from_pairs(cls, n_u: int, n_w: int, pairs: Iterable) -> "Matching":

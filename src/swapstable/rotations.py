@@ -10,21 +10,25 @@ minimum-weight closure, solved here by max-flow project selection.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 from ._flow import ALWAYS, NEVER, _closure_cut
 from ._kernels import partner_ranks
 from .errors import Error, InvalidInput, NoSuccessorDefined, NotClosed, verify
-from .profile import Agent, Matching, Side, is_stable
+from .profile import Agent, Matching, Side, _Record, is_stable
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(_Record):
     """Cyclic pair sequence, rotated so the smallest u index comes first."""
 
-    cycle: tuple
+    _fields = ("cycle",)
+
+    def __init__(self, cycle: tuple):
+        vars(self)["cycle"] = cycle
+
+    def _values(self):
+        return (self.cycle,)
 
     @classmethod
     def canonical(cls, pairs):
@@ -100,8 +104,7 @@ def eliminate(m, rho):
     return Matching(n_u=m.n_u, n_w=m.n_w, pairs=frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class RotationDigraph:
+class RotationDigraph(_Record):
     """All rotations of a profile, precedence arcs, and each agent's runs.
 
     Arc (a, b) means rotation a must be eliminated before rotation b;
@@ -121,14 +124,17 @@ class RotationDigraph:
     the two ends of ``events`` ALWAYS (so already at u_optimal) or NEVER
     (so in no stable matching).  An agent unmatched at u_optimal is
     unmatched in every stable matching; its one bound is its list length.
-    The stable pairs are exactly the pairs at the bounds.
+    The stable pairs are exactly the pairs at the bounds.  ``==``, ``hash``
+    and ``repr`` leave the runs out.
     """
 
-    rotations: tuple
-    arcs: frozenset
-    u_opt: Matching
-    u_runs: list = field(compare=False, repr=False)
-    w_runs: list = field(compare=False, repr=False)
+    _fields = ("rotations", "arcs", "u_opt")
+
+    def __init__(self, rotations, arcs, u_opt, u_runs, w_runs):
+        vars(self).update(rotations=rotations, arcs=arcs, u_opt=u_opt, u_runs=u_runs, w_runs=w_runs)
+
+    def _values(self):
+        return (self.rotations, self.arcs, self.u_opt)
 
     @property
     def n(self):

@@ -548,7 +548,7 @@ def test_internal_error_exits_2(capsys, monkeypatch, crown):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("swapstable.cli.solve_local_near", boom)
+    monkeypatch.setattr("swapstable.nearstable.solve_local_near", boom)
     code, out, err = run(
         capsys, "solve", "local-near", "--profile", crown[1], "--d", "0",
         "--objective", "perfect",

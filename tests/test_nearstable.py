@@ -141,6 +141,39 @@ def test_unmatched_blockers_cost_infinity():
             witness_profile_local(p, m, INFINITE)
 
 
+def test_infinite_instability_is_within_no_budget():
+    # A pair of single agents who accept each other blocks at every
+    # budget, so the checker agrees with the witness at d = INFINITE too.
+    p, m = two_unmatched_blockers()
+    assert local_instability(p, m) is INFINITE
+    assert not is_locally_d_nearly_stable(p, m, INFINITE)
+    with pytest.raises(NotNearlyStable):
+        witness_profile_local(p, m, INFINITE)
+
+
+def test_solvers_at_an_infinite_budget_answer_with_finite_instability():
+    answers = 0
+    for n_u, n_w in ((3, 3), (4, 4), (3, 4), (4, 3)):
+        for density in (0.6, 1.0):
+            for seed in range(60):
+                p = gen_random(n_u, n_w, density, seed)
+                cheapest = egalitarian_cost(p, u_optimal(p))
+                queries = [(Objective.PERFECT, None)] + [
+                    (Objective.EGALITARIAN, eta) for eta in range(0, cheapest + 1, 2)
+                ]
+                for objective, eta in queries:
+                    m = solve_local_near(p, INFINITE, objective, eta=eta)
+                    if m is not None:
+                        assert local_instability(p, m) is not INFINITE
+                        answers += 1
+                    found = solve_global_near(p, INFINITE, objective, eta=eta)
+                    if found is not None:
+                        cost, q = global_stabilization_cost(p, found[0])
+                        assert cost is not INFINITE and q == found[1]
+                        answers += 1
+    assert answers >= 900
+
+
 def test_global_cost_agrees_with_ball_walk():
     rng = make_rng(55)
     finite = 0
@@ -695,6 +728,30 @@ def test_stable_shortcuts_match_brute_force():
                 assert want is not None and want[1] == p and is_stable(p, want[0])
                 assert solve_global_near(p, d, objective, eta=eta) == (u_opt, p)
     assert shortcuts >= 60
+
+
+def test_local_perfect_answer_at_budget_zero_needs_no_search(monkeypatch):
+    # At d = 0 the local solver's feasible leaves are the stable matchings,
+    # and u_optimal is the first of them in search order: its answer is
+    # the search's on every profile of the battery, and no search runs.
+    perfect = 0
+    for n in range(2, 7):
+        for density in (1.0, 0.7, 0.5):
+            for seed in range(150):
+                p = gen_random(n, n, density, seed)
+                want = nearstable._search(p, 0, Objective.PERFECT, None, "local")
+                assert solve_local_near(p, 0, Objective.PERFECT) == want
+                perfect += want is not None
+    assert 1000 < perfect < 2250
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched at d = 0")
+
+    monkeypatch.setattr(nearstable, "_search", no_search)
+    for p, fits in ((gen_example3(), False), (gen_cyclic_latin(5), True)):
+        assert is_perfect(p, u_optimal(p)) is fits
+        assert solve_local_near(p, 0, Objective.PERFECT) == (u_optimal(p) if fits else None)
+        assert tradeoff_curve(p, "local", 0, Objective.PERFECT) == [(0, fits)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,14 +1,44 @@
 """Rules that every module of the package's source keeps."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+import types
+
+import pytest
 
 import swapstable
 
 SRC = pathlib.Path(swapstable.__file__).parent
+
+
+def _child(code):
+    """stdout of a fresh interpreter that runs code with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def _importers(module):
+    """Package files that import module or one of its submodules."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == module for name in names):
+                found.append(path.name)
+    return found
 
 
 def test_no_assert_statements_in_the_package():
@@ -28,19 +58,18 @@ def test_no_assert_statements_in_the_package():
 
 
 def _private_defs(tree):
-    """Module-level _name functions and _name methods of module-level classes."""
+    """Module-level _name functions and _name methods of module-level
+    classes; dunders, which the interpreter calls (a method's __eq__, a
+    module's __getattr__), are not private."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            yield from (
-                item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name.startswith("_")
-                and not item.name.endswith("__")
-            )
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name.startswith("_"):
-                yield node
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (
+            item
+            for item in body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name.startswith("_")
+            and not item.name.endswith("__")
+        )
 
 
 def test_private_functions_have_a_caller():
@@ -94,25 +123,16 @@ def test_no_numpy_in_the_package():
     # Ingest, the engines and the oracle all read plain lists: on the small
     # inputs most calls see, numpy's fixed cost per call dominates, and its
     # import was most of the package's import time.
-    importers = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.append(path.name)
-    assert importers == []
+    assert _importers("numpy") == []
     code = "import sys, swapstable.cli, swapstable.oracle; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    assert _child(code) == "False"
+
+
+def test_no_dataclasses_in_the_package():
+    # Importing dataclasses loads inspect, ast, dis and tokenize, several
+    # milliseconds and about 1 MB in every process, and each generated
+    # class costs more; the records subclass profile._Record or NamedTuple.
+    assert _importers("dataclasses") == []
 
 
 # Self-calls the rule allows, each with the bound on its depth.
@@ -166,15 +186,42 @@ def test_no_parameter_defaults_to_a_cap():
     assert found == []
 
 
-def test_importing_the_package_leaves_the_oracle_unloaded():
-    # The brute-force oracle is the CLI's referee; the library does not
-    # need it.
-    code = "import sys, swapstable; print('swapstable.oracle' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+def test_importing_the_package_runs_no_submodule():
+    # Exported names resolve on first use, so `import swapstable` loads
+    # nothing of the package, the brute-force oracle (the CLI's referee)
+    # included, and a name loads only its defining module's imports.
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('swapstable.')))"
+    code = "import sys, swapstable; %s; swapstable.gen_random; %s" % (loaded, loaded)
+    first, then = map(ast.literal_eval, _child(code).splitlines())
+    assert first == []
+    assert then == [
+        "swapstable._kernels", "swapstable.errors", "swapstable.generators", "swapstable.profile"
+    ]
+
+
+def test_check_stable_loads_no_engine(tmp_path):
+    # Each CLI command imports the engines it runs: a stability check
+    # needs the parser and the blocking scan, and none of the modules a
+    # process would otherwise compile for the other commands.
+    from swapstable import gen_example3, serialize_profile
+
+    (tmp_path / "p.txt").write_text(serialize_profile(gen_example3()), encoding="utf-8")
+    (tmp_path / "m.txt").write_text("", encoding="utf-8")
+    argv = ["check", "stable", "--profile", str(tmp_path / "p.txt"),
+            "--matching", str(tmp_path / "m.txt")]
+    code = (
+        "import contextlib, io, sys\n"
+        "from swapstable import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(%r)\n"
+        "print(rc, *sys.modules)" % argv
     )
-    assert out.stdout.strip() == "False"
+    rc, *modules = _child(code).split()
+    assert rc == "1"  # the empty matching leaves mutually acceptable agents single
+    unloaded = {"oracle", "nearstable", "robustness", "rotations", "_flow", "generators"}
+    modules = set(modules)
+    assert {"swapstable." + name for name in unloaded} & modules == set()
+    assert {"dataclasses", "inspect"} & modules == set()
 
 
 def test_no_indented_json_dumps_in_the_package():
@@ -289,3 +336,36 @@ def test_cli_reaches_the_engines_through_public_names():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+EXPORTS = """
+    Agent Error INFINITE InvalidInput InvalidMatching Matching NearStabilityReport
+    NoSuccessorDefined NonAdjacentSwap NotClosed NotNearlyStable Objective PartitionResult
+    Profile Rotation RotationDigraph Side SwapOp TooLarge UnknownAgent ValidationError
+    apply_swap backend blocking_indices blocking_pairs closed_subsets egalitarian_cost
+    egalitarian_deltas eliminate enumerate_stable_matchings example2_rotated_matching
+    example2_stable_matching exposed_rotations find_d_robust find_d_robust_optimal
+    gen_cyclic_latin gen_example1_fixture gen_example2 gen_example3 gen_random
+    global_stabilization_cost is_d_robust is_locally_d_nearly_stable is_perfect is_stable
+    local_instability matched_partition matching_of max_robustness min_weight_closure
+    near_stability_report parse_matching parse_profile rank repair_after_swap
+    rotation_digraph serialize_matching serialize_profile solve_global_near
+    solve_local_near stable_pairs successor swap_distance swap_distance_per_agent
+    tradeoff_curve u_optimal validate_matching validate_profile w_optimal
+    witness_profile_local
+""".split()
+
+
+def test_every_export_resolves_to_its_defining_module():
+    assert len(EXPORTS) == 70
+    assert sorted(swapstable.__all__) == sorted(EXPORTS)
+    listed = dir(swapstable)
+    for name in swapstable.__all__:
+        home = importlib.import_module("swapstable." + swapstable._MODULE_OF[name])
+        value = getattr(swapstable, name)
+        assert value is getattr(home, name)
+        assert name in listed
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home.__name__, name
+    with pytest.raises(AttributeError, match="no attribute 'oracle_of'"):
+        swapstable.oracle_of
