@@ -95,6 +95,7 @@ def broken_profile_texts():
 
     Hand-written cases cover each diagnostic; the seeded ones apply two
     random edits each to a serialized gen_random(4, 4, 0.7, seed) profile.
+    Three more hand-written cases, added later, follow the seeded ones.
     """
     from swapstable import gen_random, serialize_profile
 
@@ -164,6 +165,9 @@ def broken_profile_texts():
             else:
                 lines[k] = ("%s: %s" % (label, " ".join(tokens))).rstrip()
         corpus["seed %d" % seed] = "\n".join(lines) + "\n"
+    corpus["name with leading '#'"] = "profile v1\nside U: #a c\nside W: b\n#a: b\nc: b\nb: c\n"
+    corpus["missing side W, list line twice"] = "profile v1\nside U: a\na:\na:\n"
+    corpus["name twice, one line more"] = "profile v1\nside U: a a\nside W: b\na:\nb:\nc:\n"
     return corpus
 
 
@@ -234,3 +238,69 @@ def constraints_by_pair(p, dg, d):
         for live, shield in threats_by_pair(p, dg, d)
         if live != NEVER and shield != ALWAYS and live != shield
     }
+
+
+def mutated_texts():
+    """Seeded battery of (kind, profile text, matching text or None).
+
+    Each entry starts from a serialized gen_random profile, or from a
+    matching of it, and applies up to three random edits below a
+    profile's header: drop, repeat or swap tokens, glue a ':' into a
+    token, repeat, move or delete a line.  Blank and comment lines are
+    added after the edits, so no agent name starts with '#', and about a
+    quarter of the texts get CRLF line ends.  Matching entries carry the
+    clean profile text they are parsed against.
+    """
+    from swapstable import gen_random, serialize_matching, serialize_profile, u_optimal
+
+    out = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = gen_random(rng.randint(1, 6), rng.randint(1, 6), rng.choice([0.4, 0.7, 1.0]), seed)
+        profile_text = serialize_profile(p)
+        kind = "matching" if seed % 3 == 2 else "profile"
+        if kind == "matching":
+            lines = serialize_matching(p, u_optimal(p)).splitlines()
+            names = p.u_names + p.w_names
+            extra = range(rng.choice([0, 0, 1]))
+            lines += ["%s %s" % (rng.choice(names), rng.choice(names)) for _ in extra]
+        else:
+            lines = profile_text.splitlines()
+        first = 0 if kind == "matching" else 1
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            if len(lines) <= first:
+                break
+            k = rng.randrange(first, len(lines))
+            tokens = lines[k].split()
+            edit = rng.choice(
+                ["drop", "repeat", "swap", "colon", "copy line", "move line", "delete line"]
+            )
+            if edit in ("drop", "repeat", "swap", "colon") and len(tokens) < 2:
+                edit = "copy line"
+            if edit == "drop":
+                del tokens[rng.randrange(len(tokens))]
+            elif edit == "repeat":
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(tokens))
+            elif edit == "swap":
+                a, b = rng.sample(range(len(tokens)), 2)
+                tokens[a], tokens[b] = tokens[b], tokens[a]
+            elif edit == "colon":
+                a = rng.randrange(len(tokens))
+                tokens[a] = rng.choice([":", tokens[a] + ":", ":" + tokens[a], tokens[a] + ":x"])
+            if edit == "copy line":
+                lines.insert(rng.randrange(first, len(lines) + 1), lines[k])
+            elif edit == "move line":
+                lines.insert(rng.randrange(first, len(lines)), lines.pop(k))
+            elif edit == "delete line":
+                del lines[k]
+            else:
+                lines[k] = " ".join(tokens)
+        for _ in range(rng.randint(0, 2)):
+            filler = rng.choice(["", "   ", "# note", "  # indented: a b"])
+            lines.insert(rng.randrange(len(lines) + 1), filler)
+        text = ("\r\n" if rng.random() < 0.25 else "\n").join(lines) + "\n"
+        if kind == "matching":
+            out.append((kind, profile_text, text))
+        else:
+            out.append((kind, text, None))
+    return out
